@@ -22,6 +22,7 @@ from .chain import (
 )
 from .errors import (
     BoundViolationError,
+    ChainError,
     ComponentBoundError,
     ConvergenceError,
     Error,
@@ -31,6 +32,7 @@ from .errors import (
     NotInvariantError,
     NotLumpableError,
     NotPrimitiveError,
+    PartitionError,
     RateOutOfRangeError,
     SourceError,
     StateSpaceLimitError,
@@ -52,21 +54,13 @@ from .graph import (
 from .rd import (
     GapReport,
     RDPoint,
-    RateReport,
     blahut,
     gap_report,
     hamming_rd_closed_form,
-    rate_report,
     source_entropy,
 )
 from .sim import SimResult, simulate, z_score
-from .statespace import (
-    MembershipResult,
-    StateSpace,
-    check_component_bound,
-    enumerate_states,
-    membership_increment,
-)
+from .statespace import StateSpace, enumerate_states
 from .symmetry import (
     FiberPartition,
     PermutationGroup,

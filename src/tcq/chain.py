@@ -14,7 +14,7 @@ from functools import cached_property
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .errors import SourceError
+from .errors import ChainError, GraphStructureError, SourceError
 from .graph import LabeledGraph, RateInfo, rate_of, strongly_connected_components
 from .statespace import StateSpace, enumerate_states
 
@@ -100,10 +100,11 @@ class MarkovChain:
     absorb: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        assert len(self.rows) == len(self.absorb) == self.size
+        if not len(self.rows) == len(self.absorb) == self.size:
+            raise ChainError("need one row and one increment mass per state")
         for i, row in enumerate(self.rows):
-            assert sum(row.values()) == 1, f"row {i} does not sum to 1"
-            assert all(p > 0 for p in row.values())
+            if sum(row.values()) != 1 or min(row.values()) <= 0:
+                raise ChainError(f"row {i} is not positive entries summing to 1")
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def _solve_integer(aug: list[list[int]]) -> list[Fraction]:
     for k in range(n):
         pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
         if pivot is None:
-            raise ArithmeticError("singular system")
+            raise ChainError("singular system")
         if pivot != k:
             aug[k], aug[pivot] = aug[pivot], aug[k]
         for i in range(k + 1, n):
@@ -240,7 +241,8 @@ def _absorption_probabilities(
             rows.append(row)
         h = _solve_integer(_clear_denominators(rows))
         out.append(h[pos[0]])
-    assert sum(out) == 1
+    if sum(out) != 1:
+        raise ChainError(f"absorption probabilities sum to {sum(out)}, not 1")
     return out
 
 
@@ -257,7 +259,8 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
         pi = _class_stationary(mc, comp)
         for s, mass in zip(comp, pi):
             q[s] += w * mass
-    assert sum(q) == 1
+    if sum(q) != 1:
+        raise ChainError(f"stationary mass sums to {sum(q)}, not 1")
     return StationaryDistribution(
         q=tuple(q), classes=classes, unique=len(classes.closed) == 1
     )
@@ -309,7 +312,7 @@ def analyze(
     d = distortion_rate(mc, sd)
     try:
         rate = rate_of(g)
-    except Exception:
+    except GraphStructureError:
         rate = None
     rd_point = None
     if with_rd:

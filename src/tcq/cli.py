@@ -32,6 +32,17 @@ class _UsageError(Exception):
     """Bad flag combination that argparse alone cannot express."""
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_graph(path: str) -> LabeledGraph:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -262,7 +273,14 @@ def _cmd_gen_debruijn(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
+    if not args.sequence.strip():
+        raise _UsageError("--sequence is empty")
     xs = tuple(tok.strip() for tok in args.sequence.split(","))
+    for x in xs:
+        if x not in g.symbol_index:
+            raise _UsageError(
+                f"--sequence symbol {x!r} is not in the alphabet {' '.join(g.alphabet)}"
+            )
     result = encode(g, xs)
     bf = brute_force_min(g, xs) if args.brute_force else None
     if args.porcelain:
@@ -318,9 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the distortion")
     add_common(p)
-    p.add_argument("--n", type=int, required=True, help="number of source symbols")
+    p.add_argument(
+        "--n", type=_positive_int, required=True, help="number of source symbols"
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallel", type=int, default=1, metavar="WORKERS")
+    p.add_argument("--parallel", type=_positive_int, default=1, metavar="WORKERS")
     p.add_argument(
         "--exact", action="store_true", help="also compute the exact value and z-score"
     )

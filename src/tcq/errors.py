@@ -58,6 +58,20 @@ class ComponentBoundError(Error):
     stage = "enumerate"
 
 
+class ChainError(Error):
+    """A Markov chain breaks an invariant: a row that is not a probability
+    law, a singular balance system, or stationary mass that does not sum to 1.
+    """
+
+    stage = "chain"
+
+
+class PartitionError(Error):
+    """State fibers that do not partition the state indices exactly once."""
+
+    stage = "quotient"
+
+
 class NotInvariantError(Error):
     """A supplied permutation maps some reachable state outside the state space."""
 

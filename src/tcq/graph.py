@@ -128,14 +128,22 @@ class RateInfo:
 
     ``rate`` is the exact log2 of the out-degree when that is a power of
     two, else None (the out-degree itself stays exact in ``out_degree``).
+    ``vertex_bits`` is the length of a start-vertex description.
     """
 
     out_degree: int
     rate: int | None
+    vertex_bits: int
 
     @property
     def approx(self) -> float:
         return math.log2(self.out_degree)
+
+    def bits(self, n: int) -> int:
+        """Description length of an n-step path (start vertex included)."""
+        if self.rate is None:
+            raise GraphStructureError("out-degree is not a power of two")
+        return self.vertex_bits + n * self.rate
 
 
 def parse_graph(text: str) -> LabeledGraph:
@@ -325,7 +333,9 @@ def rate_of(g: LabeledGraph) -> RateInfo:
         )
     d = degs.pop()
     rate = d.bit_length() - 1 if d & (d - 1) == 0 else None
-    return RateInfo(out_degree=d, rate=rate)
+    return RateInfo(
+        out_degree=d, rate=rate, vertex_bits=(g.num_vertices - 1).bit_length()
+    )
 
 
 def de_bruijn(order: int, labels: Sequence[str]) -> LabeledGraph:

@@ -17,11 +17,9 @@ import numpy as np
 from .errors import (
     BoundViolationError,
     ConvergenceError,
-    GraphStructureError,
     RateOutOfRangeError,
     SourceError,
 )
-from .graph import LabeledGraph, rate_of
 
 _LN2 = math.log(2.0)
 
@@ -31,25 +29,6 @@ class RDPoint(NamedTuple):
     distortion: float
     tolerance: float  # certified rate gap of the inner loop, in bits
     slope: float  # the slope parameter that produced the point
-
-
-@dataclass(frozen=True)
-class RateReport:
-    out_degree: int
-    rate: int | None  # bits per step when the out-degree is a power of two
-    vertex_bits: int
-
-    def bits(self, n: int) -> int:
-        """Description length of an n-step path (start vertex included)."""
-        if self.rate is None:
-            raise GraphStructureError("out-degree is not a power of two")
-        return self.vertex_bits + n * self.rate
-
-
-def rate_report(g: LabeledGraph) -> RateReport:
-    info = rate_of(g)
-    vb = max(1, math.ceil(math.log2(g.num_vertices))) if g.num_vertices > 1 else 0
-    return RateReport(out_degree=info.out_degree, rate=info.rate, vertex_bits=vb)
 
 
 def source_entropy(probs: Sequence[float]) -> float:

@@ -1,5 +1,11 @@
 """Monte Carlo estimate of the per-step distortion rate.
 
+The walk is a sample path of the same chain that ``statespace`` enumerates:
+it drives the shared ``Explorer`` along the sampled symbols, reading each
+memoized arc straight from its row and computing an arc only on its first
+use. Only the states the walk visits are ever interned, so graphs whose
+full space is too large to enumerate (or that are periodic) still simulate.
+
 Symbols come from a counter-based generator (SplitMix64 applied to a seed
 plus counter), so position i of the stream depends only on (seed, i). A
 worker count W splits the stream into W contiguous ranges; each range is
@@ -22,11 +28,10 @@ from math import sqrt
 
 import numpy as np
 
-from . import viterbi
 from .chain import SourceModel
 from .errors import SourceError
 from .graph import LabeledGraph
-from .viterbi import StateVector
+from .statespace import Explorer
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -81,32 +86,6 @@ def symbol_indices(
     return np.asarray(support, dtype=np.int64)[picks]
 
 
-class _LazyArcs:
-    """Reduced transitions discovered on demand, memoized by state index."""
-
-    def __init__(self, g: LabeledGraph):
-        self.g = g
-        zero = viterbi.zero_state(g)
-        self.states: list[StateVector] = [zero]
-        self.index: dict[StateVector, int] = {zero: 0}
-        self.rows: list[list[tuple[int, int] | None]] = [[None] * len(g.alphabet)]
-
-    def step(self, si: int, xi: int) -> tuple[int, int]:
-        hit = self.rows[si][xi]
-        if hit is not None:
-            return hit
-        nxt, inc = viterbi.reduced_transition(self.g, self.states[si], self.g.alphabet[xi])
-        ti = self.index.get(nxt)
-        if ti is None:
-            ti = len(self.states)
-            self.index[nxt] = ti
-            self.states.append(nxt)
-            self.rows.append([None] * len(self.g.alphabet))
-        entry = (ti, inc)
-        self.rows[si][xi] = entry
-        return entry
-
-
 @dataclass(frozen=True, eq=False)
 class SimResult:
     n: int
@@ -149,7 +128,8 @@ def simulate(
             f"source alphabet {src.alphabet} does not match graph alphabet {g.alphabet}"
         )
     bounds, support = source_thresholds(src)
-    arcs = _LazyArcs(g)
+    explorer = Explorer(g)
+    rows = explorer.rows
     increments = np.empty(n, dtype=np.uint8)
     for start, stop in _worker_ranges(n, workers):
         si = 0  # each range restarts from the zero state
@@ -158,7 +138,10 @@ def simulate(
             xs = symbol_indices(seed, cs, ce, bounds, support).tolist()
             pos = cs
             for xi in xs:
-                si, inc = arcs.step(si, xi)
+                arc = rows[si][xi]
+                if arc is None:
+                    arc = explorer.arc(si, xi)
+                si, inc = arc
                 increments[pos] = inc
                 pos += 1
 

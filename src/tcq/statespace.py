@@ -1,21 +1,50 @@
-"""Enumeration of the reachable reduced state vectors and their arc table.
+"""The reduced state vectors and their arc table, found by one explorer.
 
-The space is the closure of the zero vector under the reduced transition,
-over every alphabet symbol. It is finite: every component of every
-reachable reduced vector is bounded by the graph's exact-path constant k.
+``Explorer`` interns reduced vectors and memoizes their arcs, one (state,
+symbol) arc at a time. Enumeration drives it to closure from the zero
+vector; Monte Carlo drives it along the sampled walk. The closure is finite:
+every component of every reachable reduced vector is bounded by the graph's
+exact-path constant k.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 from . import viterbi
 from .errors import ComponentBoundError, GraphStructureError, StateSpaceLimitError
 from .graph import LabeledGraph, exact_path_constant, validate
 from .viterbi import StateVector
+
+Arc = tuple[int, int]  # (successor state index, increment in {0,1})
+
+
+class Explorer:
+    """Reduced states of one graph, interned in discovery order with the
+    zero vector first (``index`` maps a vector to its position). ``rows[i][xi]``
+    is the arc of state i under symbol xi, None until ``arc`` computes it.
+    """
+
+    def __init__(self, g: LabeledGraph):
+        self.graph = g
+        zero = viterbi.zero_state(g)
+        self.states: list[StateVector] = [zero]
+        self.index: dict[StateVector, int] = {zero: 0}
+        self.rows: list[list[Arc | None]] = [[None] * len(g.alphabet)]
+
+    def arc(self, si: int, xi: int) -> Arc:
+        """Compute, memoize and return the arc of state si under symbol xi."""
+        g = self.graph
+        nxt, inc = viterbi.reduced_transition(g, self.states[si], g.alphabet[xi])
+        ti = self.index.get(nxt)
+        if ti is None:
+            ti = len(self.states)
+            self.index[nxt] = ti
+            self.states.append(nxt)
+            self.rows.append([None] * len(g.alphabet))
+        entry = (ti, inc)
+        self.rows[si][xi] = entry
+        return entry
 
 
 @dataclass(frozen=True)
@@ -24,13 +53,11 @@ class StateSpace:
     k: int
     states: tuple[StateVector, ...]  # discovery order, zero vector first
     # arcs[state][symbol_index] = (successor state index, increment in {0,1})
-    arcs: tuple[tuple[tuple[int, int], ...], ...]
+    arcs: tuple[tuple[Arc, ...], ...]
     # BFS tree: parents[i] = (parent state index, symbol index); None for the root
     parents: tuple[tuple[int, int] | None, ...]
-
-    @cached_property
-    def index(self) -> dict[StateVector, int]:
-        return {s: i for i, s in enumerate(self.states)}
+    # state vector -> its position in ``states``
+    index: dict[StateVector, int] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -45,11 +72,6 @@ class StateSpace:
             i = parent
         out.reverse()
         return out
-
-
-class MembershipResult(NamedTuple):
-    in_space: bool
-    incremented: bool
 
 
 def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
@@ -69,71 +91,38 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
         )
     k = exact_path_constant(g)
 
-    zero = viterbi.zero_state(g)
-    states: list[StateVector] = [zero]
-    index: dict[StateVector, int] = {zero: 0}
-    arcs: list[tuple[tuple[int, int], ...]] = []
+    ex = Explorer(g)
+    states = ex.states
+    # the BFS tree lives here, not in the explorer: a Monte Carlo walk
+    # interns up to one state per step and never asks for a witness
     parents: list[tuple[int, int] | None] = [None]
-
-    queue: deque[int] = deque([0])
-    while queue:
-        si = queue.popleft()
-        s = states[si]
-        row: list[tuple[int, int]] = []
-        for xi, x in enumerate(g.alphabet):
-            nxt, inc = viterbi.reduced_transition(g, s, x)
-            if max(nxt) > k:
+    si = 0
+    while si < len(states):  # discovery order is the BFS queue order
+        for xi in range(len(g.alphabet)):
+            found = len(states)
+            ti, _ = ex.arc(si, xi)
+            if ti < found:
+                continue
+            parents.append((si, xi))
+            if max(states[ti]) > k:
                 raise ComponentBoundError(
-                    f"state {nxt} from ({s}, {x!r}) exceeds the bound k={k}"
+                    f"state {states[ti]} from ({states[si]}, {g.alphabet[xi]!r})"
+                    f" exceeds the bound k={k}"
                 )
-            ti = index.get(nxt)
-            if ti is None:
-                ti = len(states)
-                if ti >= max_states:
-                    raise StateSpaceLimitError(
-                        f"more than {max_states} states; raise max_states to continue"
-                    )
-                index[nxt] = ti
-                states.append(nxt)
-                parents.append((si, xi))
-                queue.append(ti)
-            row.append((ti, inc))
-        arcs.append(tuple(row))
+            if ti >= max_states:
+                raise StateSpaceLimitError(
+                    f"more than {max_states} states; raise max_states to continue"
+                )
+        si += 1
 
     return StateSpace(
         graph=g,
         k=k,
         states=tuple(states),
-        arcs=tuple(arcs),
+        arcs=tuple(map(tuple, ex.rows)),  # type: ignore[arg-type]
         parents=tuple(parents),
+        index=ex.index,
     )
-
-
-def check_component_bound(ss: StateSpace) -> bool:
-    """True iff every component of every state is at most k."""
-    return all(max(s) <= ss.k for s in ss.states)
-
-
-def membership_increment(ss: StateSpace, s: StateVector, x: str) -> MembershipResult:
-    """Whether the unreduced successor of (s, x) stays inside the space.
-
-    It leaves the space exactly when the step increments: the unreduced
-    successor has minimum component > 0 iff the arc's increment is 1.
-    Both facts are recomputed and cross-asserted here.
-    """
-    si = ss.index.get(s)
-    if si is None:
-        raise KeyError(f"state {s} is not in the enumerated space")
-    xi = ss.graph.symbol_index[x]
-    _, inc = ss.arcs[si][xi]
-
-    unreduced = viterbi.transition(ss.graph, s, x)
-    m = min(unreduced)
-    in_space = unreduced in ss.index
-    assert (inc == 1) == (m > 0) == (not in_space), (
-        "membership/increment equivalence violated"
-    )
-    return MembershipResult(in_space=in_space, incremented=inc == 1)
 
 
 def format_statespace(ss: StateSpace) -> str:

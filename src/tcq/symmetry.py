@@ -17,11 +17,17 @@ from .chain import (
     MarkovChain,
     SourceModel,
     StationaryDistribution,
+    build_chain,
     decimal_string,
     distortion_rate,
     stationary,
 )
-from .errors import GraphStructureError, NotInvariantError, NotLumpableError
+from .errors import (
+    GraphStructureError,
+    NotInvariantError,
+    NotLumpableError,
+    PartitionError,
+)
 from .statespace import StateSpace
 from .viterbi import StateVector
 
@@ -122,9 +128,11 @@ class FiberPartition:
 
     def __post_init__(self) -> None:
         seen = sorted(i for fiber in self.fibers for i in fiber)
-        assert seen == list(range(len(self.fiber_of))), "not a partition"
+        if seen != list(range(len(self.fiber_of))):
+            raise PartitionError("the fibers do not cover each state exactly once")
         for fi, fiber in enumerate(self.fibers):
-            assert all(self.fiber_of[i] == fi for i in fiber)
+            if any(self.fiber_of[i] != fi for i in fiber):
+                raise PartitionError(f"fiber_of disagrees with fiber {fi}")
 
     def __len__(self) -> int:
         return len(self.fibers)
@@ -165,7 +173,11 @@ def induced_fibers(ss: StateSpace, group: PermutationGroup) -> FiberPartition:
         fi = len(fibers)
         fibers.append(tuple(sorted(orbit)))
         for j in orbit:
-            assert fiber_of[j] == -1, "orbits are not disjoint"
+            if fiber_of[j] != -1:
+                raise PartitionError(
+                    f"state {j} lies in orbits {fiber_of[j]} and {fi};"
+                    " the permutations do not form a group"
+                )
             fiber_of[j] = fi
     return FiberPartition(fibers=tuple(fibers), fiber_of=tuple(fiber_of))
 
@@ -185,23 +197,17 @@ def quotient(ss: StateSpace, src: SourceModel, fp: FiberPartition) -> QuotientCh
 
     Every member of a fiber must put the same total mass on each target
     fiber and the same mass on incrementing arcs; any disagreement raises
-    NotLumpableError naming the fiber and a witness pair.
+    NotLumpableError naming the fiber and a witness pair. The masses are
+    the rows of ``build_chain(ss, src)`` summed over each target fiber.
     """
-    if src.alphabet != ss.graph.alphabet:
-        raise NotLumpableError(0, 0, 0, "source alphabet does not match the graph")
+    full = build_chain(ss, src)
 
     def profile(i: int) -> tuple[dict[int, Fraction], Fraction]:
         mass: dict[int, Fraction] = {}
-        absorb = Fraction(0)
-        for xi, (ti, inc) in enumerate(ss.arcs[i]):
-            p = src.probabilities[xi]
-            if p == 0:
-                continue
+        for ti, p in full.rows[i].items():
             tf = fp.fiber_of[ti]
             mass[tf] = mass.get(tf, Fraction(0)) + p
-            if inc:
-                absorb += p
-        return mass, absorb
+        return mass, full.absorb[i]
 
     rows: list[dict[int, Fraction]] = []
     absorb: list[Fraction] = []

@@ -14,12 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import GRAPH_DIR, random_code_graph, random_sequence
+from oracles import check_component_bound
 from tcq import (
     SourceModel,
     analyze,
     blahut,
     brute_force_min,
-    check_component_bound,
     encode,
     enumerate_states,
     gap_report,

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -8,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_code_graph
+from conftest import REPO_ROOT, random_code_graph
 from tcq import (
+    ChainError,
     MarkovChain,
     SourceError,
     SourceModel,
@@ -264,3 +268,33 @@ def test_analyze_with_rd(g3):
     assert abs(r.rd_point.rate - 1.0) < 1e-9
     assert r.rd_point.distortion == 0.0
     assert abs(r.rd_gap - 1 / 6) < 1e-12
+
+
+def test_chain_invariants_raise():
+    with pytest.raises(ChainError, match="row 0 is not positive entries summing to 1"):
+        MarkovChain(size=1, rows=({0: HALF},), absorb=(Fraction(0),))
+    with pytest.raises(ChainError, match="row 0 is not positive"):
+        MarkovChain(size=1, rows=({0: Fraction(2), 1: Fraction(-1)},), absorb=(HALF,))
+    with pytest.raises(ChainError, match="one row and one increment mass"):
+        MarkovChain(size=2, rows=({0: Fraction(1)},), absorb=(Fraction(0),))
+
+
+def test_chain_invariants_survive_optimized_mode():
+    """The row check is a raise, not an assert: it holds under python -O."""
+    code = (
+        "from fractions import Fraction\n"
+        "from tcq import ChainError, MarkovChain\n"
+        "try:\n"
+        "    MarkovChain(size=1, rows=({0: Fraction(1, 2)},), absorb=(Fraction(0),))\n"
+        "except ChainError as exc:\n"
+        "    print(exc.stage, exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "chain row 0 is not positive entries summing to 1\n"

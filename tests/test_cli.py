@@ -255,6 +255,26 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "simulate", "--graph", G3)[0] == 2  # missing --n
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--graph", G3, "--n", "0"), "argument --n: must be at least 1"),
+        (
+            ("simulate", "--graph", G3, "--n", "10", "--parallel", "0"),
+            "argument --parallel: must be at least 1",
+        ),
+        (("encode", "--graph", G3, "--sequence", "a,z"), "symbol 'z' is not in"),
+        (("encode", "--graph", G3, "--sequence", ""), "--sequence is empty"),
+    ],
+    ids=["n-zero", "parallel-zero", "unknown-symbol", "empty-sequence"],
+)
+def test_bad_input_exits_2_without_traceback(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert message in err.splitlines()[-1]
+
+
 def test_console_script_entry_point():
     exe = shutil.which("tcq")
     assert exe is not None, "console script should be installed"

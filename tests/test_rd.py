@@ -13,7 +13,7 @@ from tcq import (
     blahut,
     gap_report,
     hamming_rd_closed_form,
-    rate_report,
+    rate_of,
     source_entropy,
 )
 
@@ -123,7 +123,7 @@ def test_gap_report_detects_violation():
 
 
 def test_rate_report(debruijn8, g3):
-    rr = rate_report(debruijn8)
+    rr = rate_of(debruijn8)
     assert (rr.out_degree, rr.rate, rr.vertex_bits) == (2, 1, 3)
     assert rr.bits(10) == 13
-    assert rate_report(g3).bits(4) == 5
+    assert rate_of(g3).bits(4) == 5

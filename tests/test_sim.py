@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcq import SourceError, SourceModel, analyze, encode, simulate, z_score
+from tcq import (
+    SourceError,
+    SourceModel,
+    analyze,
+    de_bruijn,
+    encode,
+    parse_graph,
+    simulate,
+    viterbi,
+    z_score,
+)
 from tcq.sim import (
     _worker_ranges,
     random_words,
@@ -169,3 +179,31 @@ def test_rng_seed_distinctness():
     a = random_words(0, 0, 100)
     b = random_words(1, 0, 100)
     assert (a != b).any()
+
+
+def test_simulate_explores_only_the_walk(monkeypatch):
+    """The walk computes an arc on its first use only: an order-5 quaternary
+    labelling, whose full space is too large to enumerate in a unit test,
+    needs at most one reduced transition per step."""
+    rng = random.Random(5)
+    g = de_bruijn(5, tuple(rng.choice("abcd") for _ in range(64)))
+    assert len(g.alphabet) == 4
+    calls = 0
+    original = viterbi.reduced_transition
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(viterbi, "reduced_transition", counted)
+    r = simulate(g, SourceModel.uniform(g.alphabet), n=2000, seed=0)
+    assert 0 < calls <= 2000
+    assert 0.0 < r.estimate < 1.0
+
+
+def test_simulate_runs_on_a_periodic_graph():
+    """Simulation needs no aperiodicity: it never enumerates the space."""
+    g = parse_graph("alphabet a b\nedge v w a\nedge w v b\n")
+    r = simulate(g, SourceModel.uniform(g.alphabet), n=1000, seed=1)
+    assert r.estimate == 0.485

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_code_graph, random_sequence
+from oracles import check_component_bound, membership_increment
 from tcq import (
     GraphStructureError,
     StateSpaceLimitError,
-    check_component_bound,
     enumerate_states,
-    membership_increment,
     parse_graph,
     reduced_transition,
     zero_state,

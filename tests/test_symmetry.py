@@ -9,7 +9,9 @@ from tcq import (
     GraphStructureError,
     NotInvariantError,
     NotLumpableError,
+    PartitionError,
     PermutationGroup,
+    SourceError,
     SourceModel,
     apply_to_state,
     build_chain,
@@ -109,6 +111,29 @@ def test_merging_unlike_states_is_not_lumpable(g3):
         quotient(ss, SourceModel.uniform(g3.alphabet), fp)
     err = info.value
     assert (err.fiber, err.member_a, err.member_b) == (0, 0, 1)
+
+
+def test_fiber_partition_invariants_raise():
+    with pytest.raises(PartitionError, match="exactly once"):
+        FiberPartition(fibers=((0,), (0, 1)), fiber_of=(0, 1))
+    with pytest.raises(PartitionError, match="disagrees with fiber 1"):
+        FiberPartition(fibers=((0,), (1,)), fiber_of=(0, 0))
+
+
+def test_overlapping_orbits_raise(debruijn8):
+    """Two XOR translations without the identity are not a group: their
+    orbits overlap instead of partitioning the states."""
+    ss = enumerate_states(debruijn8)
+    elements = tuple(tuple(v ^ c for v in range(8)) for c in (1, 2))
+    with pytest.raises(PartitionError, match="do not form a group"):
+        induced_fibers(ss, PermutationGroup(degree=8, elements=elements))
+
+
+def test_quotient_rejects_alphabet_mismatch(g3):
+    ss = enumerate_states(g3)
+    fp = FiberPartition(fibers=((0,), (1,)), fiber_of=(0, 1))
+    with pytest.raises(SourceError, match="does not match"):
+        quotient(ss, SourceModel.uniform(("x", "y")), fp)
 
 
 def test_orbit_coherence(debruijn8):

@@ -1,18 +1,27 @@
 """Markov chain induced on the state space by a memoryless source.
 
 Everything here is exact rational arithmetic. The per-step distortion rate
-is the stationary expectation of the arc increments; linear systems are
-solved by fraction-free elimination on integer matrices.
+is the stationary expectation of the arc increments. Each linear system
+(a closed class's balance equations, or the absorption equations shared by
+all closed classes) is scaled to integers row by row and factored once as a
+dense LU modulo a word-size prime; the solution is lifted p-adically (Dixon
+1982), one modular triangular solve and one exact integer residual update
+per lift, until a common-denominator rational reconstruction (Wang 1981) is
+stable. It is returned only after the exact residual check A num = d b
+holds for every row: that check, not a bound, is the certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
+from operator import mul, sub
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ChainError, GraphStructureError, SourceError
 from .graph import LabeledGraph, RateInfo, rate_of, strongly_connected_components
@@ -114,6 +123,18 @@ class ClassPartition:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """What one exact solve cost: the system's dimension, the primes tried
+    before one left it nonsingular, the p-adic lifts, and the decimal digits
+    of the common denominator of the certified solution."""
+
+    dim: int
+    primes_tried: int
+    lifts: int
+    denominator_digits: int
+
+
+@dataclass(frozen=True)
 class StationaryDistribution:
     """Long-run occupation law of the chain started at state 0.
 
@@ -125,6 +146,7 @@ class StationaryDistribution:
     q: tuple[Fraction, ...]
     classes: ClassPartition
     unique: bool
+    solves: tuple[SolveStats, ...] = field(default=(), compare=False, repr=False)
 
 
 def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
@@ -164,105 +186,276 @@ def closed_classes(mc: MarkovChain) -> ClassPartition:
     return ClassPartition(closed=tuple(closed), transient=tuple(sorted(transient)))
 
 
-def _solve_integer(aug: list[list[int]]) -> list[Fraction]:
-    """Solve a nonsingular integer system given as an n x (n+1) augmented
-    matrix, by fraction-free (Bareiss) elimination and exact back substitution.
+# Word-size primes below 2**31: residues and their products fit in int64.
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
+
+
+_BLOCK = 32  # block size of the triangular solves
+
+
+def _mulmod(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """``a @ x`` modulo ``p`` for entries in [0, p). ``x`` is split into
+    16-bit halves so no int64 partial sum overflows (inner dimension < 2**16)."""
+    return (a @ (x & 0xFFFF) % p + (a @ (x >> 16) % p << 16)) % p
+
+
+def _unipotent_inverse(nil: np.ndarray, p: int) -> np.ndarray:
+    """``(I + N)**-1`` modulo ``p`` for a stack of strictly triangular
+    _BLOCK x _BLOCK matrices N, as (I - N)(I + N**2)(I + N**4)...: N is
+    nilpotent, so the product is the whole series sum((-N)**i)."""
+    eye = np.eye(_BLOCK, dtype=np.int64)
+    inv = (eye - nil) % p
+    power, degree = nil, 2
+    while degree < _BLOCK:
+        power = _mulmod(power, power, p)
+        inv = _mulmod(inv, eye + power, p)
+        degree *= 2
+    return inv
+
+
+class _ModularLU:
+    """PA = LU modulo a prime ``p``, packed in one int64 array, with the
+    inverses of the diagonal blocks of L and U for blocked solves."""
+
+    def __init__(self, lu: np.ndarray, perm: np.ndarray, p: int):
+        self.lu, self.perm, self.p = lu, perm, p
+        n = len(lu)
+        self.blocks = [(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
+        # the diagonal blocks, the last one padded with the identity
+        nb = len(self.blocks)
+        diag = np.tile(np.eye(_BLOCK, dtype=np.int64), (nb, 1, 1))
+        for blk, (s, e) in zip(diag, self.blocks):
+            blk[: e - s, : e - s] = lu[s:e, s:e]
+        dinv = np.array(
+            [pow(int(v), -1, p) for v in diag.diagonal(0, 1, 2).ravel()], dtype=np.int64
+        ).reshape(nb, 1, _BLOCK)
+        self.linv = _unipotent_inverse(np.tril(diag, -1), p)
+        # U = D (I + D**-1 S) with S strictly upper, so U**-1 = (I + D**-1 S)**-1 D**-1
+        scaled = np.triu(diag, 1) * dinv.transpose(0, 2, 1) % p
+        self.uinv = _unipotent_inverse(scaled, p) * dinv % p
+
+    @classmethod
+    def factor(cls, a: np.ndarray, p: int) -> _ModularLU | None:
+        """Factor ``a`` (entries in [0, p)) in place, or return None when it
+        is singular modulo ``p``. Each elimination step updates only the
+        rows with a nonzero in the pivot column."""
+        n = len(a)
+        perm = np.arange(n)
+        for k in range(n):
+            nz = np.flatnonzero(a[k:, k])
+            if nz.size == 0:
+                return None
+            piv = k + int(nz[0])
+            if piv != k:
+                a[[k, piv]] = a[[piv, k]]
+                perm[[k, piv]] = perm[[piv, k]]
+            rows = k + 1 + np.flatnonzero(a[k + 1 :, k])
+            if rows.size:
+                factors = a[rows, k] * pow(int(a[k, k]), -1, p) % p
+                a[rows, k] = factors
+                a[rows, k + 1 :] = (a[rows, k + 1 :] - factors[:, None] * a[k, k + 1 :] % p) % p
+        return cls(a, perm, p)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The x with A x = b modulo p, for the columns of ``b`` (entries in [0, p))."""
+        lu, p = self.lu, self.p
+        y = b[self.perm]
+        for (s, e), inv in zip(self.blocks, self.linv):
+            y[s:e] = _mulmod(inv[: e - s, : e - s], y[s:e], p)
+            y[e:] = (y[e:] - _mulmod(lu[e:, s:e], y[s:e], p)) % p
+        for (s, e), inv in zip(reversed(self.blocks), self.uinv[::-1]):
+            y[s:e] = _mulmod(inv[: e - s, : e - s], y[s:e], p)
+            y[:s] = (y[:s] - _mulmod(lu[:s, s:e], y[s:e], p)) % p
+        return y
+
+
+def _reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
+    """Common-denominator rational reconstruction (Wang 1981) modulo ``m``.
+
+    Finds d and numerators n_i with n_i = d x_i (mod m) and every |n_i| and
+    d at most sqrt(m/2), or returns None when there are none.
     """
-    n = len(aug)
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot is None:
-            raise ChainError("singular system")
-        if pivot != k:
-            aug[k], aug[pivot] = aug[pivot], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+    bound = isqrt((m - 1) // 2)
+    d = 1
+    for x in xs:
+        y = d * x % m
+        if y <= bound or m - y <= bound:
+            continue
+        # extended Euclid on (m, y) until the remainder drops to the bound
+        r0, r1, s0, s1 = m, y, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        d *= abs(s1)
+        if d > bound:
+            return None
+    nums = []
+    for x in xs:
+        y = d * x % m
+        if y > bound:
+            y -= m
+            if -y > bound:
+                return None
+        nums.append(y)
+    return d, nums
 
 
-def _clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
-    out: list[list[int]] = []
-    for row in rows:
-        scale = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * scale) for f in row])
-    return out
+def _matvec(a: list[tuple[tuple[int, ...], tuple[int, ...]]], x: list[int]) -> list[int]:
+    """Exact ``A x`` for A given as (columns, values) per row."""
+    get = x.__getitem__
+    return [sum(map(mul, vals, map(get, cols))) for cols, vals in a]
 
 
-def _class_stationary(mc: MarkovChain, members: tuple[int, ...]) -> list[Fraction]:
+def _integer_system(
+    rows: list[dict[int, Fraction]], rhs: list[list[Fraction]]
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], list[list[int]], int]:
+    """Scale each equation by the lcm of its denominators.
+
+    Returns A as (columns, values) per row, the integer right-hand sides,
+    and a bound in bits on the numerators and the denominator of the
+    solution: Hadamard's bound prod_i |(a_i, b_i)| on the minors of (A | b).
+    """
+    a: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    b: list[list[int]] = [[0] * len(rows) for _ in rhs]
+    bits = 0
+    for i, row in enumerate(rows):
+        scale = lcm(*(f.denominator for f in row.values()), *(col[i].denominator for col in rhs))
+        vals = tuple(f.numerator * (scale // f.denominator) for f in row.values())
+        a.append((tuple(row), vals))
+        for bc, col in zip(b, rhs):
+            bc[i] = col[i].numerator * (scale // col[i].denominator)
+        norm = sum(v * v for v in vals) + max(bc[i] * bc[i] for bc in b)
+        bits += norm.bit_length() // 2 + 1
+    return a, b, bits
+
+
+def _solve_exact(
+    rows: list[dict[int, Fraction]], rhs: list[list[Fraction]]
+) -> tuple[list[list[Fraction]], SolveStats]:
+    """Solve A x = b exactly for each right-hand side b in ``rhs``.
+
+    ``rows[i]`` maps column to coefficient (only nonzero entries). The
+    system is scaled to integers row by row, factored once modulo a word-size
+    prime, lifted p-adically (Dixon 1982) and reconstructed with a common
+    denominator (Wang 1981). A solution is returned only after A num = d b
+    has been checked in exact integer arithmetic for every row and every b.
+    """
+    n = len(rows)
+    a, b, hadamard_bits = _integer_system(rows, rhs)
+    for tried, p in enumerate(_PRIMES, 1):
+        dense = np.zeros((n, n), dtype=np.int64)
+        for i, (cols, vals) in enumerate(a):
+            dense[i, list(cols)] = [v % p for v in vals]
+        lu = _ModularLU.factor(dense, p)
+        if lu is not None:
+            break
+    else:
+        raise ChainError(f"singular system (modulo each of {len(_PRIMES)} primes)")
+    # Reconstruction is tried after lift 1, 2, 3, ... spaced by about 1/8 of
+    # the lifts so far, which keeps its total cost quadratic in the digits; a
+    # candidate is stable when it still fits after the next lift. It is
+    # unique once p**lifts > 2 * 2**(2 * hadamard_bits), so a candidate found
+    # at the first try past that point certifies one lift later.
+    needed = (2 * hadamard_bits + 2) // (p.bit_length() - 1) + 1
+    max_lifts = needed + needed // 8 + 2
+    residual = [bc[:] for bc in b]
+    digits = [[0] * n for _ in b]  # x modulo p**lifts, one list per right-hand side
+    modulus, candidate, next_try = 1, None, 1
+    for lifts in range(1, max_lifts + 1):
+        step = lu.solve(np.array([[v % p for v in r] for r in residual], dtype=np.int64).T)
+        for c, xc in enumerate(step.T.tolist()):
+            diff = list(map(sub, residual[c], _matvec(a, xc)))
+            if any(v % p for v in diff):
+                raise ChainError("p-adic lift lost exactness")
+            residual[c] = [v // p for v in diff]
+            digits[c] = [v + s * modulus for v, s in zip(digits[c], xc)]
+        modulus *= p
+        xs = [x for col in digits for x in col]
+        if candidate is not None:
+            d, nums = candidate
+            cols = [nums[c * n : (c + 1) * n] for c in range(len(b))]
+            if all((d * x - v) % modulus == 0 for x, v in zip(xs, nums)) and all(
+                _matvec(a, col) == [d * v for v in bc] for col, bc in zip(cols, b)
+            ):
+                stats = SolveStats(n, tried, lifts, len(str(d)))
+                return [[Fraction(v, d) for v in col] for col in cols], stats
+            candidate = None
+        if lifts >= next_try:
+            candidate = _reconstruct(xs, modulus)
+            next_try = lifts + 1 + lifts // 8
+    raise ChainError(f"no certified solution within the Hadamard bound of {max_lifts} lifts")
+
+
+def _class_stationary(
+    mc: MarkovChain, members: tuple[int, ...]
+) -> tuple[list[Fraction], SolveStats]:
     """Stationary law of the chain restricted to one closed class."""
     m = len(members)
-    rows: list[list[Fraction]] = []
+    local = {s: i for i, s in enumerate(members)}
     # balance equations for all targets but the last (one is redundant)
-    for j in range(m - 1):
-        row = [Fraction(0)] * m + [Fraction(0)]
-        row[j] -= 1
-        for i, s in enumerate(members):
-            p = mc.rows[s].get(members[j])
-            if p is not None:
-                row[i] += p
-        rows.append(row)
-    rows.append([Fraction(1)] * m + [Fraction(1)])  # normalization
-    return _solve_integer(_clear_denominators(rows))
+    rows: list[dict[int, Fraction]] = [{j: Fraction(-1)} for j in range(m - 1)]
+    for i, s in enumerate(members):
+        for target, p in mc.rows[s].items():
+            j = local[target]
+            if j < m - 1:
+                rows[j][i] = p - 1 if i == j else p
+    rows.append(dict.fromkeys(range(m), Fraction(1)))  # normalization
+    (pi,), stats = _solve_exact(rows, [[Fraction(0)] * (m - 1) + [Fraction(1)]])
+    return pi, stats
 
 
 def _absorption_probabilities(
     mc: MarkovChain, classes: ClassPartition
-) -> list[Fraction]:
+) -> tuple[list[Fraction], SolveStats | None]:
     """Probability, from state 0, of ending in each closed class."""
     for ci, comp in enumerate(classes.closed):
         if 0 in comp:
-            return [Fraction(int(i == ci)) for i in range(len(classes.closed))]
+            return [Fraction(int(i == ci)) for i in range(len(classes.closed))], None
     trans = classes.transient
     pos = {s: i for i, s in enumerate(trans)}
-    t = len(trans)
-    out: list[Fraction] = []
-    for comp in classes.closed:
-        members = set(comp)
-        rows: list[list[Fraction]] = []
-        # (I - Q) h = r with r the one-step mass into this class
-        for i, s in enumerate(trans):
-            row = [Fraction(0)] * t + [Fraction(0)]
-            row[i] += 1
-            for target, p in mc.rows[s].items():
-                if target in pos:
-                    row[pos[target]] -= p
-                elif target in members:
-                    row[t] += p
-            rows.append(row)
-        h = _solve_integer(_clear_denominators(rows))
-        out.append(h[pos[0]])
+    owner = {s: ci for ci, comp in enumerate(classes.closed) for s in comp}
+    # (I - Q) h = r, one r per closed class: its one-step mass from each state
+    rows: list[dict[int, Fraction]] = []
+    rhs = [[Fraction(0)] * len(trans) for _ in classes.closed]
+    for i, s in enumerate(trans):
+        row = {i: Fraction(1)}
+        for target, p in mc.rows[s].items():
+            if target in pos:
+                row[pos[target]] = row.get(pos[target], 0) - p
+            else:
+                rhs[owner[target]][i] += p
+        rows.append(row)
+    h, stats = _solve_exact(rows, rhs)
+    out = [hc[pos[0]] for hc in h]
     if sum(out) != 1:
         raise ChainError(f"absorption probabilities sum to {sum(out)}, not 1")
-    return out
+    return out, stats
 
 
 def stationary(mc: MarkovChain) -> StationaryDistribution:
     classes = closed_classes(mc)
     q = [Fraction(0)] * mc.size
+    solves: list[SolveStats] = []
     if len(classes.closed) == 1:
         weights = [Fraction(1)]
     else:
-        weights = _absorption_probabilities(mc, classes)
+        weights, stats = _absorption_probabilities(mc, classes)
+        if stats is not None:
+            solves.append(stats)
     for w, comp in zip(weights, classes.closed):
         if w == 0:
             continue
-        pi = _class_stationary(mc, comp)
+        pi, stats = _class_stationary(mc, comp)
+        solves.append(stats)
         for s, mass in zip(comp, pi):
             q[s] += w * mass
     if sum(q) != 1:
         raise ChainError(f"stationary mass sums to {sum(q)}, not 1")
     return StationaryDistribution(
-        q=tuple(q), classes=classes, unique=len(classes.closed) == 1
+        q=tuple(q),
+        classes=classes,
+        unique=len(classes.closed) == 1,
+        solves=tuple(solves),
     )
 
 

@@ -1,10 +1,15 @@
-"""Independent checks of the enumerated state space, used only by tests."""
+"""Independent checks used only by tests: of the enumerated state space,
+and a dense fraction-free (Bareiss) solve of the chain's linear systems."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from tcq import viterbi
+from tcq.chain import MarkovChain, closed_classes
+from tcq.errors import ChainError
 from tcq.statespace import StateSpace
 from tcq.viterbi import StateVector
 
@@ -36,3 +41,79 @@ def membership_increment(ss: StateSpace, s: StateVector, x: str) -> MembershipRe
         "membership/increment equivalence violated"
     )
     return MembershipResult(in_space=in_space, incremented=inc == 1)
+
+
+def solve_integer(aug: list[list[int]]) -> list[Fraction]:
+    """Solve a nonsingular integer system given as an n x (n+1) augmented
+    matrix, by fraction-free (Bareiss) elimination and exact back substitution.
+    """
+    n = len(aug)
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if pivot is None:
+            raise ChainError("singular system")
+        if pivot != k:
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n + 1):
+                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
+            aug[i][k] = 0
+        prev = aug[k][k]
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = Fraction(aug[i][n])
+        for j in range(i + 1, n):
+            acc -= aug[i][j] * x[j]
+        x[i] = acc / aug[i][i]
+    return x
+
+
+def clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
+    out: list[list[int]] = []
+    for row in rows:
+        scale = lcm(*(f.denominator for f in row)) if row else 1
+        out.append([int(f * scale) for f in row])
+    return out
+
+
+def bareiss_stationary(mc: MarkovChain) -> tuple[Fraction, ...]:
+    """The long-run law from state 0, from dense balance and absorption
+    systems solved by :func:`solve_integer` (O(n**3) big-integer steps)."""
+    classes = closed_classes(mc)
+    q = [Fraction(0)] * mc.size
+    # from inside a closed class the walk stays there; from a transient
+    # state, (I - Q) h = r with r the one-step mass into each class in turn
+    weights = [Fraction(int(0 in comp)) for comp in classes.closed]
+    if not any(weights):
+        trans = classes.transient
+        pos = {s: i for i, s in enumerate(trans)}
+        t = len(trans)
+        for ci, comp in enumerate(classes.closed):
+            rows = []
+            for i, s in enumerate(trans):
+                row = [Fraction(0)] * (t + 1)
+                row[i] += 1
+                for target, p in mc.rows[s].items():
+                    if target in pos:
+                        row[pos[target]] -= p
+                    elif target in comp:
+                        row[t] += p
+                rows.append(row)
+            weights[ci] = solve_integer(clear_denominators(rows))[pos[0]]
+    for w, comp in zip(weights, classes.closed):
+        if w == 0:
+            continue
+        m = len(comp)
+        rows = []
+        # balance equations for all targets but the last, then normalization
+        for j in range(m - 1):
+            row = [Fraction(0)] * (m + 1)
+            row[j] -= 1
+            for i, s in enumerate(comp):
+                row[i] += mc.rows[s].get(comp[j], 0)
+            rows.append(row)
+        rows.append([Fraction(1)] * (m + 1))
+        for s, mass in zip(comp, solve_integer(clear_denominators(rows))):
+            q[s] += w * mass
+    return tuple(q)

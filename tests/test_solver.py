@@ -1,0 +1,233 @@
+"""The exact chain solver against the Bareiss oracle, a float solve, and
+systems built to be hard for it."""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+import pytest
+
+from conftest import REPO_ROOT, random_code_graph
+from oracles import bareiss_stationary
+from tcq import (
+    ChainError,
+    MarkovChain,
+    SourceModel,
+    build_chain,
+    closed_classes,
+    de_bruijn,
+    enumerate_states,
+    stationary,
+)
+from tcq import chain
+
+
+def _random_source(rng: random.Random, alphabet: tuple[str, ...]) -> SourceModel:
+    cuts = sorted(rng.randint(1, 29) for _ in range(len(alphabet) - 1))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [30])]
+    return SourceModel(alphabet, tuple(Fraction(w, 30) for w in weights))
+
+
+def _random_multiclass_chain(rng: random.Random) -> MarkovChain:
+    """Transient states 0..t-1 draining into 2 or 3 closed classes."""
+    t = rng.randint(2, 6)
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+    starts = [t + sum(sizes[:c]) for c in range(len(sizes))]
+    n = t + sum(sizes)
+
+    def law(targets: list[int]) -> dict[int, Fraction]:
+        w = [rng.randint(1, 7) for _ in targets]
+        out: dict[int, Fraction] = {}
+        for s, wi in zip(targets, w):
+            out[s] = out.get(s, Fraction(0)) + Fraction(wi, sum(w))
+        return out
+
+    rows = []
+    for i in range(t):
+        targets = [rng.randrange(n) for _ in range(3)] + [starts[i % len(sizes)]]
+        rows.append(law(targets))
+    for start, size in zip(starts, sizes):
+        for k in range(size):
+            ring = start + (k + 1) % size  # keeps the class irreducible
+            rows.append(law([ring] + [start + rng.randrange(size) for _ in range(2)]))
+    absorb = tuple(Fraction(rng.randint(0, 3), 3) for _ in range(n))
+    return MarkovChain(size=n, rows=tuple(rows), absorb=absorb)
+
+
+def _corpus() -> list[tuple[str, MarkovChain]]:
+    rng = random.Random(20240613)
+    out = []
+    while len(out) < 8:
+        g = random_code_graph(rng)
+        mc = build_chain(enumerate_states(g), _random_source(rng, g.alphabet))
+        if mc.size >= 3:
+            out.append((f"random-{len(out)}", mc))
+    for i in range(2):
+        out.append((f"multiclass-{i}", _random_multiclass_chain(rng)))
+    # order-3 de Bruijn labellings whose closed class has 117 and 144 states
+    for labels in ("bbcdaadcbbdddbbb", "ccdaaaccdccbcbcc"):
+        g = de_bruijn(3, tuple(labels))
+        mc = build_chain(enumerate_states(g), SourceModel.uniform(g.alphabet))
+        out.append((f"debruijn3-{labels}", mc))
+    return out
+
+
+def _float_stationary(mc: MarkovChain) -> np.ndarray:
+    """The same balance and absorption systems, solved in floating point."""
+    classes = closed_classes(mc)
+    weights = [float(0 in comp) for comp in classes.closed]
+    if not any(weights):
+        trans = classes.transient
+        pos = {s: i for i, s in enumerate(trans)}
+        a = np.eye(len(trans))
+        r = np.zeros((len(trans), len(classes.closed)))
+        owner = {s: c for c, comp in enumerate(classes.closed) for s in comp}
+        for i, s in enumerate(trans):
+            for target, p in mc.rows[s].items():
+                if target in pos:
+                    a[i, pos[target]] -= float(p)
+                else:
+                    r[i, owner[target]] += float(p)
+        weights = list(np.linalg.solve(a, r)[pos[0]])
+    q = np.zeros(mc.size)
+    for w, comp in zip(weights, classes.closed):
+        local = {s: i for i, s in enumerate(comp)}
+        m = len(comp)
+        a = np.zeros((m, m))
+        for i, s in enumerate(comp):
+            for target, p in mc.rows[s].items():
+                a[local[target], i] += float(p)
+        a -= np.eye(m)
+        a[m - 1] = 1.0  # normalization replaces the last balance equation
+        b = np.zeros(m)
+        b[m - 1] = 1.0
+        q[list(comp)] += w * np.linalg.solve(a, b)
+    return q
+
+
+def _balanced(mc: MarkovChain, q: tuple[Fraction, ...], members) -> bool:
+    flow = {j: Fraction(0) for j in members}
+    for i in members:
+        for j, p in mc.rows[i].items():
+            flow[j] += q[i] * p
+    return all(flow[j] == q[j] for j in members)
+
+
+@pytest.mark.parametrize("mc", [pytest.param(mc, id=name) for name, mc in _corpus()])
+def test_stationary_matches_bareiss_and_float(mc):
+    sd = stationary(mc)
+    assert sd.q == bareiss_stationary(mc)
+    assert np.max(np.abs(np.array([float(x) for x in sd.q]) - _float_stationary(mc))) < 1e-9
+    assert sum(sd.q) == 1
+    for comp in sd.classes.closed:
+        assert _balanced(mc, sd.q, comp)
+
+
+def test_solve_stats_describe_each_solve(debruijn8):
+    src = SourceModel.uniform(debruijn8.alphabet)
+    sd = stationary(build_chain(enumerate_states(debruijn8), src))
+    (stats,) = sd.solves
+    assert stats.dim == len(sd.classes.closed[0]) == 106
+    assert stats.primes_tried == 1
+    assert stats.lifts >= 2
+    assert stats.denominator_digits == len(str(lcm(*(x.denominator for x in sd.q))))
+    # the stats ride along without taking part in equality
+    assert sd == chain.StationaryDistribution(q=sd.q, classes=sd.classes, unique=sd.unique)
+    mc = _random_multiclass_chain(random.Random(5))
+    sd = stationary(mc)
+    # one absorption solve shared by all classes, then one balance solve per class reached
+    assert sd.solves[0].dim == len(sd.classes.transient)
+    assert len(sd.solves) == 1 + sum(1 for comp in sd.classes.closed if any(sd.q[s] for s in comp))
+
+
+def test_large_denominators_stay_exact():
+    g = de_bruijn(2, tuple("acbdbdca"))
+    big = 2**64 + 13
+    probs = [Fraction(big // 5, big), Fraction(big // 3, big), Fraction(big // 7, big)]
+    src = SourceModel(g.alphabet, (*probs, 1 - sum(probs)))
+    mc = build_chain(enumerate_states(g), src)
+    # the scaled integer entries overflow int64
+    assert max(p.denominator for row in mc.rows for p in row.values()) > 2**63
+    sd = stationary(mc)
+    assert sd.q == bareiss_stationary(mc)
+    assert _balanced(mc, sd.q, range(mc.size))
+    assert sd.solves[0].denominator_digits > 200
+
+
+def test_unlucky_first_prime_falls_through():
+    p = chain._PRIMES[0]
+    stay, leave = Fraction(1, p), Fraction(p - 1, p)
+    # balance and normalization rows scale to [[-1, p - 1], [1, 1]]: det = -p
+    mc = MarkovChain(
+        size=2,
+        rows=({0: leave, 1: stay}, {0: leave, 1: stay}),
+        absorb=(Fraction(0), Fraction(1)),
+    )
+    sd = stationary(mc)
+    assert sd.q == (leave, stay) == bareiss_stationary(mc)
+    assert sd.solves[0].primes_tried == 2
+
+
+# rows and right-hand sides of a system that is singular over the rationals
+SINGULAR = (
+    [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}],
+    [[Fraction(1), Fraction(2)]],
+)
+
+
+def test_singular_system_raises():
+    with pytest.raises(ChainError, match="singular system") as info:
+        chain._solve_exact(*SINGULAR)
+    assert info.value.stage == "chain"
+
+
+def test_singular_system_raises_in_optimized_mode():
+    code = (
+        "from fractions import Fraction\n"
+        "from tcq import ChainError\n"
+        "from tcq.chain import _solve_exact\n"
+        "try:\n"
+        f"    _solve_exact(*{SINGULAR!r})\n"
+        "except ChainError as exc:\n"
+        "    print(exc.stage, exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("chain singular system")
+
+
+def _off_by_modulus_squared(xs, m):
+    """The true reconstruction with its first numerator moved by m**2: still
+    congruent to the lifted digits after the next lift, but wrong."""
+    found = _real_reconstruct(xs, m)
+    if found is None:
+        return None
+    d, nums = found
+    return d, [nums[0] + m * m] + nums[1:]
+
+
+_real_reconstruct = chain._reconstruct
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [lambda xs, m: None, _off_by_modulus_squared],
+    ids=["no-reconstruction", "stable-but-wrong"],
+)
+def test_uncertified_answers_are_never_returned(monkeypatch, g3, fake):
+    mc = build_chain(enumerate_states(g3), SourceModel.uniform(g3.alphabet))
+    monkeypatch.setattr(chain, "_reconstruct", fake)
+    with pytest.raises(ChainError, match="no certified solution within the Hadamard bound"):
+        stationary(mc)

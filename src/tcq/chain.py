@@ -111,9 +111,21 @@ class MarkovChain:
     def __post_init__(self) -> None:
         if not len(self.rows) == len(self.absorb) == self.size:
             raise ChainError("need one row and one increment mass per state")
+        # Rows are checked once per tuple of value objects: build_chain shares
+        # them between rows, and all of them stay alive in self.rows, so no
+        # id is reused while this runs.
+        passed: set[tuple[int, ...]] = set()
         for i, row in enumerate(self.rows):
-            if sum(row.values()) != 1 or min(row.values()) <= 0:
+            key = tuple(map(id, row.values()))
+            if key in passed:
+                continue
+            # exactly: the numerators over the lcm of the denominators sum to it
+            scale = lcm(*(f.denominator for f in row.values()))
+            if sum(f.numerator * (scale // f.denominator) for f in row.values()) != scale or any(
+                f.numerator <= 0 for f in row.values()
+            ):
                 raise ChainError(f"row {i} is not positive entries summing to 1")
+            passed.add(key)
 
 
 @dataclass(frozen=True)
@@ -149,26 +161,42 @@ class StationaryDistribution:
     solves: tuple[SolveStats, ...] = field(default=(), compare=False, repr=False)
 
 
+class _SymbolMasses(dict):
+    """The probability mass of a set of symbols (a bit mask), one Fraction per
+    set, made on first use and then shared by every chain row whose arcs
+    merge those symbols or increment on them."""
+
+    def __init__(self, probs: list[Fraction], support: list[int]):
+        super().__init__({1 << xi: probs[xi] for xi in support})
+        self.probs, self.support = probs, support
+
+    def __missing__(self, mask: int) -> Fraction:
+        mass = self[mask] = sum(
+            (self.probs[xi] for xi in self.support if mask >> xi & 1), Fraction(0)
+        )
+        return mass
+
+
 def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
     if src.alphabet != ss.graph.alphabet:
         raise SourceError(
             f"source alphabet {src.alphabet} does not match graph alphabet"
             f" {ss.graph.alphabet}"
         )
+    probs = [Fraction(p) for p in src.probabilities]
+    support = [xi for xi, p in enumerate(probs) if p]
+    masses = _SymbolMasses(probs, support)
     rows: list[dict[int, Fraction]] = []
     absorb: list[Fraction] = []
     for arc_row in ss.arcs:
-        row: dict[int, Fraction] = {}
-        mass = Fraction(0)
-        for xi, (ti, inc) in enumerate(arc_row):
-            p = src.probabilities[xi]
-            if p == 0:
-                continue
-            row[ti] = row.get(ti, Fraction(0)) + p
-            if inc:
-                mass += p
-        rows.append(row)
-        absorb.append(mass)
+        merged: dict[int, int] = {}  # successor -> the symbols that reach it
+        increments = 0
+        for xi in support:
+            ti, inc = arc_row[xi]
+            merged[ti] = merged.get(ti, 0) | 1 << xi
+            increments |= inc << xi
+        rows.append({ti: masses[m] for ti, m in merged.items()})
+        absorb.append(masses[increments])
     return MarkovChain(size=len(ss), rows=tuple(rows), absorb=tuple(absorb))
 
 

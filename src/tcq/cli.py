@@ -67,7 +67,9 @@ def _source_line(src: SourceModel) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     src = _load_source(args.source, g)
-    report = analyze(g, src, with_rd=args.with_rd, rd_tol=args.rd_tol)
+    report = analyze(
+        g, src, with_rd=args.with_rd, rd_tol=args.rd_tol, max_states=args.max_states
+    )
     if args.porcelain:
         lines = [
             f"states={report.state_count}",
@@ -129,7 +131,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    ss = enumerate_states(g)
+    ss = enumerate_states(g, max_states=args.max_states)
     sys.stdout.write(format_statespace(ss))
     return 0
 
@@ -183,7 +185,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
         raise GraphFormatError(f"cannot read {args.group}: {exc.strerror}") from None
     perms = parse_permutations(perm_text, g.num_vertices)
     group = PermutationGroup.from_generators(perms, g.num_vertices)
-    ss = enumerate_states(g)
+    ss = enumerate_states(g, max_states=args.max_states)
     fp = induced_fibers(ss, group)
     qc = quotient(ss, src, fp)
     qr = quotient_analyze(qc)
@@ -312,6 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_max_states(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--max-states",
+            type=_positive_int,
+            default=10**6,
+            metavar="N",
+            help="fail once the state space exceeds N states (default 10^6)",
+        )
+
     def add_common(p: argparse.ArgumentParser, source: bool = True) -> None:
         p.add_argument("--graph", required=True, help="graph description file")
         if source:
@@ -328,10 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--with-rd", action="store_true", help="compare against D(R)")
     p.add_argument("--rd-tol", type=float, default=1e-9)
+    add_max_states(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="dump the state space and arc table")
     p.add_argument("--graph", required=True)
+    add_max_states(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the distortion")
@@ -349,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quotient", help="lump the chain by a symmetry group")
     add_common(p)
     p.add_argument("--group", required=True, help="permutation file")
+    add_max_states(p)
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("rd", help="distortion-rate point of a uniform source")

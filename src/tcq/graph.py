@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import GraphFormatError, GraphStructureError, NotPrimitiveError
 
 
@@ -25,6 +27,19 @@ class Edge(NamedTuple):
     src: str
     dst: str
     label: str
+
+
+class InEdgeArrays(NamedTuple):
+    """The in-edges of every vertex, destination by destination (edge order
+    within each): ``src`` holds their source vertices, ``starts`` the offset
+    of each vertex's first in-edge, ``cost[x]`` the Hamming cost of each
+    in-edge's label under symbol x, and ``sourceless`` the first vertex
+    without an in-edge (None when every vertex has one)."""
+
+    src: np.ndarray  # intp, one per in-edge
+    starts: np.ndarray  # intp, one per vertex
+    cost: np.ndarray  # uint8, (symbols, in-edges)
+    sourceless: int | None
 
 
 @dataclass(frozen=True)
@@ -74,15 +89,6 @@ class LabeledGraph:
         return {a: i for i, a in enumerate(self.alphabet)}
 
     @cached_property
-    def incoming(self) -> tuple[tuple[tuple[int, str], ...], ...]:
-        """Per vertex: (source vertex index, label) pairs, in edge order."""
-        inc: list[list[tuple[int, str]]] = [[] for _ in self.vertices]
-        vi = self.vertex_index
-        for e in self.edges:
-            inc[vi[e.dst]].append((vi[e.src], e.label))
-        return tuple(tuple(pairs) for pairs in inc)
-
-    @cached_property
     def incoming_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex: (source vertex index, edge index) pairs, in edge order."""
         inc: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
@@ -90,6 +96,22 @@ class LabeledGraph:
         for i, e in enumerate(self.edges):
             inc[vi[e.dst]].append((vi[e.src], i))
         return tuple(tuple(pairs) for pairs in inc)
+
+    @cached_property
+    def in_edge_arrays(self) -> InEdgeArrays:
+        """``incoming_edges`` flattened in vertex order, as the arrays of the
+        vectorised cost update in ``viterbi``."""
+        flat = [pair for pairs in self.incoming_edges for pair in pairs]
+        sizes = [len(pairs) for pairs in self.incoming_edges]
+        labels = [self.edges[ei].label for _, ei in flat]
+        return InEdgeArrays(
+            src=np.array([u for u, _ in flat], dtype=np.intp),
+            starts=np.cumsum([0] + sizes[:-1], dtype=np.intp),
+            cost=np.array(
+                [[lab != x for lab in labels] for x in self.alphabet], dtype=np.uint8
+            ),
+            sourceless=sizes.index(0) if 0 in sizes else None,
+        )
 
     @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:

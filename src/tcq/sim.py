@@ -1,10 +1,11 @@
 """Monte Carlo estimate of the per-step distortion rate.
 
 The walk is a sample path of the same chain that ``statespace`` enumerates:
-it drives the shared ``Explorer`` along the sampled symbols, reading each
-memoized arc straight from its row and computing an arc only on its first
-use. Only the states the walk visits are ever interned, so graphs whose
-full space is too large to enumerate (or that are periodic) still simulate.
+it drives a ``statespace.Explorer`` along the sampled symbols, reading each
+memoized arc straight from its row and computing an arc (one call of the
+transition kernel) only on its first use. Only the states the walk visits
+are ever interned, so graphs whose full space is too large to enumerate (or
+that are periodic) still simulate.
 
 Symbols come from a counter-based generator (SplitMix64 applied to a seed
 plus counter), so position i of the stream depends only on (seed, i). A

@@ -1,15 +1,23 @@
-"""The reduced state vectors and their arc table, found by one explorer.
+"""The reduced state vectors and their arc table.
 
-``Explorer`` interns reduced vectors and memoizes their arcs, one (state,
-symbol) arc at a time. Enumeration drives it to closure from the zero
-vector; Monte Carlo drives it along the sampled walk. The closure is finite:
-every component of every reachable reduced vector is bounded by the graph's
-exact-path constant k.
+Enumeration is a breadth-first closure from the zero vector: it advances the
+BFS queue a block of states at a time through ``viterbi.advance`` (every
+state of the block under every symbol in one numpy call) and interns the
+successors in (state, symbol) order, so the discovery order, the arc table
+and the BFS tree are those of a one-arc-at-a-time search. The closure is
+finite: every component of every reachable reduced vector is bounded by the
+graph's exact-path constant k.
+
+``Explorer`` interns reduced vectors lazily, one (state, symbol) arc at a
+time through ``viterbi.reduced_transition``; Monte Carlo drives it along the
+sampled walk, so a walk only ever computes the arcs it uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import viterbi
 from .errors import ComponentBoundError, GraphStructureError, StateSpaceLimitError
@@ -17,6 +25,8 @@ from .graph import LabeledGraph, exact_path_constant, validate
 from .viterbi import StateVector
 
 Arc = tuple[int, int]  # (successor state index, increment in {0,1})
+
+_BLOCK = 2048  # queued states that enumeration advances per kernel call
 
 
 class Explorer:
@@ -91,37 +101,59 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
         )
     k = exact_path_constant(g)
 
-    ex = Explorer(g)
-    states = ex.states
-    # the BFS tree lives here, not in the explorer: a Monte Carlo walk
-    # interns up to one state per step and never asks for a witness
+    n_sym = len(g.alphabet)
+    zero = viterbi.zero_state(g)
+    states: list[StateVector] = [zero]  # discovery order is the BFS queue order
+    index: dict[StateVector, int] = {zero: 0}
+    arcs: list[tuple[Arc, ...]] = []
     parents: list[tuple[int, int] | None] = [None]
-    si = 0
-    while si < len(states):  # discovery order is the BFS queue order
-        for xi in range(len(g.alphabet)):
-            found = len(states)
-            ti, _ = ex.arc(si, xi)
-            if ti < found:
-                continue
-            parents.append((si, xi))
-            if max(states[ti]) > k:
-                raise ComponentBoundError(
-                    f"state {states[ti]} from ({states[si]}, {g.alphabet[xi]!r})"
-                    f" exceeds the bound k={k}"
-                )
-            if ti >= max_states:
-                raise StateSpaceLimitError(
-                    f"more than {max_states} states; raise max_states to continue"
-                )
-        si += 1
+    # the queue's vectors as array rows, in a dtype that holds k + 1
+    queue = np.zeros((1, g.num_vertices), dtype=viterbi.holding(0, k + 1))
+    lo = 0
+    while lo < len(states):
+        hi = min(lo + _BLOCK, len(states))
+        t, inc = viterbi.advance(g, queue[lo:hi])
+        rows = t.reshape(-1, g.num_vertices)
+        over_k = rows.max() > k
+        keys = list(map(tuple, rows.tolist()))  # (state, symbol) order
+        succ = list(map(index.get, keys))  # the misses are interned below, in order
+        fresh = []  # positions in rows of the states this block discovers
+        for pos in [pos for pos, ti in enumerate(succ) if ti is None]:
+            key = keys[pos]
+            ti = index.get(key)  # interned earlier in this block
+            if ti is None:
+                ti = len(states)
+                index[key] = ti
+                states.append(key)
+                si, xi = divmod(pos, n_sym)
+                parents.append((lo + si, xi))
+                fresh.append(pos)
+                if over_k and max(key) > k:
+                    raise ComponentBoundError(
+                        f"state {key} from ({states[lo + si]}, {g.alphabet[xi]!r})"
+                        f" exceeds the bound k={k}"
+                    )
+                if ti >= max_states:
+                    raise StateSpaceLimitError(
+                        f"more than {max_states} states; raise max_states to continue"
+                    )
+            succ[pos] = ti
+        pairs = zip(succ, inc.ravel().tolist())
+        arcs.extend(zip(*[pairs] * n_sym))  # one tuple of n_sym arcs per state
+        if len(states) > len(queue):
+            grown = np.empty((2 * len(states), g.num_vertices), queue.dtype)
+            grown[: len(queue)] = queue
+            queue = grown
+        queue[len(states) - len(fresh) : len(states)] = rows[fresh]
+        lo = hi
 
     return StateSpace(
         graph=g,
         k=k,
         states=tuple(states),
-        arcs=tuple(map(tuple, ex.rows)),  # type: ignore[arg-type]
+        arcs=tuple(arcs),
         parents=tuple(parents),
-        index=ex.index,
+        index=index,
     )
 
 

@@ -1,16 +1,22 @@
 """Hamming distortion, per-symbol best-path cost updates, and a full encoder.
 
 The core object is the vector of minimum accumulated distortions into each
-vertex. ``transition`` advances it by one source symbol; ``reduced_transition``
-additionally subtracts the new minimum component, which keeps the vectors
-bounded and returns the subtracted amount as the per-step distortion
-increment (always 0 or 1 for Hamming distortion).
+vertex. ``advance`` is the one cost-update kernel: for a stack of such
+vectors it takes, for every vertex and symbol at once, the minimum over the
+vertex's in-edges of source cost plus label cost (one numpy
+``minimum.reduceat`` over the graph's ``in_edge_arrays``), then subtracts
+each new vector's minimum component. That keeps the vectors bounded and
+returns the subtracted amount as the per-step distortion increment (always
+0 or 1 for Hamming distortion). State enumeration runs it on blocks of its
+BFS queue; ``transition`` and ``reduced_transition`` run it on one vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InstanceTooLargeError
 from .graph import LabeledGraph
@@ -39,31 +45,66 @@ def zero_state(g: LabeledGraph) -> StateVector:
     return (0,) * g.num_vertices
 
 
+def holding(lo: int, hi: int) -> type | np.dtype:
+    """An integer dtype that holds every value in [lo, hi] (Python ints past
+    64 bits)."""
+    if lo >= 0 and hi <= 255:
+        return np.uint8
+    dt = np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi))
+    return dt if dt.kind in "iu" else object
+
+
+def advance(
+    g: LabeledGraph, states: np.ndarray, xi: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced successors of cost vectors: the transition kernel.
+
+    ``states`` is one vector (V,) or a stack (F, V), in a dtype that holds
+    each component plus 1 (see ``holding``). Returns ``t``, every successor
+    with its minimum subtracted, and ``inc``, the subtracted minima: of shape
+    (F, symbols, V) and (F, symbols) for every symbol, or of the shape of
+    ``states`` and one less dimension for symbol ``xi`` alone.
+    """
+    tab = g.in_edge_arrays
+    if tab.sourceless is not None:
+        raise ValueError(
+            f"vertex {g.vertices[tab.sourceless]!r} has no incoming edge; "
+            "cost updates need one per vertex"
+        )
+    cost = tab.cost if xi is None else tab.cost[xi]
+    paths = states[..., tab.src]  # the source cost of every in-edge
+    if xi is None:
+        paths = paths[..., None, :]
+    t = np.minimum.reduceat(paths + cost, tab.starts, axis=-1)
+    inc = np.minimum.reduce(t, axis=-1, keepdims=True)
+    t -= inc
+    return t, inc[..., 0]
+
+
+def _one_step(g: LabeledGraph, s: StateVector, x: str) -> tuple[list[int], int]:
+    """``advance`` on the one vector s under x."""
+    if len(s) != g.num_vertices:
+        raise ValueError("state vector length does not match vertex count")
+    xi = g.symbol_index.get(x)
+    if xi is None:
+        raise ValueError(f"symbol {x!r} not in alphabet")
+    t, inc = advance(g, np.array(s, dtype=holding(min(s), max(s) + 1)), xi)
+    return t.tolist(), int(inc)
+
+
 def transition(g: LabeledGraph, s: StateVector, x: str) -> StateVector:
     """One-symbol update: new cost into v = min over incoming (v', e) of
     s(v') + hamming(x, label(e)). Not reduced."""
-    if len(s) != g.num_vertices:
-        raise ValueError("state vector length does not match vertex count")
-    if x not in g.symbol_index:
-        raise ValueError(f"symbol {x!r} not in alphabet")
-    out = []
-    for v, pairs in enumerate(g.incoming):
-        if not pairs:
-            raise ValueError(
-                f"vertex {g.vertices[v]!r} has no incoming edge; "
-                "cost updates need one per vertex"
-            )
-        out.append(min(s[u] + (0 if lab == x else 1) for u, lab in pairs))
-    return tuple(out)
+    t, inc = _one_step(g, s, x)
+    return tuple(c + inc for c in t)
 
 
 def reduced_transition(g: LabeledGraph, s: StateVector, x: str) -> StepResult:
     """Advance a reduced state; the subtracted minimum is the increment."""
     if min(s) != 0:
         raise ValueError("state vector is not reduced (minimum component != 0)")
-    t = transition(g, s, x)
-    m = min(t)
-    return StepResult(tuple(c - m for c in t), m)
+    t, inc = _one_step(g, s, x)
+    return StepResult(tuple(t), inc)
 
 
 def encode(g: LabeledGraph, xs: Sequence[str]) -> EncodingResult:

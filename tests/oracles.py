@@ -1,5 +1,6 @@
-"""Independent checks used only by tests: of the enumerated state space,
-and a dense fraction-free (Bareiss) solve of the chain's linear systems."""
+"""Independent checks used only by tests: a per-arc scalar transition and
+breadth-first enumeration, checks of the enumerated state space, and a
+dense fraction-free (Bareiss) solve of the chain's linear systems."""
 
 from __future__ import annotations
 
@@ -10,8 +11,47 @@ from typing import NamedTuple
 from tcq import viterbi
 from tcq.chain import MarkovChain, closed_classes
 from tcq.errors import ChainError
+from tcq.graph import LabeledGraph
 from tcq.statespace import StateSpace
 from tcq.viterbi import StateVector
+
+
+def transition(g: LabeledGraph, s: StateVector, x: str) -> StateVector:
+    """The cost update in plain Python, one vertex at a time: new cost into
+    v = min over in-edges (u, e) of v of s(u) + hamming(x, label(e))."""
+    out = []
+    for v, pairs in enumerate(g.incoming_edges):
+        if not pairs:
+            raise ValueError(f"vertex {g.vertices[v]!r} has no incoming edge")
+        out.append(min(s[u] + (g.edges[ei].label != x) for u, ei in pairs))
+    return tuple(out)
+
+
+def reduced_transition(g: LabeledGraph, s: StateVector, x: str) -> tuple[StateVector, int]:
+    t = transition(g, s, x)
+    m = min(t)
+    return tuple(c - m for c in t), m
+
+
+def enumerate_arcs(g: LabeledGraph):
+    """Breadth-first closure from the zero vector, one (state, symbol) arc
+    at a time: returns the states, arcs and BFS parents in discovery order."""
+    zero = (0,) * g.num_vertices
+    states, index, arcs, parents = [zero], {zero: 0}, [], [None]
+    si = 0
+    while si < len(states):
+        row = []
+        for xi, x in enumerate(g.alphabet):
+            nxt, inc = reduced_transition(g, states[si], x)
+            ti = index.get(nxt)
+            if ti is None:
+                ti = index[nxt] = len(states)
+                states.append(nxt)
+                parents.append((si, xi))
+            row.append((ti, inc))
+        arcs.append(tuple(row))
+        si += 1
+    return tuple(states), tuple(arcs), tuple(parents)
 
 
 class MembershipResult(NamedTuple):

@@ -283,6 +283,41 @@ def test_chain_invariants_raise():
         MarkovChain(size=2, rows=({0: Fraction(1)},), absorb=(Fraction(0),))
 
 
+def test_row_check_is_exact_on_shared_entries():
+    """Rows built from the same Fraction objects are checked once, but a row
+    that differs in one entry, by however little, is still checked."""
+    third = Fraction(1, 3)
+    good = {0: third, 1: 2 * third}
+    tiny = Fraction(1, 10**40)
+    for bad in ({0: third, 1: 2 * third + tiny}, {0: third, 1: good[1], 2: Fraction(0)}):
+        with pytest.raises(ChainError, match="row 2 is not positive"):
+            MarkovChain(size=3, rows=(good, dict(good), bad), absorb=(third,) * 3)
+    MarkovChain(size=3, rows=(good, dict(good), {2: Fraction(1)}), absorb=(third,) * 3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_build_chain_matches_arc_by_arc_sums(seed):
+    """Rows and increment masses equal the plain sums over the arcs."""
+    rng = random.Random(seed)
+    g = random_code_graph(rng, max_vertices=5, max_symbols=4)
+    weights = [rng.choice([0, 1, 2, 7]) for _ in g.alphabet]
+    weights[0] += 1
+    src = SourceModel(g.alphabet, tuple(Fraction(w, sum(weights)) for w in weights))
+    ss = enumerate_states(g)
+    rows, absorb = [], []
+    for arc_row in ss.arcs:
+        row, mass = {}, Fraction(0)
+        for (ti, inc), p in zip(arc_row, src.probabilities):
+            if p:
+                row[ti] = row.get(ti, Fraction(0)) + p
+                mass += inc * p
+        rows.append(row)
+        absorb.append(mass)
+    mc = build_chain(ss, src)
+    assert mc.rows == tuple(rows)
+    assert mc.absorb == tuple(absorb)
+
+
 def test_chain_invariants_survive_optimized_mode():
     """The row check is a raise, not an assert: it holds under python -O."""
     code = (

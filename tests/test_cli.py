@@ -275,6 +275,27 @@ def test_bad_input_exits_2_without_traceback(capsys, argv, message):
     assert message in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--graph", DB8),
+        ("enumerate", "--graph", DB8),
+        ("quotient", "--graph", DB8, "--group", PERM),
+    ],
+    ids=["analyze", "enumerate", "quotient"],
+)
+def test_max_states_caps_the_space(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--max-states", "106")
+    assert code == 1 and out == ""
+    assert err == "error (enumerate): more than 106 states; raise max_states to continue\n"
+    code, out, err = run_cli(capsys, *argv, "--max-states", "107")  # debruijn8 has 107
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, *argv)[1]
+    code, out, err = run_cli(capsys, *argv, "--max-states", "0")
+    assert code == 2 and out == ""
+    assert "argument --max-states: must be at least 1" in err.splitlines()[-1]
+
+
 def test_console_script_entry_point():
     exe = shutil.which("tcq")
     assert exe is not None, "console script should be installed"

@@ -1,19 +1,23 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_code_graph, random_sequence
-from oracles import check_component_bound, membership_increment
+from oracles import check_component_bound, enumerate_arcs, membership_increment
 from tcq import (
+    ComponentBoundError,
     GraphStructureError,
     StateSpaceLimitError,
+    de_bruijn,
     enumerate_states,
     parse_graph,
     reduced_transition,
+    statespace,
     zero_state,
 )
 from tcq.statespace import format_statespace
@@ -121,3 +125,67 @@ def test_format_statespace(g3):
     assert lines[6] == "arcs:"
     assert lines[7:] == ["0 a 0 0", "0 b 1 0", "1 a 0 0", "1 b 0 1"]
     assert text.endswith("\n")
+
+
+def _labelling(seed: int, order: int, symbols: str) -> tuple[str, ...]:
+    """A random de Bruijn labelling that uses every symbol."""
+    rng = random.Random(seed)
+    while True:
+        labels = tuple(rng.choice(symbols) for _ in range(2 ** (order + 1)))
+        if len(set(labels)) == len(symbols):
+            return labels
+
+
+# order 4 over four symbols, seed 15: 8,171 states, one BFS layer of 2,061
+BIG_LAYER = de_bruijn(4, _labelling(15, 4, "abcd"))
+
+DIFFERENTIAL_CORPUS = [
+    *(random_code_graph(random.Random(seed), 6, 4, 3) for seed in range(40)),
+    *(de_bruijn(3, _labelling(seed, 3, "abcd")) for seed in range(3)),
+    *(de_bruijn(4, _labelling(seed, 4, "ab")) for seed in range(3)),
+    de_bruijn(4, _labelling(0, 4, "abcd")),
+]
+
+
+@pytest.mark.parametrize("gi", range(len(DIFFERENTIAL_CORPUS)))
+def test_enumeration_matches_per_arc_oracle(gi):
+    g = DIFFERENTIAL_CORPUS[gi]
+    ss = enumerate_states(g)
+    assert (ss.states, ss.arcs, ss.parents) == enumerate_arcs(g)
+    assert ss.index == {s: i for i, s in enumerate(ss.states)}
+
+
+def test_block_boundary_inside_a_layer():
+    """A BFS layer larger than one block is split between two kernel calls;
+    the second also takes the first states of the next layer."""
+    ss = enumerate_states(BIG_LAYER)
+    depth = [0] * len(ss)
+    for i, parent in enumerate(ss.parents[1:], 1):
+        depth[i] = depth[parent[0]] + 1
+    assert len(ss) > statespace._BLOCK
+    assert max(Counter(depth).values()) > statespace._BLOCK
+    assert (ss.states, ss.arcs, ss.parents) == enumerate_arcs(BIG_LAYER)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_small_blocks_give_the_same_space(monkeypatch, debruijn8, block):
+    expected = enumerate_arcs(debruijn8)
+    monkeypatch.setattr(statespace, "_BLOCK", block)
+    ss = enumerate_states(debruijn8)
+    assert (ss.states, ss.arcs, ss.parents) == expected
+
+
+def test_component_above_k_raises(monkeypatch, g3):
+    """A kernel that broke the bound would be caught: k = 1 on g3."""
+    advance = statespace.viterbi.advance
+
+    def broken(g, states, xi=None):
+        t, inc = advance(g, states, xi)
+        first = t[..., 0]
+        first[first > 0] += 2
+        return t, inc
+
+    monkeypatch.setattr(statespace.viterbi, "advance", broken)
+    message = r"state \(3, 0\) from \(\(0, 0\), 'b'\) exceeds the bound k=1"
+    with pytest.raises(ComponentBoundError, match=message):
+        enumerate_states(g3)

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_code_graph, random_sequence
 from tcq import (
     InstanceTooLargeError,
+    SourceModel,
     brute_force_min,
     count_paths,
     debruijn8_demo,
     encode,
+    graph_from_edges,
     hamming,
     reduced_transition,
+    simulate,
     transition,
     zero_state,
 )
@@ -159,3 +163,39 @@ def test_brute_force_zero_on_realizable_labels():
         v = g.vertex_index[g.edges[ei].dst]
     assert brute_force_min(g, tuple(labels)) == 0
     assert encode(g, tuple(labels)).total_distortion == 0
+
+
+@pytest.mark.parametrize("top", [1, 3, 254, 255, 256, 70_000, 2**40, 2**70])
+def test_transitions_match_scalar_oracle(top):
+    """Random vectors with components up to ``top``: the kernel's dtype must
+    hold max + 1 without wrapping, past 64 bits included."""
+    rng = random.Random(top)
+    for _ in range(30):
+        g = random_code_graph(rng, max_vertices=8, max_symbols=4)
+        s = [rng.randint(0, top) for _ in range(g.num_vertices)]
+        s[rng.randrange(g.num_vertices)] = top
+        s[rng.randrange(g.num_vertices)] = 0
+        s = tuple(s)
+        for x in g.alphabet:
+            assert reduced_transition(g, s, x) == oracles.reduced_transition(g, s, x)
+            assert transition(g, s, x) == oracles.transition(g, s, x)
+            shifted = tuple(c - top for c in s)  # negative components
+            assert transition(g, shifted, x) == oracles.transition(g, shifted, x)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("v", "w", "a"), ("w", "w", "b")],  # the first vertex has no in-edge
+        [("w", "w", "a"), ("v", "w", "b")],  # the last one has none
+    ],
+)
+def test_vertex_without_in_edge_raises(edges):
+    g = graph_from_edges(edges, alphabet=("a", "b"))
+    s = zero_state(g)
+    with pytest.raises(ValueError, match="'v' has no incoming edge"):
+        transition(g, s, "a")
+    with pytest.raises(ValueError, match="'v' has no incoming edge"):
+        reduced_transition(g, s, "b")
+    with pytest.raises(ValueError, match="'v' has no incoming edge"):
+        simulate(g, SourceModel.uniform(g.alphabet), n=10)

@@ -6,9 +6,11 @@ is the stationary expectation of the arc increments. Each linear system
 all closed classes) is scaled to integers row by row and factored once as a
 dense LU modulo a word-size prime; the solution is lifted p-adically (Dixon
 1982), one modular triangular solve and one exact integer residual update
-per lift, until a common-denominator rational reconstruction (Wang 1981) is
-stable. It is returned only after the exact residual check A num = d b
-holds for every row: that check, not a bound, is the certificate.
+per lift, until a common-denominator rational reconstruction (Wang 1981)
+passes the exact residual check A num = d b on every row. That check, not a
+bound, is the certificate, and each candidate faces it as soon as it is
+reconstructed. The optional D(R) comparison in ``analyze`` is a float lower
+bound computed at the fixed precision of ``rd``.
 """
 
 from __future__ import annotations
@@ -380,15 +382,16 @@ def _solve_exact(
     else:
         raise ChainError(f"singular system (modulo each of {len(_PRIMES)} primes)")
     # Reconstruction is tried after lift 1, 2, 3, ... spaced by about 1/8 of
-    # the lifts so far, which keeps its total cost quadratic in the digits; a
-    # candidate is stable when it still fits after the next lift. It is
-    # unique once p**lifts > 2 * 2**(2 * hadamard_bits), so a candidate found
-    # at the first try past that point certifies one lift later.
+    # the lifts so far, which keeps its total cost quadratic in the digits.
+    # A candidate that satisfies A num = d b is the solution, since A is
+    # nonsingular over Q once it factors modulo p; past
+    # p**lifts > 2 * 2**(2 * hadamard_bits) the true solution is the only
+    # candidate, so the first try past that point certifies.
     needed = (2 * hadamard_bits + 2) // (p.bit_length() - 1) + 1
     max_lifts = needed + needed // 8 + 2
     residual = [bc[:] for bc in b]
     digits = [[0] * n for _ in b]  # x modulo p**lifts, one list per right-hand side
-    modulus, candidate, next_try = 1, None, 1
+    modulus, next_try = 1, 1
     for lifts in range(1, max_lifts + 1):
         step = lu.solve(np.array([[v % p for v in r] for r in residual], dtype=np.int64).T)
         for c, xc in enumerate(step.T.tolist()):
@@ -398,19 +401,17 @@ def _solve_exact(
             residual[c] = [v // p for v in diff]
             digits[c] = [v + s * modulus for v, s in zip(digits[c], xc)]
         modulus *= p
-        xs = [x for col in digits for x in col]
-        if candidate is not None:
-            d, nums = candidate
-            cols = [nums[c * n : (c + 1) * n] for c in range(len(b))]
-            if all((d * x - v) % modulus == 0 for x, v in zip(xs, nums)) and all(
-                _matvec(a, col) == [d * v for v in bc] for col, bc in zip(cols, b)
-            ):
-                stats = SolveStats(n, tried, lifts, len(str(d)))
-                return [[Fraction(v, d) for v in col] for col in cols], stats
-            candidate = None
-        if lifts >= next_try:
-            candidate = _reconstruct(xs, modulus)
-            next_try = lifts + 1 + lifts // 8
+        if lifts < next_try:
+            continue
+        next_try = lifts + 1 + lifts // 8
+        candidate = _reconstruct([x for col in digits for x in col], modulus)
+        if candidate is None:
+            continue
+        d, nums = candidate
+        cols = [nums[c * n : (c + 1) * n] for c in range(len(b))]
+        if all(_matvec(a, col) == [d * v for v in bc] for col, bc in zip(cols, b)):
+            stats = SolveStats(n, tried, lifts, len(str(d)))
+            return [[Fraction(v, d) for v in col] for col in cols], stats
     raise ChainError(f"no certified solution within the Hadamard bound of {max_lifts} lifts")
 
 
@@ -521,7 +522,6 @@ def analyze(
     g: LabeledGraph,
     src: SourceModel | None = None,
     with_rd: bool = False,
-    rd_tol: float = 1e-9,
     max_states: int = 10**6,
 ) -> AnalysisReport:
     """End-to-end exact analysis of one graph under one source."""
@@ -541,9 +541,7 @@ def analyze(
 
         if rate is None:
             raise SourceError("rate comparison requires uniform out-degree")
-        rd_point = blahut(
-            [float(p) for p in src.probabilities], rate.approx, tol=rd_tol
-        )
+        rd_point = blahut([float(p) for p in src.probabilities], rate.approx)
     return AnalysisReport(
         distortion=d,
         distortion_decimal=decimal_string(d),

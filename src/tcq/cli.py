@@ -3,7 +3,8 @@
 Subcommands: analyze, enumerate, simulate, quotient, rd, gen-debruijn,
 encode. All reports are plain text with stable field names; --porcelain
 switches to key=value lines. Exit status: 0 success, 1 domain error
-(diagnostic on stderr, prefixed with the failing stage), 2 usage error.
+(diagnostic on stderr, prefixed with the failing stage; a file that cannot be
+read, decoded or written is a graph error), 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 
 from . import sim
 from .chain import SourceModel, analyze, decimal_string
-from .errors import Error, GraphFormatError, SourceError
-from .graph import LabeledGraph, de_bruijn, debruijn8_demo, parse_graph, serialize_graph
+from .errors import Error, GraphFormatError, GraphStructureError, SourceError
+from .graph import de_bruijn, debruijn8_demo, parse_graph, serialize_graph
 from .rd import blahut, gap_report, hamming_rd_closed_form
 from .statespace import enumerate_states, format_statespace
 from .symmetry import (
@@ -43,17 +44,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_graph(path: str) -> LabeledGraph:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_graph(text)
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise GraphFormatError(f"cannot read {path}: {reason}")
 
 
-def _load_source(spec: str, g: LabeledGraph) -> SourceModel:
-    return SourceModel.parse(spec, g.alphabet)
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GraphFormatError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit(lines: list[str]) -> None:
@@ -65,11 +72,9 @@ def _source_line(src: SourceModel) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    src = _load_source(args.source, g)
-    report = analyze(
-        g, src, with_rd=args.with_rd, rd_tol=args.rd_tol, max_states=args.max_states
-    )
+    g = parse_graph(_read_text(args.graph))
+    src = SourceModel.parse(args.source, g.alphabet)
+    report = analyze(g, src, with_rd=args.with_rd, max_states=args.max_states)
     if args.porcelain:
         lines = [
             f"states={report.state_count}",
@@ -130,15 +135,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     ss = enumerate_states(g, max_states=args.max_states)
     sys.stdout.write(format_statespace(ss))
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    src = _load_source(args.source, g)
+    g = parse_graph(_read_text(args.graph))
+    src = SourceModel.parse(args.source, g.alphabet)
+    sourceless = g.in_edge_arrays.sourceless
+    if sourceless is not None:
+        raise GraphStructureError(
+            f"vertex {g.vertices[sourceless]!r} has no incoming edge; "
+            "the walk needs one per vertex"
+        )
     result = sim.simulate(g, src, n=args.n, seed=args.seed, workers=args.parallel)
     exact = None
     if args.exact:
@@ -176,14 +187,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    src = _load_source(args.source, g)
-    try:
-        with open(args.group, encoding="utf-8") as fh:
-            perm_text = fh.read()
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {args.group}: {exc.strerror}") from None
-    perms = parse_permutations(perm_text, g.num_vertices)
+    g = parse_graph(_read_text(args.graph))
+    src = SourceModel.parse(args.source, g.alphabet)
+    perms = parse_permutations(_read_text(args.group), g.num_vertices)
     group = PermutationGroup.from_generators(perms, g.num_vertices)
     ss = enumerate_states(g, max_states=args.max_states)
     fp = induced_fibers(ss, group)
@@ -230,7 +236,7 @@ def _cmd_rd(args: argparse.Namespace) -> int:
     if m < 2:
         raise SourceError("alphabet size must be at least 2")
     probs = [1.0 / m] * m
-    point = blahut(probs, args.rate, tol=args.tol)
+    point = blahut(probs, args.rate)
     check = hamming_rd_closed_form(m, args.rate)
     diff = abs(point.distortion - check)
     if args.porcelain:
@@ -268,13 +274,12 @@ def _cmd_gen_debruijn(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     return 0
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     if not args.sequence.strip():
         raise _UsageError("--sequence is empty")
     xs = tuple(tok.strip() for tok in args.sequence.split(","))
@@ -338,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="exact per-step distortion of a graph code")
     add_common(p)
     p.add_argument("--with-rd", action="store_true", help="compare against D(R)")
-    p.add_argument("--rd-tol", type=float, default=1e-9)
     add_max_states(p)
     p.set_defaults(func=_cmd_analyze)
 
@@ -368,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rd", help="distortion-rate point of a uniform source")
     p.add_argument("--alphabet", type=int, required=True, help="alphabet size")
     p.add_argument("--rate", type=float, required=True, help="target rate in bits")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--porcelain", action="store_true")
     p.set_defaults(func=_cmd_rd)
 

@@ -3,7 +3,9 @@
 The distortion-rate value D(R) is computed by an alternating-minimization
 inner loop at fixed slope with a certified stopping bound, wrapped in a
 bisection on the slope to hit the requested rate. A closed form for
-equiprobable sources serves as an independent check.
+equiprobable sources serves as an independent check. D(R) is only a float
+lower bound on the exact D(G), so it runs at one fixed precision: the module
+constants below.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .errors import (
 )
 
 _LN2 = math.log(2.0)
+_TOL = 1e-9  # certified rate gap of the inner loop, in bits
+_MAX_ITER = 200_000  # inner-loop iterations before ConvergenceError
+_RATE_MATCH = 1e-12  # bisection stops once the rate is this close, in bits
+_BOUND_SLACK = 1e-9  # how far D(G) may fall below D(R) before it is a violation
 
 
 class RDPoint(NamedTuple):
@@ -48,9 +54,7 @@ def _clean_probs(probs: Sequence[float]) -> np.ndarray:
     return p / total
 
 
-def _slope_point(
-    p: np.ndarray, lam: float, tol: float, max_iter: int
-) -> tuple[float, float]:
+def _slope_point(p: np.ndarray, lam: float, tol: float) -> tuple[float, float]:
     """(rate bits, distortion) on the Hamming rate-distortion curve at one slope.
 
     Iterates the reproduction distribution until the certified rate gap
@@ -60,7 +64,7 @@ def _slope_point(
     m = p.size
     a = math.exp(-lam)
     q = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         denom = a * q.sum() + (1.0 - a) * q
         ratio = p / denom
         c = a * ratio.sum() + (1.0 - a) * ratio
@@ -72,17 +76,11 @@ def _slope_point(
             rate_nats = -lam * d - float((p * np.log(denom)).sum())
             return max(rate_nats / _LN2, 0.0), d
     raise ConvergenceError(
-        f"no convergence to gap {tol} bits within {max_iter} iterations"
+        f"no convergence to gap {tol} bits within {_MAX_ITER} iterations"
     )
 
 
-def blahut(
-    probs: Sequence[float],
-    target_rate: float,
-    tol: float = 1e-9,
-    max_iter: int = 200_000,
-    rate_match: float = 1e-12,
-) -> RDPoint:
+def blahut(probs: Sequence[float], target_rate: float, tol: float = _TOL) -> RDPoint:
     """Distortion-rate point D(target_rate) for a memoryless source.
 
     Valid rates lie in [0, H]; the endpoints are returned in closed form
@@ -91,7 +89,7 @@ def blahut(
     p_full = _clean_probs(probs)
     p = p_full[p_full > 0]
     h = source_entropy(p)
-    if target_rate < -1e-12 or target_rate > h + 1e-9:
+    if not -1e-12 <= target_rate <= h + 1e-9:  # NaN fails too
         raise RateOutOfRangeError(
             f"rate {target_rate} outside [0, {h}] for this source"
         )
@@ -101,30 +99,30 @@ def blahut(
         return RDPoint(rate=h, distortion=0.0, tolerance=tol, slope=math.inf)
 
     lo, hi = 1.0, 1.0
-    r_lo, _ = _slope_point(p, lo, tol, max_iter)
+    r_lo, _ = _slope_point(p, lo, tol)
     while r_lo > target_rate:
         lo /= 2.0
         if lo < 1e-12:
             raise ConvergenceError("failed to bracket the slope from below")
-        r_lo, _ = _slope_point(p, lo, tol, max_iter)
-    r_hi, _ = _slope_point(p, hi, tol, max_iter)
+        r_lo, _ = _slope_point(p, lo, tol)
+    r_hi, _ = _slope_point(p, hi, tol)
     while r_hi < target_rate:
         hi *= 2.0
         if hi > 1e6:
             raise ConvergenceError("failed to bracket the slope from above")
-        r_hi, _ = _slope_point(p, hi, tol, max_iter)
+        r_hi, _ = _slope_point(p, hi, tol)
 
     mid = (lo + hi) / 2.0
-    r_mid, d_mid = _slope_point(p, mid, tol, max_iter)
+    r_mid, d_mid = _slope_point(p, mid, tol)
     for _ in range(200):
-        if abs(r_mid - target_rate) <= rate_match:
+        if abs(r_mid - target_rate) <= _RATE_MATCH:
             break
         if r_mid < target_rate:
             lo = mid
         else:
             hi = mid
         mid = (lo + hi) / 2.0
-        r_mid, d_mid = _slope_point(p, mid, tol, max_iter)
+        r_mid, d_mid = _slope_point(p, mid, tol)
     return RDPoint(rate=r_mid, distortion=d_mid, tolerance=tol, slope=mid)
 
 
@@ -141,7 +139,7 @@ def hamming_rd_closed_form(m: int, rate: float) -> float:
     if m < 2:
         raise SourceError("need at least two symbols")
     h = math.log2(m)
-    if rate < -1e-12 or rate > h + 1e-9:
+    if not -1e-12 <= rate <= h + 1e-9:  # NaN fails too
         raise RateOutOfRangeError(f"rate {rate} outside [0, {h}]")
     if rate >= h - 1e-12:
         return 0.0
@@ -172,7 +170,7 @@ class GapReport:
     bound_ok: bool
 
 
-def gap_report(analysis, rdp: RDPoint, slack: float = 1e-9) -> GapReport:
+def gap_report(analysis, rdp: RDPoint) -> GapReport:
     """Excess of the graph's distortion over the source's D(R) at equal rate.
 
     ``analysis`` may be an analysis report (its ``distortion`` is used) or a
@@ -181,11 +179,11 @@ def gap_report(analysis, rdp: RDPoint, slack: float = 1e-9) -> GapReport:
     """
     dg = float(getattr(analysis, "distortion", analysis))
     gap = dg - rdp.distortion
-    ok = gap >= -slack
+    ok = gap >= -_BOUND_SLACK
     if not ok:
         raise BoundViolationError(
             f"graph distortion {dg} fell below the rate-distortion value"
-            f" {rdp.distortion} by more than {slack}"
+            f" {rdp.distortion} by more than {_BOUND_SLACK}"
         )
     return GapReport(
         graph_distortion=dg, rd_distortion=rdp.distortion, gap=gap, bound_ok=ok

@@ -265,14 +265,62 @@ def test_usage_errors_exit_2(capsys):
         ),
         (("encode", "--graph", G3, "--sequence", "a,z"), "symbol 'z' is not in"),
         (("encode", "--graph", G3, "--sequence", ""), "--sequence is empty"),
+        # D(R) runs at one fixed precision: no tolerance flags
+        (("analyze", "--graph", G3, "--rd-tol", "1e-9"), "unrecognized arguments: --rd-tol"),
+        (
+            ("rd", "--alphabet", "4", "--rate", "1", "--tol", "1e-9"),
+            "unrecognized arguments: --tol",
+        ),
     ],
-    ids=["n-zero", "parallel-zero", "unknown-symbol", "empty-sequence"],
+    ids=["n-zero", "parallel-zero", "unknown-symbol", "empty-sequence", "rd-tol", "tol"],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err
     assert message in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ("analyze", "--graph", "TMP/latin1.g"),
+            "error (graph): cannot read TMP/latin1.g: not UTF-8 text",
+        ),
+        (
+            ("quotient", "--graph", DB8, "--group", "TMP/latin1.perm"),
+            "error (graph): cannot read TMP/latin1.perm: not UTF-8 text",
+        ),
+        (
+            ("gen-debruijn", "--builtin", "paper-example", "--out", "TMP/missing/x.g"),
+            "error (graph): cannot write TMP/missing/x.g: No such file or directory",
+        ),
+        (
+            ("gen-debruijn", "--builtin", "paper-example", "--out", "TMP"),
+            "error (graph): cannot write TMP: Is a directory",
+        ),
+        (
+            ("simulate", "--graph", "TMP/sourceless.g", "--n", "10"),
+            "error (graph): vertex 'v' has no incoming edge; the walk needs one per vertex",
+        ),
+        (
+            ("rd", "--alphabet", "4", "--rate", "nan"),
+            "error (rd): rate nan outside [0, 2.0] for this source",
+        ),
+    ],
+    ids=[
+        "undecodable-graph", "undecodable-group", "no-such-dir", "out-is-dir", "sourceless",
+        "rate-nan",
+    ],
+)
+def test_bad_input_exits_1_without_traceback(capsys, tmp_path, argv, line):
+    (tmp_path / "latin1.g").write_bytes(b"alphabet a b\nedge v w caf\xe9\n")
+    (tmp_path / "latin1.perm").write_bytes(b"1 0 \xe9\n")
+    (tmp_path / "sourceless.g").write_text("alphabet a b\nedge v w a\nedge w w b\n")
+    code, out, err = run_cli(capsys, *(arg.replace("TMP", str(tmp_path)) for arg in argv))
+    assert code == 1 and out == ""
+    assert err == line.replace("TMP", str(tmp_path)) + "\n"
 
 
 @pytest.mark.parametrize(

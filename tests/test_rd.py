@@ -67,6 +67,8 @@ def test_blahut_input_validation():
         blahut([0.25] * 4, 2.5)
     with pytest.raises(RateOutOfRangeError):
         blahut([0.25] * 4, -0.5)
+    with pytest.raises(RateOutOfRangeError, match="rate nan outside"):
+        blahut([0.25] * 4, math.nan)
     with pytest.raises(SourceError, match="negative"):
         blahut([0.5, 0.6, -0.1], 1.0)
     with pytest.raises(SourceError, match="sum"):
@@ -92,8 +94,22 @@ def test_closed_form_known_values():
 def test_closed_form_validation():
     with pytest.raises(RateOutOfRangeError):
         hamming_rd_closed_form(4, 2.5)
+    with pytest.raises(RateOutOfRangeError, match="rate nan outside"):
+        hamming_rd_closed_form(4, math.nan)
     with pytest.raises(SourceError):
         hamming_rd_closed_form(1, 0.5)
+
+
+def test_precision_is_fixed(debruijn8):
+    # D(R) is a float bound on the exact D(G): its precision is not an option
+    for call, keyword in [
+        (lambda **kw: analyze(debruijn8, with_rd=True, **kw), "rd_tol"),
+        (lambda **kw: blahut([0.25] * 4, 1.0, **kw), "max_iter"),
+        (lambda **kw: blahut([0.25] * 4, 1.0, **kw), "rate_match"),
+        (lambda **kw: gap_report(0.3, blahut([0.25] * 4, 1.0), **kw), "slack"),
+    ]:
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: 1e-9})
 
 
 def test_closed_form_is_inverse_of_rate_formula():

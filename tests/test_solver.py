@@ -135,7 +135,7 @@ def test_solve_stats_describe_each_solve(debruijn8):
     (stats,) = sd.solves
     assert stats.dim == len(sd.classes.closed[0]) == 106
     assert stats.primes_tried == 1
-    assert stats.lifts >= 2
+    assert stats.lifts == 1  # certified by the first reconstruction
     assert stats.denominator_digits == len(str(lcm(*(x.denominator for x in sd.q))))
     # the stats ride along without taking part in equality
     assert sd == chain.StationaryDistribution(q=sd.q, classes=sd.classes, unique=sd.unique)

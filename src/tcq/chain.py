@@ -3,14 +3,15 @@
 Everything here is exact rational arithmetic. The per-step distortion rate
 is the stationary expectation of the arc increments. Each linear system
 (a closed class's balance equations, or the absorption equations shared by
-all closed classes) is scaled to integers row by row and factored once as a
-dense LU modulo a word-size prime; the solution is lifted p-adically (Dixon
-1982), one modular triangular solve and one exact integer residual update
-per lift, until a common-denominator rational reconstruction (Wang 1981)
-passes the exact residual check A num = d b on every row. That check, not a
-bound, is the certificate, and each candidate faces it as soon as it is
-reconstructed. The optional D(R) comparison in ``analyze`` is a float lower
-bound computed at the fixed precision of ``rd``.
+all closed classes) is built in integers over the lcm of its rows'
+denominators and factored once as a dense LU modulo a word-size prime; the
+solution is lifted p-adically (Dixon 1982), one modular triangular solve and
+one exact integer residual update per lift, until a common-denominator
+rational reconstruction (Wang 1981) passes the exact residual check
+A num = d b on every row. That check, not a bound, is the certificate, and
+each candidate faces it as soon as it is reconstructed. The optional D(R)
+comparison in ``analyze`` is a float lower bound computed at the fixed
+precision of ``rd``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt, lcm
 from operator import mul, sub
 from typing import TYPE_CHECKING
@@ -163,22 +164,6 @@ class StationaryDistribution:
     solves: tuple[SolveStats, ...] = field(default=(), compare=False, repr=False)
 
 
-class _SymbolMasses(dict):
-    """The probability mass of a set of symbols (a bit mask), one Fraction per
-    set, made on first use and then shared by every chain row whose arcs
-    merge those symbols or increment on them."""
-
-    def __init__(self, probs: list[Fraction], support: list[int]):
-        super().__init__({1 << xi: probs[xi] for xi in support})
-        self.probs, self.support = probs, support
-
-    def __missing__(self, mask: int) -> Fraction:
-        mass = self[mask] = sum(
-            (self.probs[xi] for xi in self.support if mask >> xi & 1), Fraction(0)
-        )
-        return mass
-
-
 def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
     if src.alphabet != ss.graph.alphabet:
         raise SourceError(
@@ -186,19 +171,22 @@ def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
             f" {ss.graph.alphabet}"
         )
     probs = [Fraction(p) for p in src.probabilities]
-    support = [xi for xi, p in enumerate(probs) if p]
-    masses = _SymbolMasses(probs, support)
+    scale = lcm(*(p.denominator for p in probs))
+    # every entry is an integer over one scale; each distinct numerator
+    # becomes one Fraction, shared by every row that holds it
+    weights = [(xi, p.numerator * (scale // p.denominator)) for xi, p in enumerate(probs) if p]
+    shared = cache(lambda num: Fraction(num, scale))
     rows: list[dict[int, Fraction]] = []
     absorb: list[Fraction] = []
     for arc_row in ss.arcs:
-        merged: dict[int, int] = {}  # successor -> the symbols that reach it
+        nums: dict[int, int] = {}  # successor -> numerator of its probability
         increments = 0
-        for xi in support:
+        for xi, w in weights:
             ti, inc = arc_row[xi]
-            merged[ti] = merged.get(ti, 0) | 1 << xi
-            increments |= inc << xi
-        rows.append({ti: masses[m] for ti, m in merged.items()})
-        absorb.append(masses[increments])
+            nums[ti] = nums.get(ti, 0) + w
+            increments += inc * w
+        rows.append({ti: shared(num) for ti, num in nums.items()})
+        absorb.append(shared(increments))
     return MarkovChain(size=len(ss), rows=tuple(rows), absorb=tuple(absorb))
 
 
@@ -336,42 +324,23 @@ def _matvec(a: list[tuple[tuple[int, ...], tuple[int, ...]]], x: list[int]) -> l
     return [sum(map(mul, vals, map(get, cols))) for cols, vals in a]
 
 
-def _integer_system(
-    rows: list[dict[int, Fraction]], rhs: list[list[Fraction]]
-) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], list[list[int]], int]:
-    """Scale each equation by the lcm of its denominators.
-
-    Returns A as (columns, values) per row, the integer right-hand sides,
-    and a bound in bits on the numerators and the denominator of the
-    solution: Hadamard's bound prod_i |(a_i, b_i)| on the minors of (A | b).
-    """
-    a: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    b: list[list[int]] = [[0] * len(rows) for _ in rhs]
-    bits = 0
-    for i, row in enumerate(rows):
-        scale = lcm(*(f.denominator for f in row.values()), *(col[i].denominator for col in rhs))
-        vals = tuple(f.numerator * (scale // f.denominator) for f in row.values())
-        a.append((tuple(row), vals))
-        for bc, col in zip(b, rhs):
-            bc[i] = col[i].numerator * (scale // col[i].denominator)
-        norm = sum(v * v for v in vals) + max(bc[i] * bc[i] for bc in b)
-        bits += norm.bit_length() // 2 + 1
-    return a, b, bits
-
-
 def _solve_exact(
-    rows: list[dict[int, Fraction]], rhs: list[list[Fraction]]
+    a: list[tuple[tuple[int, ...], tuple[int, ...]]], b: list[list[int]]
 ) -> tuple[list[list[Fraction]], SolveStats]:
-    """Solve A x = b exactly for each right-hand side b in ``rhs``.
+    """Solve A x = b exactly for each integer right-hand side b in ``b``.
 
-    ``rows[i]`` maps column to coefficient (only nonzero entries). The
-    system is scaled to integers row by row, factored once modulo a word-size
-    prime, lifted p-adically (Dixon 1982) and reconstructed with a common
+    ``a`` gives each row of the integer matrix A as (columns, values), only
+    nonzero entries. The system is factored once modulo a word-size prime,
+    lifted p-adically (Dixon 1982) and reconstructed with a common
     denominator (Wang 1981). A solution is returned only after A num = d b
     has been checked in exact integer arithmetic for every row and every b.
     """
-    n = len(rows)
-    a, b, hadamard_bits = _integer_system(rows, rhs)
+    n = len(a)
+    # Hadamard's bound prod_i |(a_i, b_i)| on the minors of (A | b), in bits
+    hadamard_bits = sum(
+        (sum(v * v for v in vals) + max(bc[i] * bc[i] for bc in b)).bit_length() // 2 + 1
+        for i, (_, vals) in enumerate(a)
+    )
     for tried, p in enumerate(_PRIMES, 1):
         dense = np.zeros((n, n), dtype=np.int64)
         for i, (cols, vals) in enumerate(a):
@@ -421,15 +390,18 @@ def _class_stationary(
     """Stationary law of the chain restricted to one closed class."""
     m = len(members)
     local = {s: i for i, s in enumerate(members)}
-    # balance equations for all targets but the last (one is redundant)
-    rows: list[dict[int, Fraction]] = [{j: Fraction(-1)} for j in range(m - 1)]
+    scale = lcm(*{p.denominator for s in members for p in mc.rows[s].values()})
+    # balance equations for all targets but the last (one is redundant), times scale
+    eqs: list[dict[int, int]] = [{j: -scale} for j in range(m - 1)]
     for i, s in enumerate(members):
         for target, p in mc.rows[s].items():
             j = local[target]
             if j < m - 1:
-                rows[j][i] = p - 1 if i == j else p
-    rows.append(dict.fromkeys(range(m), Fraction(1)))  # normalization
-    (pi,), stats = _solve_exact(rows, [[Fraction(0)] * (m - 1) + [Fraction(1)]])
+                v = p.numerator * (scale // p.denominator)
+                eqs[j][i] = v - scale if i == j else v
+    a = [(tuple(eq), tuple(eq.values())) for eq in eqs]
+    a.append((tuple(range(m)), (1,) * m))  # normalization
+    (pi,), stats = _solve_exact(a, [[0] * (m - 1) + [1]])
     return pi, stats
 
 
@@ -443,18 +415,20 @@ def _absorption_probabilities(
     trans = classes.transient
     pos = {s: i for i, s in enumerate(trans)}
     owner = {s: ci for ci, comp in enumerate(classes.closed) for s in comp}
-    # (I - Q) h = r, one r per closed class: its one-step mass from each state
-    rows: list[dict[int, Fraction]] = []
-    rhs = [[Fraction(0)] * len(trans) for _ in classes.closed]
+    scale = lcm(*{p.denominator for s in trans for p in mc.rows[s].values()})
+    # (I - Q) h = r times scale, one r per closed class: its one-step mass from each state
+    a: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    b = [[0] * len(trans) for _ in classes.closed]
     for i, s in enumerate(trans):
-        row = {i: Fraction(1)}
+        eq = {i: scale}
         for target, p in mc.rows[s].items():
+            v = p.numerator * (scale // p.denominator)
             if target in pos:
-                row[pos[target]] = row.get(pos[target], 0) - p
+                eq[pos[target]] = eq.get(pos[target], 0) - v
             else:
-                rhs[owner[target]][i] += p
-        rows.append(row)
-    h, stats = _solve_exact(rows, rhs)
+                b[owner[target]][i] += v
+        a.append((tuple(eq), tuple(eq.values())))
+    h, stats = _solve_exact(a, b)
     out = [hc[pos[0]] for hc in h]
     if sum(out) != 1:
         raise ChainError(f"absorption probabilities sum to {sum(out)}, not 1")

@@ -46,6 +46,8 @@ def _clean_probs(probs: Sequence[float]) -> np.ndarray:
     p = np.asarray([float(x) for x in probs], dtype=float)
     if p.size == 0:
         raise SourceError("empty probability vector")
+    if not np.isfinite(p).all():
+        raise SourceError("non-finite probability")
     if (p < 0).any():
         raise SourceError("negative probability")
     total = float(p.sum())
@@ -54,12 +56,12 @@ def _clean_probs(probs: Sequence[float]) -> np.ndarray:
     return p / total
 
 
-def _slope_point(p: np.ndarray, lam: float, tol: float) -> tuple[float, float]:
+def _slope_point(p: np.ndarray, lam: float) -> tuple[float, float]:
     """(rate bits, distortion) on the Hamming rate-distortion curve at one slope.
 
     Iterates the reproduction distribution until the certified rate gap
-    ln(max_k c_k) drops below tol*ln(2), so the returned rate is within
-    tol bits of the true curve value at this slope.
+    ln(max_k c_k) drops below _TOL*ln(2), so the returned rate is within
+    _TOL bits of the true curve value at this slope.
     """
     m = p.size
     a = math.exp(-lam)
@@ -70,17 +72,17 @@ def _slope_point(p: np.ndarray, lam: float, tol: float) -> tuple[float, float]:
         c = a * ratio.sum() + (1.0 - a) * ratio
         q = q * c
         q /= q.sum()
-        if math.log(float(c.max())) <= tol * _LN2:
+        if math.log(float(c.max())) <= _TOL * _LN2:
             denom = a * q.sum() + (1.0 - a) * q
             d = 1.0 - float((p * q / denom).sum())
             rate_nats = -lam * d - float((p * np.log(denom)).sum())
             return max(rate_nats / _LN2, 0.0), d
     raise ConvergenceError(
-        f"no convergence to gap {tol} bits within {_MAX_ITER} iterations"
+        f"no convergence to gap {_TOL} bits within {_MAX_ITER} iterations"
     )
 
 
-def blahut(probs: Sequence[float], target_rate: float, tol: float = _TOL) -> RDPoint:
+def blahut(probs: Sequence[float], target_rate: float) -> RDPoint:
     """Distortion-rate point D(target_rate) for a memoryless source.
 
     Valid rates lie in [0, H]; the endpoints are returned in closed form
@@ -94,26 +96,26 @@ def blahut(probs: Sequence[float], target_rate: float, tol: float = _TOL) -> RDP
             f"rate {target_rate} outside [0, {h}] for this source"
         )
     if target_rate <= 1e-12:
-        return RDPoint(rate=0.0, distortion=1.0 - float(p.max()), tolerance=tol, slope=0.0)
+        return RDPoint(rate=0.0, distortion=1.0 - float(p.max()), tolerance=_TOL, slope=0.0)
     if target_rate >= h - 1e-12:
-        return RDPoint(rate=h, distortion=0.0, tolerance=tol, slope=math.inf)
+        return RDPoint(rate=h, distortion=0.0, tolerance=_TOL, slope=math.inf)
 
     lo, hi = 1.0, 1.0
-    r_lo, _ = _slope_point(p, lo, tol)
+    r_lo, _ = _slope_point(p, lo)
     while r_lo > target_rate:
         lo /= 2.0
         if lo < 1e-12:
             raise ConvergenceError("failed to bracket the slope from below")
-        r_lo, _ = _slope_point(p, lo, tol)
-    r_hi, _ = _slope_point(p, hi, tol)
+        r_lo, _ = _slope_point(p, lo)
+    r_hi, _ = _slope_point(p, hi)
     while r_hi < target_rate:
         hi *= 2.0
         if hi > 1e6:
             raise ConvergenceError("failed to bracket the slope from above")
-        r_hi, _ = _slope_point(p, hi, tol)
+        r_hi, _ = _slope_point(p, hi)
 
     mid = (lo + hi) / 2.0
-    r_mid, d_mid = _slope_point(p, mid, tol)
+    r_mid, d_mid = _slope_point(p, mid)
     for _ in range(200):
         if abs(r_mid - target_rate) <= _RATE_MATCH:
             break
@@ -122,8 +124,8 @@ def blahut(probs: Sequence[float], target_rate: float, tol: float = _TOL) -> RDP
         else:
             hi = mid
         mid = (lo + hi) / 2.0
-        r_mid, d_mid = _slope_point(p, mid, tol)
-    return RDPoint(rate=r_mid, distortion=d_mid, tolerance=tol, slope=mid)
+        r_mid, d_mid = _slope_point(p, mid)
+    return RDPoint(rate=r_mid, distortion=d_mid, tolerance=_TOL, slope=mid)
 
 
 def _binary_entropy(d: float) -> float:

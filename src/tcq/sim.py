@@ -100,6 +100,7 @@ class SimResult:
 
 
 def _worker_ranges(n: int, workers: int) -> list[tuple[int, int]]:
+    workers = min(workers, n)  # no empty ranges
     q, r = divmod(n, workers)
     out = []
     start = 0

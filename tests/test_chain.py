@@ -157,6 +157,12 @@ def test_stationary_g3_exact(g3):
     assert (d.numerator, d.denominator) == (1, 6)
 
 
+def test_float_and_int_probabilities(g3):
+    # build_chain reads each probability through Fraction(p)
+    assert analyze(g3, SourceModel(g3.alphabet, (0.5, 0.5))).distortion == Fraction(1, 6)
+    assert analyze(g3, SourceModel(g3.alphabet, (1, 0))).distortion == 0
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 10**9))
 def test_stationary_solves_balance_exactly(seed):

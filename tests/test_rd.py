@@ -75,11 +75,15 @@ def test_blahut_input_validation():
         blahut([0.5, 0.4], 0.5)
     with pytest.raises(SourceError, match="empty"):
         blahut([], 0.5)
+    with pytest.raises(SourceError, match="non-finite"):
+        blahut([math.nan, 1.0], 0.0)
+    with pytest.raises(SourceError, match="non-finite"):
+        blahut([0.5, 0.5, math.nan], 0.5)
 
 
 def test_blahut_records_tolerance():
-    point = blahut([0.25] * 4, 1.0, tol=1e-6)
-    assert point.tolerance == 1e-6
+    point = blahut([0.25] * 4, 1.0)
+    assert point.tolerance == 1e-9
     assert point.slope > 0
 
 
@@ -104,6 +108,7 @@ def test_precision_is_fixed(debruijn8):
     # D(R) is a float bound on the exact D(G): its precision is not an option
     for call, keyword in [
         (lambda **kw: analyze(debruijn8, with_rd=True, **kw), "rd_tol"),
+        (lambda **kw: blahut([0.25] * 4, 1.0, **kw), "tol"),
         (lambda **kw: blahut([0.25] * 4, 1.0, **kw), "max_iter"),
         (lambda **kw: blahut([0.25] * 4, 1.0, **kw), "rate_match"),
         (lambda **kw: gap_report(0.3, blahut([0.25] * 4, 1.0), **kw), "slack"),

@@ -119,6 +119,15 @@ def test_worker_ranges_partition():
         assert max(sizes) - min(sizes) <= 1
 
 
+def test_worker_ranges_are_never_empty(g3):
+    assert _worker_ranges(3, 5) == [(0, 1), (1, 2), (2, 3)]
+    src = SourceModel.uniform(g3.alphabet)
+    many = simulate(g3, src, n=10, seed=1, workers=10**12)
+    ten = simulate(g3, src, n=10, seed=1, workers=10)
+    assert (many.increments == ten.increments).all()
+    assert many.workers == 10**12
+
+
 def test_perfect_code_has_zero_estimate(perfect2):
     src = SourceModel.uniform(perfect2.alphabet)
     r = simulate(perfect2, src, n=2000, seed=0)

@@ -174,11 +174,9 @@ def test_unlucky_first_prime_falls_through():
     assert sd.solves[0].primes_tried == 2
 
 
-# rows and right-hand sides of a system that is singular over the rationals
-SINGULAR = (
-    [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}],
-    [[Fraction(1), Fraction(2)]],
-)
+# integer (columns, values) rows and right-hand sides of a system that is
+# singular over the rationals: [[1, 2], [2, 4]] x = [1, 2]
+SINGULAR = ([((0, 1), (1, 2)), ((0, 1), (2, 4))], [[1, 2]])
 
 
 def test_singular_system_raises():
@@ -189,7 +187,6 @@ def test_singular_system_raises():
 
 def test_singular_system_raises_in_optimized_mode():
     code = (
-        "from fractions import Fraction\n"
         "from tcq import ChainError\n"
         "from tcq.chain import _solve_exact\n"
         "try:\n"

@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Time the exact stationary solve on a fixed ladder of graphs.
+
+The rungs are g3, debruijn8 and the first graph of the order-3 quaternary,
+order-4 binary, order-5 binary and order-4 quaternary pools of
+``perfbench/corpus.json`` (read only). Each rung runs in its own child
+process, single-threaded, under a 120 s timeout; a rung that runs out of
+time is recorded as "did not finish". For each rung the record holds the
+state count, the largest solve dimension, the seconds in ``stationary`` and
+from graph to D(G), the lifts, the fewest bits per lift, the gap from the
+first float solve, the digits of the common denominator, the child's peak
+RSS and the sha256 of D(G). The headline is the largest rung solved, graph
+to D(G), within 60 s:
+
+    python3 scripts/solve_ladder.py --out BENCH_9.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from importlib.metadata import version
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+HEADLINE_S = 60
+LADDER = ("g3", "debruijn8", "order3:0", "order4b:0", "order5b:0", "order4q:0")
+
+
+def rung_graph(name: str):
+    from tcq import de_bruijn, parse_graph
+
+    if ":" not in name:
+        return parse_graph((ROOT / "graphs" / f"{name}.g").read_text(encoding="utf-8"))
+    pool, index = name.split(":")
+    corpus = json.loads((ROOT / "perfbench" / "corpus.json").read_text(encoding="utf-8"))
+    entry = corpus[pool][int(index)]
+    return de_bruijn(entry["order"], tuple(entry["labels"]))
+
+
+def measure(name: str) -> dict:
+    """One rung, in this process: what the child prints."""
+    from tcq import SourceModel, build_chain, distortion_rate, enumerate_states, stationary
+
+    begin = time.perf_counter()
+    g = rung_graph(name)
+    ss = enumerate_states(g)
+    mc = build_chain(ss, SourceModel.uniform(g.alphabet))
+    start = time.perf_counter()
+    sd = stationary(mc)
+    stationary_s = time.perf_counter() - start
+    d = distortion_rate(mc, sd)
+    return {
+        "total_s": round(time.perf_counter() - begin, 3),
+        "states": len(ss),
+        "solve_dim": max(s.dim for s in sd.solves),
+        "stationary_s": round(stationary_s, 3),
+        "lifts": sum(s.lifts for s in sd.solves),
+        "bits_per_lift": min(s.bits_per_lift for s in sd.solves),
+        "float_gap": max(s.float_gap for s in sd.solves),
+        "denominator_digits": max(s.denominator_digits for s in sd.solves),
+        "dg_sha256": hashlib.sha256(str(d).encode()).hexdigest(),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def run_rung(name: str) -> dict:
+    """Run one rung in a child process, single-threaded."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cmd = [sys.executable, __file__, "--child", name]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"rung": name, "finished": False, "result": f"did not finish in {TIMEOUT_S} s"}
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or [""])[-1]
+        return {"rung": name, "finished": False, "result": f"exit {proc.returncode}: {last}"}
+    return {"rung": name, "finished": True, **json.loads(proc.stdout)}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        print(json.dumps(measure(args.child)))
+        return
+    rungs = []
+    for name in LADDER:
+        rung = run_rung(name)
+        rungs.append(rung)
+        print(json.dumps(rung), flush=True)
+    solved = [r for r in rungs if r["finished"] and r["total_s"] <= HEADLINE_S]
+    headline = max(solved, key=lambda r: r["solve_dim"], default=None)
+    report = {
+        "headline": {
+            "largest_rung_solved_within_s": HEADLINE_S,
+            "rung": headline and headline["rung"],
+            "solve_dim": headline and headline["solve_dim"],
+        },
+        "timeout_s": TIMEOUT_S,
+        "host": {
+            "python": platform.python_version(),
+            "numpy": version("numpy"),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "threads": 1,
+        },
+        "rungs": rungs,
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,14 +4,13 @@ Everything here is exact rational arithmetic. The per-step distortion rate
 is the stationary expectation of the arc increments. Each linear system
 (a closed class's balance equations, or the absorption equations shared by
 all closed classes) is built in integers over the lcm of its rows'
-denominators and factored once as a dense LU modulo a word-size prime; the
-solution is lifted p-adically (Dixon 1982), one modular triangular solve and
-one exact integer residual update per lift, until a common-denominator
-rational reconstruction (Wang 1981) passes the exact residual check
-A num = d b on every row. That check, not a bound, is the certificate, and
-each candidate faces it as soon as it is reconstructed. The optional D(R)
-comparison in ``analyze`` is a float lower bound computed at the fixed
-precision of ``rd``.
+denominators, factored once as a dense float64 LU, and solved by numeric
+lifting (Wan 2006) with one exact integer residual update per lift. A
+common denominator is then read off continued fractions, and a candidate
+stands only if A num = d b holds in exact arithmetic on every row: that
+check, not a bound, is the certificate. Systems beyond double precision or
+the dense factor's memory cap raise ChainError. The optional D(R)
+comparison in ``analyze`` is a float lower bound at the precision of ``rd``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from functools import cache, cached_property
-from math import isqrt, lcm
+from math import frexp, isfinite, isqrt, lcm
 from operator import mul, sub
 from typing import TYPE_CHECKING
 
@@ -139,13 +138,14 @@ class ClassPartition:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What one exact solve cost: the system's dimension, the primes tried
-    before one left it nonsingular, the p-adic lifts, and the decimal digits
-    of the common denominator of the certified solution."""
+    """One exact solve: its dimension, numeric lifts, fewest bits gained by a
+    lift, largest gap from the first float solve to the certified solution,
+    and decimal digits of that solution's common denominator."""
 
     dim: int
-    primes_tried: int
     lifts: int
+    bits_per_lift: int
+    float_gap: float
     denominator_digits: int
 
 
@@ -204,96 +204,79 @@ def closed_classes(mc: MarkovChain) -> ClassPartition:
     return ClassPartition(closed=tuple(closed), transient=tuple(sorted(transient)))
 
 
-# Word-size primes below 2**31: residues and their products fit in int64.
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
+_PANEL = 64  # columns per pivoting panel, and per diagonal block of the solves
+_LEAF = 8  # panel columns eliminated one at a time
+_ROWS = 256  # rows per chunk of the trailing update
+_MAX_FACTOR_BYTES = 2 << 30  # cap on the dense factor (n <= 16,384), checked first
+_MANTISSA = 52  # integer bits a float64 holds exactly, less one for rounding
 
 
-_BLOCK = 32  # block size of the triangular solves
+def _unit_lower_inverse(block: np.ndarray) -> np.ndarray:
+    return np.linalg.inv(np.tril(block, -1) + np.eye(len(block)))
 
 
-def _mulmod(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """``a @ x`` modulo ``p`` for entries in [0, p). ``x`` is split into
-    16-bit halves so no int64 partial sum overflows (inner dimension < 2**16)."""
-    return (a @ (x & 0xFFFF) % p + (a @ (x >> 16) % p << 16)) % p
+def _factor_panel(a: np.ndarray, c0: int, c1: int, perm: list[int]) -> None:
+    """Recursive LU with partial pivoting of columns c0:c1 of ``a``, rows c0
+    on, swapping whole rows of ``a`` and the same entries of ``perm``."""
+    if c1 - c0 > _LEAF:
+        mid = (c0 + c1) // 2
+        _factor_panel(a, c0, mid, perm)
+        a[c0:mid, mid:c1] = _unit_lower_inverse(a[c0:mid, c0:mid]) @ a[c0:mid, mid:c1]
+        a[mid:, mid:c1] -= a[mid:, c0:mid] @ a[c0:mid, mid:c1]
+        _factor_panel(a, mid, c1, perm)
+        return
+    for j in range(c0, c1):
+        col = a[j:, j]
+        k = j + int(abs(col).argmax())
+        if a[k, j] == 0:
+            raise ChainError("singular system in double precision (a zero pivot)")
+        if k != j:
+            a[[j, k]], perm[j], perm[k] = a[[k, j]], perm[k], perm[j]
+        col[1:] /= col[0]
+        a[j + 1 :, j + 1 : c1] -= np.multiply.outer(col[1:], a[j, j + 1 : c1])
 
 
-def _unipotent_inverse(nil: np.ndarray, p: int) -> np.ndarray:
-    """``(I + N)**-1`` modulo ``p`` for a stack of strictly triangular
-    _BLOCK x _BLOCK matrices N, as (I - N)(I + N**2)(I + N**4)...: N is
-    nilpotent, so the product is the whole series sum((-N)**i)."""
-    eye = np.eye(_BLOCK, dtype=np.int64)
-    inv = (eye - nil) % p
-    power, degree = nil, 2
-    while degree < _BLOCK:
-        power = _mulmod(power, power, p)
-        inv = _mulmod(inv, eye + power, p)
-        degree *= 2
-    return inv
+class _FloatLU:
+    """PA = LU in float64, computed in place in ``a``, with the inverses of
+    the diagonal blocks of L and U for blocked triangular solves."""
 
-
-class _ModularLU:
-    """PA = LU modulo a prime ``p``, packed in one int64 array, with the
-    inverses of the diagonal blocks of L and U for blocked solves."""
-
-    def __init__(self, lu: np.ndarray, perm: np.ndarray, p: int):
-        self.lu, self.perm, self.p = lu, perm, p
-        n = len(lu)
-        self.blocks = [(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
-        # the diagonal blocks, the last one padded with the identity
-        nb = len(self.blocks)
-        diag = np.tile(np.eye(_BLOCK, dtype=np.int64), (nb, 1, 1))
-        for blk, (s, e) in zip(diag, self.blocks):
-            blk[: e - s, : e - s] = lu[s:e, s:e]
-        dinv = np.array(
-            [pow(int(v), -1, p) for v in diag.diagonal(0, 1, 2).ravel()], dtype=np.int64
-        ).reshape(nb, 1, _BLOCK)
-        self.linv = _unipotent_inverse(np.tril(diag, -1), p)
-        # U = D (I + D**-1 S) with S strictly upper, so U**-1 = (I + D**-1 S)**-1 D**-1
-        scaled = np.triu(diag, 1) * dinv.transpose(0, 2, 1) % p
-        self.uinv = _unipotent_inverse(scaled, p) * dinv % p
-
-    @classmethod
-    def factor(cls, a: np.ndarray, p: int) -> _ModularLU | None:
-        """Factor ``a`` (entries in [0, p)) in place, or return None when it
-        is singular modulo ``p``. Each elimination step updates only the
-        rows with a nonzero in the pivot column."""
+    def __init__(self, a: np.ndarray):
         n = len(a)
-        perm = np.arange(n)
-        for k in range(n):
-            nz = np.flatnonzero(a[k:, k])
-            if nz.size == 0:
-                return None
-            piv = k + int(nz[0])
-            if piv != k:
-                a[[k, piv]] = a[[piv, k]]
-                perm[[k, piv]] = perm[[piv, k]]
-            rows = k + 1 + np.flatnonzero(a[k + 1 :, k])
-            if rows.size:
-                factors = a[rows, k] * pow(int(a[k, k]), -1, p) % p
-                a[rows, k] = factors
-                a[rows, k + 1 :] = (a[rows, k + 1 :] - factors[:, None] * a[k, k + 1 :] % p) % p
-        return cls(a, perm, p)
+        self.lu, self.linv, self.perm = a, [], list(range(n))
+        prod = np.empty(_ROWS * n)  # one chunk of the trailing update
+        for k0 in range(0, n, _PANEL):
+            k1 = min(k0 + _PANEL, n)
+            _factor_panel(a, k0, k1, self.perm)
+            self.linv.append(_unit_lower_inverse(a[k0:k1, k0:k1]))
+            u12 = a[k0:k1, k1:]
+            u12[:] = self.linv[-1] @ u12
+            for r0 in range(k1, n, _ROWS):
+                r1 = min(r0 + _ROWS, n)
+                out = prod[: (r1 - r0) * (n - k1)].reshape(r1 - r0, n - k1)
+                a[r0:r1, k1:] -= np.matmul(a[r0:r1, k0:k1], u12, out=out)
+        self.blocks = [(s, min(s + _PANEL, n)) for s in range(0, n, _PANEL)]
+        self.uinv = [np.linalg.inv(np.triu(a[s:e, s:e])) for s, e in self.blocks]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The x with A x = b modulo p, for the columns of ``b`` (entries in [0, p))."""
-        lu, p = self.lu, self.p
-        y = b[self.perm]
+        """The float x with A x = b, for the columns of ``b``."""
+        lu, y = self.lu, b[self.perm]
         for (s, e), inv in zip(self.blocks, self.linv):
-            y[s:e] = _mulmod(inv[: e - s, : e - s], y[s:e], p)
-            y[e:] = (y[e:] - _mulmod(lu[e:, s:e], y[s:e], p)) % p
-        for (s, e), inv in zip(reversed(self.blocks), self.uinv[::-1]):
-            y[s:e] = _mulmod(inv[: e - s, : e - s], y[s:e], p)
-            y[:s] = (y[:s] - _mulmod(lu[:s, s:e], y[s:e], p)) % p
+            y[s:e] = inv @ y[s:e]
+            y[e:] -= lu[e:, s:e] @ y[s:e]
+        for (s, e), inv in zip(reversed(self.blocks), reversed(self.uinv)):
+            y[s:e] = inv @ y[s:e]
+            y[:s] -= lu[:s, s:e] @ y[s:e]
         return y
 
 
 def _reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
-    """Common-denominator rational reconstruction (Wang 1981) modulo ``m``.
+    """Common-denominator rational reconstruction from approximations x/m.
 
-    Finds d and numerators n_i with n_i = d x_i (mod m) and every |n_i| and
-    d at most sqrt(m/2), or returns None when there are none.
+    Builds d from one continued-fraction convergent of each x for which the
+    d so far leaves d x more than sqrt(m)/2 from a multiple of m, and returns
+    it with the numerators round(d x / m), or None once d exceeds sqrt(m)/2.
     """
-    bound = isqrt((m - 1) // 2)
+    bound = isqrt(m) >> 1
     d = 1
     for x in xs:
         y = d * x % m
@@ -307,15 +290,7 @@ def _reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
         d *= abs(s1)
         if d > bound:
             return None
-    nums = []
-    for x in xs:
-        y = d * x % m
-        if y > bound:
-            y -= m
-            if -y > bound:
-                return None
-        nums.append(y)
-    return d, nums
+    return d, [(d * x + (m >> 1)) // m for x in xs]
 
 
 def _matvec(a: list[tuple[tuple[int, ...], tuple[int, ...]]], x: list[int]) -> list[int]:
@@ -326,68 +301,85 @@ def _matvec(a: list[tuple[tuple[int, ...], tuple[int, ...]]], x: list[int]) -> l
 
 def _solve_exact(
     a: list[tuple[tuple[int, ...], tuple[int, ...]]], b: list[list[int]]
-) -> tuple[list[list[Fraction]], SolveStats]:
+) -> tuple[int, list[list[int]], SolveStats]:
     """Solve A x = b exactly for each integer right-hand side b in ``b``.
 
     ``a`` gives each row of the integer matrix A as (columns, values), only
-    nonzero entries. The system is factored once modulo a word-size prime,
-    lifted p-adically (Dixon 1982) and reconstructed with a common
-    denominator (Wang 1981). A solution is returned only after A num = d b
-    has been checked in exact integer arithmetic for every row and every b.
+    nonzero entries. Returns a common denominator d and the numerators of
+    each solution. A is factored once in float64, and the solution is lifted
+    numerically (Wan 2006): each lift rounds 2**K times the float solve of
+    the residual to integers and updates the residual exactly. A solution is
+    returned only after A num = d b has been checked in exact integer
+    arithmetic for every row and every b.
     """
     n = len(a)
-    # Hadamard's bound prod_i |(a_i, b_i)| on the minors of (A | b), in bits
+    if 8 * n * n > _MAX_FACTOR_BYTES:
+        raise ChainError(
+            f"a system of {n} unknowns needs {8 * n * n:,} bytes for its dense float"
+            f" factor, above the limit of {_MAX_FACTOR_BYTES:,}"
+        )
+    # each row scaled by a power of two, to entries of magnitude at most 1
+    scales = [1 << max(map(abs, vals)).bit_length() for _, vals in a]
+    dense = np.zeros((n, n))
+    for i, ((cols, vals), s) in enumerate(zip(a, scales)):
+        dense[i, list(cols)] = [v / s for v in vals]
+    lu = _FloatLU(dense)
+
+    def float_solve(r: list[list[int]]) -> np.ndarray:
+        return lu.solve(np.array([[v / s for v, s in zip(rc, scales)] for rc in r]).T)
+
+    # Hadamard's bound on the minors of (A | b), in bits: past a shift of
+    # twice that, plus the bits of the lifting error, reconstruction succeeds
     hadamard_bits = sum(
         (sum(v * v for v in vals) + max(bc[i] * bc[i] for bc in b)).bit_length() // 2 + 1
         for i, (_, vals) in enumerate(a)
     )
-    for tried, p in enumerate(_PRIMES, 1):
-        dense = np.zeros((n, n), dtype=np.int64)
-        for i, (cols, vals) in enumerate(a):
-            dense[i, list(cols)] = [v % p for v in vals]
-        lu = _ModularLU.factor(dense, p)
-        if lu is not None:
-            break
-    else:
-        raise ChainError(f"singular system (modulo each of {len(_PRIMES)} primes)")
-    # Reconstruction is tried after lift 1, 2, 3, ... spaced by about 1/8 of
-    # the lifts so far, which keeps its total cost quadratic in the digits.
-    # A candidate that satisfies A num = d b is the solution, since A is
-    # nonsingular over Q once it factors modulo p; past
-    # p**lifts > 2 * 2**(2 * hadamard_bits) the true solution is the only
-    # candidate, so the first try past that point certifies.
-    needed = (2 * hadamard_bits + 2) // (p.bit_length() - 1) + 1
-    max_lifts = needed + needed // 8 + 2
-    residual = [bc[:] for bc in b]
-    digits = [[0] * n for _ in b]  # x modulo p**lifts, one list per right-hand side
-    modulus, next_try = 1, 1
-    for lifts in range(1, max_lifts + 1):
-        step = lu.solve(np.array([[v % p for v in r] for r in residual], dtype=np.int64).T)
-        for c, xc in enumerate(step.T.tolist()):
-            diff = list(map(sub, residual[c], _matvec(a, xc)))
-            if any(v % p for v in diff):
-                raise ChainError("p-adic lift lost exactness")
-            residual[c] = [v // p for v in diff]
-            digits[c] = [v + s * modulus for v, s in zip(digits[c], xc)]
-        modulus *= p
+    max_shift = 2 * hadamard_bits + hadamard_bits // 4 + 64
+    # a good lift leaves an error below a unit, so a residual of at most ||A||
+    norm = max(sum(map(abs, vals)) for _, vals in a)
+    residual, last = [bc[:] for bc in b], max(max(map(abs, bc)) for bc in b)
+    digits = [[0] * n for _ in b]  # 2**shift x, rounded, one list per right-hand side
+    first = step = float_solve(residual)
+    bits, fewest, shift, lifts, next_try = _MANTISSA, _MANTISSA, 0, 0, 1
+    while shift <= max_shift:
+        # 2**k |step| must stay within the integers a float64 holds exactly
+        top = float(np.max(np.abs(step)))
+        k = min(bits, _MANTISSA - frexp(top)[1]) if isfinite(top) else 0
+        if k <= 0:
+            raise ChainError("system too ill-conditioned for double precision")
+        xs = np.rint(np.ldexp(step, k)).astype(np.int64).T.tolist()
+        lifted = [
+            list(map(sub, [v << k for v in rc], _matvec(a, xc))) for rc, xc in zip(residual, xs)
+        ]
+        size = max(max(map(abs, rc)) for rc in lifted)
+        if size > max(norm, last):
+            bits = k // 2  # the float solve cannot carry k bits: retry with half
+            continue
+        residual, last = lifted, size
+        digits = [[(v << k) + x for v, x in zip(dc, xc)] for dc, xc in zip(digits, xs)]
+        shift, lifts, fewest = shift + k, lifts + 1, min(fewest, k)
+        step = float_solve(residual)
         if lifts < next_try:
             continue
+        # tries spaced by about 1/8 of the lifts so far keep the cost of
+        # reconstruction quadratic in the digits
         next_try = lifts + 1 + lifts // 8
-        candidate = _reconstruct([x for col in digits for x in col], modulus)
+        candidate = _reconstruct([x for col in digits for x in col], 1 << shift)
         if candidate is None:
             continue
         d, nums = candidate
         cols = [nums[c * n : (c + 1) * n] for c in range(len(b))]
         if all(_matvec(a, col) == [d * v for v in bc] for col, bc in zip(cols, b)):
-            stats = SolveStats(n, tried, lifts, len(str(d)))
-            return [[Fraction(v, d) for v in col] for col in cols], stats
-    raise ChainError(f"no certified solution within the Hadamard bound of {max_lifts} lifts")
+            gap = max(abs(v / d - f) for col, fc in zip(cols, first.T) for v, f in zip(col, fc))
+            return d, cols, SolveStats(n, lifts, fewest, float(gap), len(str(d)))
+    raise ChainError(f"no certified solution within the Hadamard bound of {max_shift} bits")
 
 
 def _class_stationary(
     mc: MarkovChain, members: tuple[int, ...]
-) -> tuple[list[Fraction], SolveStats]:
-    """Stationary law of the chain restricted to one closed class."""
+) -> tuple[int, list[int], SolveStats]:
+    """Stationary law of the chain restricted to one closed class, as a
+    common denominator and one numerator per member."""
     m = len(members)
     local = {s: i for i, s in enumerate(members)}
     scale = lcm(*{p.denominator for s in members for p in mc.rows[s].values()})
@@ -401,17 +393,20 @@ def _class_stationary(
                 eqs[j][i] = v - scale if i == j else v
     a = [(tuple(eq), tuple(eq.values())) for eq in eqs]
     a.append((tuple(range(m)), (1,) * m))  # normalization
-    (pi,), stats = _solve_exact(a, [[0] * (m - 1) + [1]])
-    return pi, stats
+    d, (pi,), stats = _solve_exact(a, [[0] * (m - 1) + [1]])
+    if sum(pi) != d:
+        raise ChainError(f"stationary mass sums to {Fraction(sum(pi), d)}, not 1")
+    return d, pi, stats
 
 
 def _absorption_probabilities(
     mc: MarkovChain, classes: ClassPartition
-) -> tuple[list[Fraction], SolveStats | None]:
-    """Probability, from state 0, of ending in each closed class."""
+) -> tuple[int, list[int], SolveStats | None]:
+    """Probability, from state 0, of ending in each closed class, as a
+    common denominator and one numerator per class."""
     for ci, comp in enumerate(classes.closed):
         if 0 in comp:
-            return [Fraction(int(i == ci)) for i in range(len(classes.closed))], None
+            return 1, [int(i == ci) for i in range(len(classes.closed))], None
     trans = classes.transient
     pos = {s: i for i, s in enumerate(trans)}
     owner = {s: ci for ci, comp in enumerate(classes.closed) for s in comp}
@@ -428,32 +423,29 @@ def _absorption_probabilities(
             else:
                 b[owner[target]][i] += v
         a.append((tuple(eq), tuple(eq.values())))
-    h, stats = _solve_exact(a, b)
+    d, h, stats = _solve_exact(a, b)
     out = [hc[pos[0]] for hc in h]
-    if sum(out) != 1:
-        raise ChainError(f"absorption probabilities sum to {sum(out)}, not 1")
-    return out, stats
+    if sum(out) != d:
+        raise ChainError(f"absorption probabilities sum to {Fraction(sum(out), d)}, not 1")
+    return d, out, stats
 
 
 def stationary(mc: MarkovChain) -> StationaryDistribution:
     classes = closed_classes(mc)
-    q = [Fraction(0)] * mc.size
     solves: list[SolveStats] = []
     if len(classes.closed) == 1:
-        weights = [Fraction(1)]
+        wd, weights = 1, [1]
     else:
-        weights, stats = _absorption_probabilities(mc, classes)
+        wd, weights, stats = _absorption_probabilities(mc, classes)
         if stats is not None:
             solves.append(stats)
+    q = [Fraction(0)] * mc.size
     for w, comp in zip(weights, classes.closed):
-        if w == 0:
-            continue
-        pi, stats = _class_stationary(mc, comp)
-        solves.append(stats)
-        for s, mass in zip(comp, pi):
-            q[s] += w * mass
-    if sum(q) != 1:
-        raise ChainError(f"stationary mass sums to {sum(q)}, not 1")
+        if w:
+            d, pi, stats = _class_stationary(mc, comp)
+            solves.append(stats)
+            for s, v in zip(comp, pi):
+                q[s] = Fraction(w * v, wd * d)
     return StationaryDistribution(
         q=tuple(q),
         classes=classes,
@@ -463,7 +455,14 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
 
 
 def distortion_rate(mc: MarkovChain, sd: StationaryDistribution) -> Fraction:
-    return sum((q * a for q, a in zip(sd.q, mc.absorb)), Fraction(0))
+    """The stationary expectation of the increment mass, as one integer dot
+    product over the common denominators of both."""
+    dq, da = (lcm(*(x.denominator for x in xs)) for xs in (sd.q, mc.absorb))
+    dot = sum(
+        q.numerator * (dq // q.denominator) * a.numerator * (da // a.denominator)
+        for q, a in zip(sd.q, mc.absorb)
+    )
+    return Fraction(dot, dq * da)
 
 
 def decimal_string(x: Fraction, places: int = 10) -> str:

@@ -1,12 +1,16 @@
 """Independent checks used only by tests: a per-arc scalar transition and
-breadth-first enumeration, checks of the enumerated state space, and a
-dense fraction-free (Bareiss) solve of the chain's linear systems."""
+breadth-first enumeration, checks of the enumerated state space, a dense
+fraction-free (Bareiss) solve of the chain's linear systems, and a modular
+p-adic (Dixon) solver with the contract of the production exact solver."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
+from operator import mul
 from typing import NamedTuple
+
+import numpy as np
 
 from tcq import viterbi
 from tcq.chain import MarkovChain, closed_classes
@@ -157,3 +161,115 @@ def bareiss_stationary(mc: MarkovChain) -> tuple[Fraction, ...]:
         for s, mass in zip(comp, solve_integer(clear_denominators(rows))):
             q[s] += w * mass
     return tuple(q)
+
+
+# Word-size primes below 2**31: residues and their products fit in int64.
+DIXON_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def _modular_lu(a: np.ndarray, p: int) -> np.ndarray | None:
+    """Factor ``a`` (int64 entries in [0, p)) in place as PA = LU modulo
+    ``p`` and return the row order, or None when it is singular modulo p."""
+    n = len(a)
+    perm = np.arange(n)
+    for k in range(n):
+        nz = np.flatnonzero(a[k:, k])
+        if nz.size == 0:
+            return None
+        piv = k + int(nz[0])
+        a[[k, piv]] = a[[piv, k]]
+        perm[[k, piv]] = perm[[piv, k]]
+        rows = k + 1 + np.flatnonzero(a[k + 1 :, k])
+        if rows.size:
+            factors = a[rows, k] * pow(int(a[k, k]), -1, p) % p
+            a[rows, k] = factors
+            a[rows, k + 1 :] = (a[rows, k + 1 :] - factors[:, None] * a[k, k + 1 :] % p) % p
+    return perm
+
+
+def _modular_solve(lu: np.ndarray, perm: np.ndarray, r: list[int], p: int) -> list[int]:
+    """The x with A x = r modulo p, by substitution one column at a time."""
+    n = len(lu)
+    y = np.array([v % p for v in r], dtype=np.int64)[perm]
+    for j in range(n):
+        y[j + 1 :] = (y[j + 1 :] - lu[j + 1 :, j] * y[j]) % p
+    for j in reversed(range(n)):
+        y[j] = y[j] * pow(int(lu[j, j]), -1, p) % p
+        y[:j] = (y[:j] - lu[:j, j] * y[j]) % p
+    return y.tolist()
+
+
+def wang_reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
+    """Common-denominator rational reconstruction (Wang 1981) modulo ``m``:
+    d and numerators n_i = d x_i (mod m) with every |n_i| and d at most
+    sqrt(m/2), or None when there are none."""
+    bound = isqrt((m - 1) // 2)
+    d = 1
+    for x in xs:
+        y = d * x % m
+        if y <= bound or m - y <= bound:
+            continue
+        r0, r1, s0, s1 = m, y, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        d *= abs(s1)
+        if d > bound:
+            return None
+    nums = []
+    for x in xs:
+        y = d * x % m
+        if y > bound:
+            y -= m
+            if -y > bound:
+                return None
+        nums.append(y)
+    return d, nums
+
+
+def dixon_solve(
+    a: list[tuple[tuple[int, ...], tuple[int, ...]]], b: list[list[int]]
+) -> tuple[int, list[list[int]]]:
+    """Solve A x = b exactly, for A as integer (columns, values) rows and
+    each integer right-hand side in ``b``, by p-adic lifting (Dixon 1982)
+    from one modular LU: the common denominator d and the numerators of
+    each solution, checked as A num = d b in exact arithmetic."""
+    n = len(a)
+
+    def matvec(x: list[int]) -> list[int]:
+        return [sum(map(mul, vals, (x[c] for c in cols))) for cols, vals in a]
+
+    for p in DIXON_PRIMES:
+        dense = np.zeros((n, n), dtype=np.int64)
+        for i, (cols, vals) in enumerate(a):
+            dense[i, list(cols)] = [v % p for v in vals]
+        perm = _modular_lu(dense, p)
+        if perm is not None:
+            break
+    else:
+        raise ChainError("singular system")
+    # Hadamard's bound on the minors of (A | b), in bits: past
+    # p**lifts > 2 * 2**(2 * bits) the solution is the only candidate
+    bits = sum(
+        (sum(v * v for v in vals) + max(bc[i] ** 2 for bc in b)).bit_length() // 2 + 1
+        for i, (_, vals) in enumerate(a)
+    )
+    residual = [bc[:] for bc in b]
+    digits = [[0] * n for _ in b]
+    modulus = 1
+    for _ in range(2 * bits // 30 + 3):
+        for c, rc in enumerate(residual):
+            xc = _modular_solve(dense, perm, rc, p)
+            diff = [v - w for v, w in zip(rc, matvec(xc))]
+            if any(v % p for v in diff):
+                raise ChainError("p-adic lift lost exactness")
+            residual[c] = [v // p for v in diff]
+            digits[c] = [v + s * modulus for v, s in zip(digits[c], xc)]
+        modulus *= p
+        found = wang_reconstruct([x for col in digits for x in col], modulus)
+        if found is not None:
+            d, nums = found
+            cols = [nums[c * n : (c + 1) * n] for c in range(len(b))]
+            if all(matvec(col) == [d * v for v in bc] for col, bc in zip(cols, b)):
+                return d, cols
+    raise ChainError("no certified solution within the Hadamard bound")

@@ -1,5 +1,5 @@
-"""The exact chain solver against the Bareiss oracle, a float solve, and
-systems built to be hard for it."""
+"""The exact chain solver against the Bareiss and modular Dixon oracles, a
+float solve, and systems built to be hard for it."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, random_code_graph
-from oracles import bareiss_stationary
+from oracles import bareiss_stationary, dixon_solve
 from tcq import (
     ChainError,
     MarkovChain,
@@ -25,7 +26,7 @@ from tcq import (
     enumerate_states,
     stationary,
 )
-from tcq import chain
+from tcq import chain, cli
 
 
 def _random_source(rng: random.Random, alphabet: tuple[str, ...]) -> SourceModel:
@@ -129,13 +130,22 @@ def test_stationary_matches_bareiss_and_float(mc):
         assert _balanced(mc, sd.q, comp)
 
 
+@pytest.mark.parametrize("mc", [pytest.param(mc, id=name) for name, mc in _corpus()])
+def test_stationary_matches_modular_dixon(monkeypatch, mc):
+    """The same integer systems, solved by the modular p-adic oracle."""
+    expected = stationary(mc).q
+    monkeypatch.setattr(chain, "_solve_exact", lambda a, b: (*dixon_solve(a, b), None))
+    assert stationary(mc).q == expected
+
+
 def test_solve_stats_describe_each_solve(debruijn8):
     src = SourceModel.uniform(debruijn8.alphabet)
     sd = stationary(build_chain(enumerate_states(debruijn8), src))
     (stats,) = sd.solves
     assert stats.dim == len(sd.classes.closed[0]) == 106
-    assert stats.primes_tried == 1
     assert stats.lifts == 1  # certified by the first reconstruction
+    assert 0 < stats.bits_per_lift <= 52  # within a float64 mantissa
+    assert 0 <= stats.float_gap < 1e-12  # the first float solve was this close
     assert stats.denominator_digits == len(str(lcm(*(x.denominator for x in sd.q))))
     # the stats ride along without taking part in equality
     assert sd == chain.StationaryDistribution(q=sd.q, classes=sd.classes, unique=sd.unique)
@@ -160,18 +170,56 @@ def test_large_denominators_stay_exact():
     assert sd.solves[0].denominator_digits > 200
 
 
-def test_unlucky_first_prime_falls_through():
-    p = chain._PRIMES[0]
-    stay, leave = Fraction(1, p), Fraction(p - 1, p)
-    # balance and normalization rows scale to [[-1, p - 1], [1, 1]]: det = -p
-    mc = MarkovChain(
-        size=2,
-        rows=({0: leave, 1: stay}, {0: leave, 1: stay}),
-        absorb=(Fraction(0), Fraction(1)),
+def _nearly_decomposable(eps: Fraction) -> MarkovChain:
+    """Two lazy 3-cycles, 0-1-2 and 3-4-5, joined by transitions of mass eps
+    and 2 eps: the balance system's condition number grows like 1/eps."""
+    h = Fraction(1, 2)
+    rows = (
+        {0: h, 1: h - eps, 3: eps},
+        {1: Fraction(1, 3), 2: Fraction(2, 3)},
+        {0: Fraction(1)},
+        {3: h, 4: h - 2 * eps, 0: 2 * eps},
+        {4: Fraction(1, 4), 5: Fraction(3, 4)},
+        {3: Fraction(1)},
     )
+    return MarkovChain(size=6, rows=rows, absorb=(Fraction(0), h, Fraction(1)) * 2)
+
+
+def test_ill_conditioned_system_still_certifies():
+    mc = _nearly_decomposable(Fraction(1, 2**40))
     sd = stationary(mc)
-    assert sd.q == (leave, stay) == bareiss_stationary(mc)
-    assert sd.solves[0].primes_tried == 2
+    assert sd.q == bareiss_stationary(mc)
+    # the float solve keeps fewer bits per lift than on a well-conditioned chain
+    assert sd.solves[0].bits_per_lift < 52
+
+
+def test_beyond_double_precision_fails_fast():
+    mc = _nearly_decomposable(Fraction(1, 2**80))
+    start = time.perf_counter()
+    with pytest.raises(ChainError) as info:
+        stationary(mc)
+    assert info.value.stage == "chain"
+    assert time.perf_counter() - start < 10
+
+
+def test_a_residual_that_grows_halves_the_bits_per_lift(monkeypatch, debruijn8):
+    mc = build_chain(enumerate_states(debruijn8), SourceModel.uniform(debruijn8.alphabet))
+    exact_solve = chain._FloatLU.solve
+    # every float solve off by a relative 2**-20, along the solution itself,
+    # where the residual shows it: K = 52 and 26 leave the residual growing
+    monkeypatch.setattr(chain._FloatLU, "solve", lambda lu, b: exact_solve(lu, b) * (1 + 2**-20))
+    sd = stationary(mc)
+    assert sd.q == bareiss_stationary(mc)
+    assert sd.solves[0].bits_per_lift == 13
+
+
+def test_oversized_system_is_refused_before_allocating(monkeypatch, capsys):
+    # debruijn8's balance system has 106 unknowns: 89,888 bytes as float64
+    monkeypatch.setattr(chain, "_MAX_FACTOR_BYTES", 8 * 100 * 100)
+    assert cli.main(["analyze", "--graph", str(REPO_ROOT / "graphs" / "debruijn8.g")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error (chain): a system of 106 unknowns") and err.count("\n") == 1
 
 
 # integer (columns, values) rows and right-hand sides of a system that is
@@ -203,6 +251,24 @@ def test_singular_system_raises_in_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("chain singular system")
+
+
+def test_exact_solve_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "import tcq\n"
+        "tcq.analyze(tcq.debruijn8_demo(), with_rd=True)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _off_by_modulus_squared(xs, m):

@@ -6,13 +6,17 @@ order-4 binary, order-5 binary and order-4 quaternary pools of
 ``perfbench/corpus.json`` (read only). Each rung runs in its own child
 process, single-threaded, under a 120 s timeout; a rung that runs out of
 time is recorded as "did not finish". For each rung the record holds the
-state count, the largest solve dimension, the seconds in ``stationary`` and
-from graph to D(G), the lifts, the fewest bits per lift, the gap from the
-first float solve, the digits of the common denominator, the child's peak
-RSS and the sha256 of D(G). The headline is the largest rung solved, graph
-to D(G), within 60 s:
+state count, the largest solve dimension, the seconds in each stage
+(enumerate, build_chain, closed_classes, stationary) and from graph to
+D(G), the lifts, the fewest bits per lift, the gap from the first float
+solve, the digits of the common denominator, the child's peak RSS and the
+sha256 of D(G). The report also names the git commit (marked "-dirty"
+when tracked files differ from it) and the Python and numpy versions. The
+headline is the largest rung solved, graph to D(G), within 60 s. Each D(G)
+digest is pinned: the report is still written, but the script exits 1 if
+a finished rung's digest differs from its pin:
 
-    python3 scripts/solve_ladder.py --out BENCH_9.json
+    python3 scripts/solve_ladder.py --out BENCH_10.json
 """
 
 from __future__ import annotations
@@ -32,7 +36,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 HEADLINE_S = 60
-LADDER = ("g3", "debruijn8", "order3:0", "order4b:0", "order5b:0", "order4q:0")
+# sha256 of str(D(G)) for each rung, in ladder order
+PINNED = {
+    "g3": "8f854692d8bc8def84a88d511dd150de9dd8b6bfe000d5a417dde49e4a3d12c2",
+    "debruijn8": "5ec024740f6a33fc6c44cc473d10a452cca2f4a206b56139c1c4ba58f02ff55d",
+    "order3:0": "7c1bf770a62e6d49c04dd299ff0f245dceaca95d9bd49943b96ff488e7036099",
+    "order4b:0": "a750d2917fb6a527bcc5f6db1bf352b413b9557a07a711c0b922b87f9294ef47",
+    "order5b:0": "c7ae246aa9171c93d80145ce5195bfb6c5616182751e764c1f82bd8f4634bad0",
+    "order4q:0": "548980486ea32691baca00436c630bfccc159a72432c7ebc0c52c8c52a19d286",
+}
 
 
 def rung_graph(name: str):
@@ -48,21 +60,35 @@ def rung_graph(name: str):
 
 def measure(name: str) -> dict:
     """One rung, in this process: what the child prints."""
-    from tcq import SourceModel, build_chain, distortion_rate, enumerate_states, stationary
+    from tcq import (
+        SourceModel,
+        build_chain,
+        closed_classes,
+        distortion_rate,
+        enumerate_states,
+        stationary,
+    )
+
+    stage_s = {}
+
+    def timed(stage, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        stage_s[stage] = round(time.perf_counter() - start, 4)
+        return out
 
     begin = time.perf_counter()
     g = rung_graph(name)
-    ss = enumerate_states(g)
-    mc = build_chain(ss, SourceModel.uniform(g.alphabet))
-    start = time.perf_counter()
-    sd = stationary(mc)
-    stationary_s = time.perf_counter() - start
+    ss = timed("enumerate", enumerate_states, g)
+    mc = timed("build_chain", build_chain, ss, SourceModel.uniform(g.alphabet))
+    timed("closed_classes", closed_classes, mc)
+    sd = timed("stationary", stationary, mc)  # splits the classes again
     d = distortion_rate(mc, sd)
     return {
         "total_s": round(time.perf_counter() - begin, 3),
         "states": len(ss),
         "solve_dim": max(s.dim for s in sd.solves),
-        "stationary_s": round(stationary_s, 3),
+        "stage_s": stage_s,
         "lifts": sum(s.lifts for s in sd.solves),
         "bits_per_lift": min(s.bits_per_lift for s in sd.solves),
         "float_gap": max(s.float_gap for s in sd.solves),
@@ -88,18 +114,36 @@ def run_rung(name: str) -> dict:
     return {"rung": name, "finished": True, **json.loads(proc.stdout)}
 
 
-def main() -> None:
+def git_commit() -> str:
+    """The checked-out commit, with "-dirty" when tracked files differ from
+    it, or "unknown" outside a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
+    ap.add_argument("--out", type=Path, help="the report to write")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
         print(json.dumps(measure(args.child)))
-        return
+        return 0
+    if args.out is None:
+        ap.error("--out is required")
     rungs = []
-    for name in LADDER:
+    for name in PINNED:
         rung = run_rung(name)
         rungs.append(rung)
         print(json.dumps(rung), flush=True)
@@ -112,6 +156,7 @@ def main() -> None:
             "solve_dim": headline and headline["solve_dim"],
         },
         "timeout_s": TIMEOUT_S,
+        "commit": git_commit(),
         "host": {
             "python": platform.python_version(),
             "numpy": version("numpy"),
@@ -122,7 +167,12 @@ def main() -> None:
         "rungs": rungs,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    changed = [r["rung"] for r in rungs if r["finished"] and r["dg_sha256"] != PINNED[r["rung"]]]
+    if changed:
+        print(f"D(G) digest differs from its pin on: {', '.join(changed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

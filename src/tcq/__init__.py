@@ -76,13 +76,10 @@ from .symmetry import (
 )
 from .viterbi import (
     EncodingResult,
-    StepResult,
     brute_force_min,
     count_paths,
     encode,
-    hamming,
     reduced_transition,
-    transition,
     zero_state,
 )
 

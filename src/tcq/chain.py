@@ -5,10 +5,12 @@ is the stationary expectation of the arc increments. Each linear system
 (a closed class's balance equations, or the absorption equations shared by
 all closed classes) is built in integers over the lcm of its rows'
 denominators, factored once as a dense float64 LU, and solved by numeric
-lifting (Wan 2006) with one exact integer residual update per lift. A
-common denominator is then read off continued fractions, and a candidate
-stands only if A num = d b holds in exact arithmetic on every row: that
-check, not a bound, is the certificate. Systems beyond double precision or
+lifting (Wan 2006) with one exact integer residual update per lift; each
+lift takes the most bits K for which 2^K times the float solve of the
+residual stays below 2^52, and that cap alone sets K. A common denominator
+is then read off continued fractions, and a candidate stands only if
+A num = d b holds in exact arithmetic on every row: that check, not a
+bound, is the certificate. Systems beyond double precision or
 the dense factor's memory cap raise ChainError. The optional D(R)
 comparison in ``analyze`` is a float lower bound at the precision of ``rd``.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import frexp, isfinite, isqrt, lcm
 from operator import mul, sub
 from typing import TYPE_CHECKING
@@ -89,13 +91,6 @@ class SourceModel:
         if missing:
             raise SourceError(f"no probability given for {missing}")
         return cls(alphabet=alphabet, probabilities=tuple(assigned[s] for s in alphabet))
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.alphabet)}
-
-    def prob(self, symbol: str) -> Fraction:
-        return self.probabilities[self._index[symbol]]
 
 
 @dataclass(frozen=True)
@@ -308,9 +303,10 @@ def _solve_exact(
     nonzero entries. Returns a common denominator d and the numerators of
     each solution. A is factored once in float64, and the solution is lifted
     numerically (Wan 2006): each lift rounds 2**K times the float solve of
-    the residual to integers and updates the residual exactly. A solution is
-    returned only after A num = d b has been checked in exact integer
-    arithmetic for every row and every b.
+    the residual to integers, K as large as keeps them below 2**52, and
+    updates the residual exactly. A solution is returned only after
+    A num = d b has been checked in exact integer arithmetic for every row
+    and every b.
     """
     n = len(a)
     if 8 * n * n > _MAX_FACTOR_BYTES:
@@ -335,29 +331,22 @@ def _solve_exact(
         for i, (_, vals) in enumerate(a)
     )
     max_shift = 2 * hadamard_bits + hadamard_bits // 4 + 64
-    # a good lift leaves an error below a unit, so a residual of at most ||A||
-    norm = max(sum(map(abs, vals)) for _, vals in a)
-    residual, last = [bc[:] for bc in b], max(max(map(abs, bc)) for bc in b)
+    residual = [bc[:] for bc in b]
     digits = [[0] * n for _ in b]  # 2**shift x, rounded, one list per right-hand side
     first = step = float_solve(residual)
-    bits, fewest, shift, lifts, next_try = _MANTISSA, _MANTISSA, 0, 0, 1
+    fewest, shift, lifts, next_try = None, 0, 0, 1
     while shift <= max_shift:
         # 2**k |step| must stay within the integers a float64 holds exactly
         top = float(np.max(np.abs(step)))
-        k = min(bits, _MANTISSA - frexp(top)[1]) if isfinite(top) else 0
+        k = _MANTISSA - frexp(top)[1] if isfinite(top) else 0
         if k <= 0:
             raise ChainError("system too ill-conditioned for double precision")
         xs = np.rint(np.ldexp(step, k)).astype(np.int64).T.tolist()
-        lifted = [
+        residual = [
             list(map(sub, [v << k for v in rc], _matvec(a, xc))) for rc, xc in zip(residual, xs)
         ]
-        size = max(max(map(abs, rc)) for rc in lifted)
-        if size > max(norm, last):
-            bits = k // 2  # the float solve cannot carry k bits: retry with half
-            continue
-        residual, last = lifted, size
         digits = [[(v << k) + x for v, x in zip(dc, xc)] for dc, xc in zip(digits, xs)]
-        shift, lifts, fewest = shift + k, lifts + 1, min(fewest, k)
+        shift, lifts, fewest = shift + k, lifts + 1, min(fewest or k, k)
         step = float_solve(residual)
         if lifts < next_try:
             continue
@@ -483,12 +472,6 @@ class AnalysisReport:
     k: int
     rate: RateInfo | None
     rd_point: "RDPoint | None" = None
-
-    @property
-    def rd_gap(self) -> float | None:
-        if self.rd_point is None:
-            return None
-        return float(self.distortion) - self.rd_point.distortion
 
 
 def analyze(

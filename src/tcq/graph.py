@@ -140,8 +140,6 @@ class LabeledGraph:
 class ValidationReport:
     strongly_connected: bool
     aperiodic: bool | None  # None when not strongly connected
-    min_out_degree: int
-    uniform_out_degree: int | None  # present iff all out-degrees equal
 
 
 @dataclass(frozen=True)
@@ -150,22 +148,14 @@ class RateInfo:
 
     ``rate`` is the exact log2 of the out-degree when that is a power of
     two, else None (the out-degree itself stays exact in ``out_degree``).
-    ``vertex_bits`` is the length of a start-vertex description.
     """
 
     out_degree: int
     rate: int | None
-    vertex_bits: int
 
     @property
     def approx(self) -> float:
         return math.log2(self.out_degree)
-
-    def bits(self, n: int) -> int:
-        """Description length of an n-step path (start vertex included)."""
-        if self.rate is None:
-            raise GraphStructureError("out-degree is not a power of two")
-        return self.vertex_bits + n * self.rate
 
 
 def parse_graph(text: str) -> LabeledGraph:
@@ -285,7 +275,7 @@ def strongly_connected_components(
 
 
 def validate(g: LabeledGraph) -> ValidationReport:
-    """Structural verdicts: strong connectivity, aperiodicity, out-degree profile."""
+    """Structural verdicts: strong connectivity and aperiodicity."""
     n = g.num_vertices
     comps = strongly_connected_components(n, g.successors)
     sc = len(comps) == 1
@@ -310,9 +300,7 @@ def validate(g: LabeledGraph) -> ValidationReport:
                 period = math.gcd(period, depth[u] + 1 - depth[w])
         aperiodic = period == 1
 
-    degs = g.out_degrees
-    uniform = degs[0] if len(set(degs)) == 1 else None
-    return ValidationReport(sc, aperiodic, min(degs), uniform)
+    return ValidationReport(sc, aperiodic)
 
 
 def exact_path_constant(g: LabeledGraph) -> int:
@@ -355,9 +343,7 @@ def rate_of(g: LabeledGraph) -> RateInfo:
         )
     d = degs.pop()
     rate = d.bit_length() - 1 if d & (d - 1) == 0 else None
-    return RateInfo(
-        out_degree=d, rate=rate, vertex_bits=(g.num_vertices - 1).bit_length()
-    )
+    return RateInfo(out_degree=d, rate=rate)
 
 
 def de_bruijn(order: int, labels: Sequence[str]) -> LabeledGraph:

@@ -169,7 +169,6 @@ class GapReport:
     graph_distortion: float
     rd_distortion: float
     gap: float
-    bound_ok: bool
 
 
 def gap_report(analysis, rdp: RDPoint) -> GapReport:
@@ -181,12 +180,9 @@ def gap_report(analysis, rdp: RDPoint) -> GapReport:
     """
     dg = float(getattr(analysis, "distortion", analysis))
     gap = dg - rdp.distortion
-    ok = gap >= -_BOUND_SLACK
-    if not ok:
+    if gap < -_BOUND_SLACK:
         raise BoundViolationError(
             f"graph distortion {dg} fell below the rate-distortion value"
             f" {rdp.distortion} by more than {_BOUND_SLACK}"
         )
-    return GapReport(
-        graph_distortion=dg, rd_distortion=rdp.distortion, gap=gap, bound_ok=ok
-    )
+    return GapReport(graph_distortion=dg, rd_distortion=rdp.distortion, gap=gap)

@@ -43,13 +43,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def invert(p: Permutation) -> Permutation:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def _check_permutation(p: Permutation, n: int) -> None:
     if len(p) != n or sorted(p) != list(range(n)):
         raise GraphStructureError(f"{p} is not a permutation of 0..{n - 1}")

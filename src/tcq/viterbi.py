@@ -8,13 +8,13 @@ vertex's in-edges of source cost plus label cost (one numpy
 each new vector's minimum component. That keeps the vectors bounded and
 returns the subtracted amount as the per-step distortion increment (always
 0 or 1 for Hamming distortion). State enumeration runs it on blocks of its
-BFS queue; ``transition`` and ``reduced_transition`` run it on one vector.
+BFS queue; ``reduced_transition`` runs it on one vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,21 +24,11 @@ from .graph import LabeledGraph
 StateVector = tuple[int, ...]
 
 
-class StepResult(NamedTuple):
-    next_reduced: StateVector
-    increment: int
-
-
 @dataclass(frozen=True)
 class EncodingResult:
     path: tuple[int, ...]  # edge indices, in graph edge order
     labels: tuple[str, ...]
     total_distortion: int
-
-
-def hamming(a1: str, a2: str) -> int:
-    """0 iff the symbols are equal, else 1."""
-    return 0 if a1 == a2 else 1
 
 
 def zero_state(g: LabeledGraph) -> StateVector:
@@ -81,30 +71,18 @@ def advance(
     return t, inc[..., 0]
 
 
-def _one_step(g: LabeledGraph, s: StateVector, x: str) -> tuple[list[int], int]:
-    """``advance`` on the one vector s under x."""
+def reduced_transition(g: LabeledGraph, s: StateVector, x: str) -> tuple[StateVector, int]:
+    """``advance`` on one reduced state s under symbol x: the reduced
+    successor and the subtracted minimum, the increment."""
+    if min(s) != 0:
+        raise ValueError("state vector is not reduced (minimum component != 0)")
     if len(s) != g.num_vertices:
         raise ValueError("state vector length does not match vertex count")
     xi = g.symbol_index.get(x)
     if xi is None:
         raise ValueError(f"symbol {x!r} not in alphabet")
-    t, inc = advance(g, np.array(s, dtype=holding(min(s), max(s) + 1)), xi)
-    return t.tolist(), int(inc)
-
-
-def transition(g: LabeledGraph, s: StateVector, x: str) -> StateVector:
-    """One-symbol update: new cost into v = min over incoming (v', e) of
-    s(v') + hamming(x, label(e)). Not reduced."""
-    t, inc = _one_step(g, s, x)
-    return tuple(c + inc for c in t)
-
-
-def reduced_transition(g: LabeledGraph, s: StateVector, x: str) -> StepResult:
-    """Advance a reduced state; the subtracted minimum is the increment."""
-    if min(s) != 0:
-        raise ValueError("state vector is not reduced (minimum component != 0)")
-    t, inc = _one_step(g, s, x)
-    return StepResult(tuple(t), inc)
+    t, inc = advance(g, np.array(s, dtype=holding(0, max(s) + 1)), xi)
+    return tuple(t.tolist()), int(inc)
 
 
 def encode(g: LabeledGraph, xs: Sequence[str]) -> EncodingResult:

@@ -12,7 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from tcq import viterbi
 from tcq.chain import MarkovChain, closed_classes
 from tcq.errors import ChainError
 from tcq.graph import LabeledGraph
@@ -79,7 +78,7 @@ def membership_increment(ss: StateSpace, s: StateVector, x: str) -> MembershipRe
     if si is None:
         raise KeyError(f"state {s} is not in the enumerated space")
     _, inc = ss.arcs[si][ss.graph.symbol_index[x]]
-    unreduced = viterbi.transition(ss.graph, s, x)
+    unreduced = transition(ss.graph, s, x)
     in_space = unreduced in ss.index
     assert (inc == 1) == (min(unreduced) > 0) == (not in_space), (
         "membership/increment equivalence violated"

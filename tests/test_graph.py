@@ -127,11 +127,10 @@ def test_validate_matches_networkx(seed):
 
 
 def test_validate_out_degree_profile(g3):
-    report = validate(g3)
-    assert report.min_out_degree == 2
-    assert report.uniform_out_degree == 2
+    assert rate_of(g3).out_degree == 2
     g = parse_graph("alphabet a\nedge v w a\nedge w v a\nedge w w a\n")
-    assert validate(g).uniform_out_degree is None
+    with pytest.raises(GraphStructureError, match=r"non-uniform out-degree: \[1, 2\]"):
+        rate_of(g)
 
 
 def _epc_oracle(g: LabeledGraph) -> int | None:

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import lcm
+from math import frexp, lcm
 
 import numpy as np
 import pytest
@@ -144,7 +144,8 @@ def test_solve_stats_describe_each_solve(debruijn8):
     (stats,) = sd.solves
     assert stats.dim == len(sd.classes.closed[0]) == 106
     assert stats.lifts == 1  # certified by the first reconstruction
-    assert 0 < stats.bits_per_lift <= 52  # within a float64 mantissa
+    # the cap alone sets K: 2**K times the largest entry stays below 2**52
+    assert stats.bits_per_lift == 52 - frexp(float(max(sd.q)))[1]
     assert 0 <= stats.float_gap < 1e-12  # the first float solve was this close
     assert stats.denominator_digits == len(str(lcm(*(x.denominator for x in sd.q))))
     # the stats ride along without taking part in equality
@@ -185,8 +186,28 @@ def _nearly_decomposable(eps: Fraction) -> MarkovChain:
     return MarkovChain(size=6, rows=rows, absorb=(Fraction(0), h, Fraction(1)) * 2)
 
 
-def test_ill_conditioned_system_still_certifies():
-    mc = _nearly_decomposable(Fraction(1, 2**40))
+def _coupled_cycles(length: int, eps: Fraction) -> MarkovChain:
+    """Two lazy cycles of ``length`` states each, joined from their first
+    states by transitions of mass eps and 2 eps."""
+    h = Fraction(1, 2)
+    rows = []
+    for start, out in ((0, eps), (length, 2 * eps)):
+        rows.append({start: h, start + 1: h - out, length - start: out})
+        rows += [{i: h, i + 1: h} for i in range(start + 1, start + length - 1)]
+        rows.append({start + length - 1: h, start: h})
+    absorb = tuple(Fraction(i % 2) for i in range(2 * length))
+    return MarkovChain(size=2 * length, rows=tuple(rows), absorb=absorb)
+
+
+@pytest.mark.parametrize(
+    "mc",
+    [
+        pytest.param(_nearly_decomposable(Fraction(1, 2**40)), id="6-states-2^-40"),
+        pytest.param(_nearly_decomposable(Fraction(1, 2**55)), id="6-states-2^-55"),
+        pytest.param(_coupled_cycles(50, Fraction(1, 2**50)), id="100-states-2^-50"),
+    ],
+)
+def test_ill_conditioned_system_still_certifies(mc):
     sd = stationary(mc)
     assert sd.q == bareiss_stationary(mc)
     # the float solve keeps fewer bits per lift than on a well-conditioned chain
@@ -202,15 +223,18 @@ def test_beyond_double_precision_fails_fast():
     assert time.perf_counter() - start < 10
 
 
-def test_a_residual_that_grows_halves_the_bits_per_lift(monkeypatch, debruijn8):
+def test_a_float_solve_off_by_a_relative_2_to_the_minus_20_still_certifies(
+    monkeypatch, debruijn8
+):
     mc = build_chain(enumerate_states(debruijn8), SourceModel.uniform(debruijn8.alphabet))
     exact_solve = chain._FloatLU.solve
-    # every float solve off by a relative 2**-20, along the solution itself,
-    # where the residual shows it: K = 52 and 26 leave the residual growing
+    # every float solve off by a relative 2**-20, along the solution itself:
+    # the residual keeps that error, and the cap on the next solve leaves
+    # each later lift about 20 bits
     monkeypatch.setattr(chain._FloatLU, "solve", lambda lu, b: exact_solve(lu, b) * (1 + 2**-20))
     sd = stationary(mc)
     assert sd.q == bareiss_stationary(mc)
-    assert sd.solves[0].bits_per_lift == 13
+    assert sd.solves[0].bits_per_lift == 20
 
 
 def test_oversized_system_is_refused_before_allocating(monkeypatch, capsys):
@@ -271,14 +295,15 @@ def test_exact_solve_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
-def _off_by_modulus_squared(xs, m):
-    """The true reconstruction with its first numerator moved by m**2: still
-    congruent to the lifted digits after the next lift, but wrong."""
+def _first_numerator_off_by_one(xs, m):
+    """The true reconstruction with its first numerator off by one: within
+    sqrt(m)/2 of d x / m on every entry, as a reconstruction can be, yet
+    not a solution of A num = d b."""
     found = _real_reconstruct(xs, m)
     if found is None:
         return None
     d, nums = found
-    return d, [nums[0] + m * m] + nums[1:]
+    return d, [nums[0] + 1] + nums[1:]
 
 
 _real_reconstruct = chain._reconstruct
@@ -286,7 +311,7 @@ _real_reconstruct = chain._reconstruct
 
 @pytest.mark.parametrize(
     "fake",
-    [lambda xs, m: None, _off_by_modulus_squared],
+    [lambda xs, m: None, _first_numerator_off_by_one],
     ids=["no-reconstruction", "stable-but-wrong"],
 )
 def test_uncertified_answers_are_never_returned(monkeypatch, g3, fake):

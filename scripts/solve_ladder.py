@@ -9,14 +9,16 @@ time is recorded as "did not finish". For each rung the record holds the
 state count, the largest solve dimension, the seconds in each stage
 (enumerate, build_chain, closed_classes, stationary) and from graph to
 D(G), the lifts, the fewest bits per lift, the gap from the first float
-solve, the digits of the common denominator, the child's peak RSS and the
-sha256 of D(G). The report also names the git commit (marked "-dirty"
-when tracked files differ from it) and the Python and numpy versions. The
+solve, the digits of the common denominator, the nonzeros of the largest
+solve, how the residuals were kept ("int64" or "int"), the child's peak RSS
+and the sha256 of D(G). The report also names the git commit (marked
+"-dirty" when tracked files differ from it) and the Python, numpy and scipy
+versions (scipy "absent" when it is not installed; it is never imported). The
 headline is the largest rung solved, graph to D(G), within 60 s. Each D(G)
 digest is pinned: the report is still written, but the script exits 1 if
 a finished rung's digest differs from its pin:
 
-    python3 scripts/solve_ladder.py --out BENCH_10.json
+    python3 scripts/solve_ladder.py --out BENCH_11.json
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import resource
 import subprocess
 import sys
 import time
-from importlib.metadata import version
+from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +95,8 @@ def measure(name: str) -> dict:
         "bits_per_lift": min(s.bits_per_lift for s in sd.solves),
         "float_gap": max(s.float_gap for s in sd.solves),
         "denominator_digits": max(s.denominator_digits for s in sd.solves),
+        "nnz": max(sd.solves, key=lambda s: s.dim).nnz,
+        "residual": ",".join(sorted({s.residual for s in sd.solves})),
         "dg_sha256": hashlib.sha256(str(d).encode()).hexdigest(),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
@@ -112,6 +116,14 @@ def run_rung(name: str) -> dict:
         last = (proc.stderr.strip().splitlines() or [""])[-1]
         return {"rung": name, "finished": False, "result": f"exit {proc.returncode}: {last}"}
     return {"rung": name, "finished": True, **json.loads(proc.stdout)}
+
+
+def installed_version(package: str) -> str:
+    """The installed distribution's version, read without importing it."""
+    try:
+        return version(package)
+    except PackageNotFoundError:
+        return "absent"
 
 
 def git_commit() -> str:
@@ -159,7 +171,8 @@ def main() -> int:
         "commit": git_commit(),
         "host": {
             "python": platform.python_version(),
-            "numpy": version("numpy"),
+            "numpy": installed_version("numpy"),
+            "scipy": installed_version("scipy"),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "threads": 1,

@@ -34,6 +34,7 @@ from .errors import (
     NotPrimitiveError,
     PartitionError,
     RateOutOfRangeError,
+    SimulationLimitError,
     SourceError,
     StateSpaceLimitError,
 )

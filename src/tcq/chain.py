@@ -4,14 +4,18 @@ Everything here is exact rational arithmetic. The per-step distortion rate
 is the stationary expectation of the arc increments. Each linear system
 (a closed class's balance equations, or the absorption equations shared by
 all closed classes) is built in integers over the lcm of its rows'
-denominators, factored once as a dense float64 LU, and solved by numeric
-lifting (Wan 2006) with one exact integer residual update per lift; each
-lift takes the most bits K for which 2^K times the float solve of the
-residual stays below 2^52, and that cap alone sets K. A common denominator
-is then read off continued fractions, and a candidate stands only if
-A num = d b holds in exact arithmetic on every row: that check, not a
-bound, is the certificate. Systems beyond double precision or
-the dense factor's memory cap raise ChainError. The optional D(R)
+denominators, assembled once as CSR arrays, factored once as a dense
+float64 LU, and solved by numeric lifting (Wan 2006) with one exact integer
+residual update per lift; each lift takes the most bits K for which 2^K
+times the float solve of the residual stays below 2^52, and that cap alone
+sets K. When every entry lies below 2^20 the residual is an int64 array,
+updated with numpy arithmetic that wraps mod 2^64 and so stays exact while
+the true residual is below 2^63 (``_solve_exact`` derives that bound);
+wider systems keep it in Python integers. A common denominator is then
+read off continued fractions, and a candidate stands only if A num = d b
+holds in Python integers on every row: that check, not a bound, is the
+certificate. Systems beyond double precision or the dense factor's memory
+cap raise ChainError. The optional D(R)
 comparison in ``analyze`` is a float lower bound at the precision of ``rd``.
 """
 
@@ -135,13 +139,16 @@ class ClassPartition:
 class SolveStats:
     """One exact solve: its dimension, numeric lifts, fewest bits gained by a
     lift, largest gap from the first float solve to the certified solution,
-    and decimal digits of that solution's common denominator."""
+    decimal digits of that solution's common denominator, nonzeros of the
+    system, and how its residual was kept (``"int64"`` or ``"int"``)."""
 
     dim: int
     lifts: int
     bits_per_lift: int
     float_gap: float
     denominator_digits: int
+    nnz: int
+    residual: str
 
 
 @dataclass(frozen=True)
@@ -204,6 +211,7 @@ _LEAF = 8  # panel columns eliminated one at a time
 _ROWS = 256  # rows per chunk of the trailing update
 _MAX_FACTOR_BYTES = 2 << 30  # cap on the dense factor (n <= 16,384), checked first
 _MANTISSA = 52  # integer bits a float64 holds exactly, less one for rounding
+_INT64_ENTRY_LIMIT = 1 << 20  # systems with every |entry| below this lift in int64
 
 
 def _unit_lower_inverse(block: np.ndarray) -> np.ndarray:
@@ -302,11 +310,28 @@ def _solve_exact(
     ``a`` gives each row of the integer matrix A as (columns, values), only
     nonzero entries. Returns a common denominator d and the numerators of
     each solution. A is factored once in float64, and the solution is lifted
-    numerically (Wan 2006): each lift rounds 2**K times the float solve of
-    the residual to integers, K as large as keeps them below 2**52, and
-    updates the residual exactly. A solution is returned only after
-    A num = d b has been checked in exact integer arithmetic for every row
-    and every b.
+    numerically (Wan 2006): each lift rounds 2**K times the float solve y of
+    the residual r to integers x, K as large as keeps them below 2**52, and
+    updates the residual exactly to r' = 2**K r - A x. A solution is
+    returned only after A num = d b has been checked in exact integer
+    arithmetic for every row and every b.
+
+    The system is assembled once as CSR arrays. When every entry of A and b
+    lies below 2**20 in magnitude, the residual is an int64 array updated
+    with one ``np.add.reduceat``. Numpy's int64 products, sums and shifts
+    are arithmetic mod 2**64 (a shift by 64 or more gives 0, which is
+    2**K r mod 2**64), so r' comes out exact whenever its true value lies
+    below 2**63, however the terms overflow on the way. That value is
+    r' = A (2**K y - x) + 2**K (r - A y). Rounding makes the first term at
+    most sum_j |a_ij| / 2 in row i; a float solve with row-wise relative
+    backward error e makes the second at most 2**K |y| e sum_j |a_ij|,
+    below 2**52 e sum_j |a_ij|. Rows of at most 16,384 entries below 2**20
+    have sum_j |a_ij| < 2**34, so |r'| < 2**63 for any e below 2**-24; a
+    pivoted double-precision solve typically sits near n 2**-53. Wider
+    systems, such as sources with denominators past 2**20, keep their
+    residual in Python integers. A residual that wrapped anyway would only
+    stop the lifts from converging: the certificate then refuses the
+    system, and never passes a wrong answer.
     """
     n = len(a)
     if 8 * n * n > _MAX_FACTOR_BYTES:
@@ -314,26 +339,60 @@ def _solve_exact(
             f"a system of {n} unknowns needs {8 * n * n:,} bytes for its dense float"
             f" factor, above the limit of {_MAX_FACTOR_BYTES:,}"
         )
-    # each row scaled by a power of two, to entries of magnitude at most 1
-    scales = [1 << max(map(abs, vals)).bit_length() for _, vals in a]
+    counts = [len(cols) for cols, _ in a]
+    if 0 in counts:  # np.add.reduceat would read an empty row as its next entry
+        raise ChainError(f"row {counts.index(0)} of the system has no entry")
+    # CSR: row i holds the entries starts[i]:starts[i + 1] of cols and vals
+    starts = np.cumsum([0] + counts[:-1])
+    rows = np.repeat(np.arange(n), counts)
+    cols = np.array([c for cs, _ in a for c in cs], dtype=np.intp)
+    try:
+        vals = np.array([v for _, vs in a for v in vs], dtype=np.int64)
+        rhs = np.array(b, dtype=np.int64).T
+    except OverflowError:
+        narrow = False
+    else:
+        ends = (vals.min(), vals.max(), rhs.min(), rhs.max())
+        narrow = all(-_INT64_ENTRY_LIMIT < v < _INT64_ENTRY_LIMIT for v in ends)
     dense = np.zeros((n, n))
-    for i, ((cols, vals), s) in enumerate(zip(a, scales)):
-        dense[i, list(cols)] = [v / s for v in vals]
+    if narrow:
+        # each row scaled by a power of two, to entries of magnitude at most 1
+        scales = np.ldexp(1.0, np.frexp(np.maximum.reduceat(np.abs(vals), starts))[1])
+        dense[rows, cols] = vals / scales[rows]
+        row_squares = (np.add.reduceat(vals * vals, starts) + (rhs * rhs).max(axis=1)).tolist()
+        residual = rhs
+
+        def update(r: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+            return (r << k) - np.add.reduceat(vals[:, None] * x[cols], starts)
+
+        def scaled(r: np.ndarray) -> np.ndarray:
+            return r / scales[:, None]
+
+    else:
+        int_scales = [1 << max(map(abs, vs)).bit_length() for _, vs in a]
+        dense[rows, cols] = [v / s for (_, vs), s in zip(a, int_scales) for v in vs]
+        row_squares = [
+            sum(v * v for v in vs) + max(bc[i] * bc[i] for bc in b)
+            for i, (_, vs) in enumerate(a)
+        ]
+        residual = [bc[:] for bc in b]  # one list per right-hand side
+
+        def update(r: list[list[int]], x: np.ndarray, k: int) -> list[list[int]]:
+            return [
+                list(map(sub, [v << k for v in rc], _matvec(a, xc)))
+                for rc, xc in zip(r, x.T.tolist())
+            ]
+
+        def scaled(r: list[list[int]]) -> np.ndarray:
+            return np.array([[v / s for v, s in zip(rc, int_scales)] for rc in r]).T
+
     lu = _FloatLU(dense)
-
-    def float_solve(r: list[list[int]]) -> np.ndarray:
-        return lu.solve(np.array([[v / s for v, s in zip(rc, scales)] for rc in r]).T)
-
     # Hadamard's bound on the minors of (A | b), in bits: past a shift of
     # twice that, plus the bits of the lifting error, reconstruction succeeds
-    hadamard_bits = sum(
-        (sum(v * v for v in vals) + max(bc[i] * bc[i] for bc in b)).bit_length() // 2 + 1
-        for i, (_, vals) in enumerate(a)
-    )
+    hadamard_bits = sum(q.bit_length() // 2 + 1 for q in row_squares)
     max_shift = 2 * hadamard_bits + hadamard_bits // 4 + 64
-    residual = [bc[:] for bc in b]
     digits = [[0] * n for _ in b]  # 2**shift x, rounded, one list per right-hand side
-    first = step = float_solve(residual)
+    first = step = lu.solve(scaled(residual))
     fewest, shift, lifts, next_try = None, 0, 0, 1
     while shift <= max_shift:
         # 2**k |step| must stay within the integers a float64 holds exactly
@@ -341,26 +400,26 @@ def _solve_exact(
         k = _MANTISSA - frexp(top)[1] if isfinite(top) else 0
         if k <= 0:
             raise ChainError("system too ill-conditioned for double precision")
-        xs = np.rint(np.ldexp(step, k)).astype(np.int64).T.tolist()
-        residual = [
-            list(map(sub, [v << k for v in rc], _matvec(a, xc))) for rc, xc in zip(residual, xs)
-        ]
-        digits = [[(v << k) + x for v, x in zip(dc, xc)] for dc, xc in zip(digits, xs)]
+        x = np.rint(np.ldexp(step, k)).astype(np.int64)
+        residual = update(residual, x, k)
+        digits = [[(v << k) + xv for v, xv in zip(dc, xc)] for dc, xc in zip(digits, x.T.tolist())]
         shift, lifts, fewest = shift + k, lifts + 1, min(fewest or k, k)
-        step = float_solve(residual)
+        step = lu.solve(scaled(residual))
         if lifts < next_try:
             continue
         # tries spaced by about 1/8 of the lifts so far keep the cost of
         # reconstruction quadratic in the digits
         next_try = lifts + 1 + lifts // 8
-        candidate = _reconstruct([x for col in digits for x in col], 1 << shift)
+        candidate = _reconstruct([v for col in digits for v in col], 1 << shift)
         if candidate is None:
             continue
         d, nums = candidate
-        cols = [nums[c * n : (c + 1) * n] for c in range(len(b))]
-        if all(_matvec(a, col) == [d * v for v in bc] for col, bc in zip(cols, b)):
-            gap = max(abs(v / d - f) for col, fc in zip(cols, first.T) for v, f in zip(col, fc))
-            return d, cols, SolveStats(n, lifts, fewest, float(gap), len(str(d)))
+        sols = [nums[c * n : (c + 1) * n] for c in range(len(b))]
+        if all(_matvec(a, col) == [d * v for v in bc] for col, bc in zip(sols, b)):
+            gap = max(abs(v / d - f) for col, fc in zip(sols, first.T) for v, f in zip(col, fc))
+            return d, sols, SolveStats(
+                n, lifts, fewest, float(gap), len(str(d)), len(cols), "int64" if narrow else "int"
+            )
     raise ChainError(f"no certified solution within the Hadamard bound of {max_shift} bits")
 
 

@@ -111,6 +111,12 @@ class BoundViolationError(Error):
     stage = "rd"
 
 
+class SimulationLimitError(Error):
+    """A walk whose per-step increments would not fit in physical memory."""
+
+    stage = "simulate"
+
+
 class InstanceTooLargeError(Error):
     """Exhaustive enumeration would exceed the configured work guard."""
 

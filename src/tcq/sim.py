@@ -12,6 +12,8 @@ plus counter), so position i of the stream depends only on (seed, i). A
 worker count W splits the stream into W contiguous ranges; each range is
 walked from the zero state, which makes multi-worker runs deterministic
 given (seed, n, W) but not bit-identical to the single-worker walk.
+Every step's increment is kept, one byte each, so a walk longer than the
+machine's physical memory in bytes is refused before anything is allocated.
 
 Source sampling draws a 64-bit word per step and compares it against
 cumulative thresholds obtained from the exact symbol probabilities by
@@ -23,6 +25,7 @@ off by at most 2^-64.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -30,7 +33,7 @@ from math import sqrt
 import numpy as np
 
 from .chain import SourceModel
-from .errors import SourceError
+from .errors import SimulationLimitError, SourceError
 from .graph import LabeledGraph
 from .statespace import Explorer
 
@@ -99,6 +102,15 @@ class SimResult:
     increments: np.ndarray  # uint8, one entry per step
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not report it."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
 def _worker_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     workers = min(workers, n)  # no empty ranges
     q, r = divmod(n, workers)
@@ -125,6 +137,12 @@ def simulate(
         raise ValueError("need at least one step")
     if workers < 1:
         raise ValueError("need at least one worker")
+    memory = _physical_memory()
+    if memory is not None and n > memory:  # the increments take one byte per step
+        raise SimulationLimitError(
+            f"a walk of {n:,} steps needs {n:,} bytes for its increments,"
+            f" above the {memory:,} bytes of physical memory"
+        )
     if src.alphabet != g.alphabet:
         raise SourceError(
             f"source alphabet {src.alphabet} does not match graph alphabet {g.alphabet}"

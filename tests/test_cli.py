@@ -254,6 +254,14 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert code == 1 and err.startswith("error (graph):")
 
 
+def test_simulate_past_physical_memory_exits_1(capsys):
+    # one byte of increments per step: 10 TB, refused before allocating
+    code, out, err = run_cli(capsys, "simulate", "--graph", G3, "--n", "10000000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error (simulate): a walk of 10,000,000,000,000 steps needs")
+    assert err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "analyze")[0] == 2

@@ -23,6 +23,7 @@ from tcq import (
     build_chain,
     closed_classes,
     de_bruijn,
+    debruijn8_demo,
     enumerate_states,
     stationary,
 )
@@ -61,6 +62,10 @@ def _random_multiclass_chain(rng: random.Random) -> MarkovChain:
     return MarkovChain(size=n, rows=tuple(rows), absorb=absorb)
 
 
+def _uniform_chain(g) -> MarkovChain:
+    return build_chain(enumerate_states(g), SourceModel.uniform(g.alphabet))
+
+
 def _corpus() -> list[tuple[str, MarkovChain]]:
     rng = random.Random(20240613)
     out = []
@@ -73,9 +78,7 @@ def _corpus() -> list[tuple[str, MarkovChain]]:
         out.append((f"multiclass-{i}", _random_multiclass_chain(rng)))
     # order-3 de Bruijn labellings whose closed class has 117 and 144 states
     for labels in ("bbcdaadcbbdddbbb", "ccdaaaccdccbcbcc"):
-        g = de_bruijn(3, tuple(labels))
-        mc = build_chain(enumerate_states(g), SourceModel.uniform(g.alphabet))
-        out.append((f"debruijn3-{labels}", mc))
+        out.append((f"debruijn3-{labels}", _uniform_chain(de_bruijn(3, tuple(labels)))))
     return out
 
 
@@ -139,8 +142,8 @@ def test_stationary_matches_modular_dixon(monkeypatch, mc):
 
 
 def test_solve_stats_describe_each_solve(debruijn8):
-    src = SourceModel.uniform(debruijn8.alphabet)
-    sd = stationary(build_chain(enumerate_states(debruijn8), src))
+    mc = _uniform_chain(debruijn8)
+    sd = stationary(mc)
     (stats,) = sd.solves
     assert stats.dim == len(sd.classes.closed[0]) == 106
     assert stats.lifts == 1  # certified by the first reconstruction
@@ -148,6 +151,13 @@ def test_solve_stats_describe_each_solve(debruijn8):
     assert stats.bits_per_lift == 52 - frexp(float(max(sd.q)))[1]
     assert 0 <= stats.float_gap < 1e-12  # the first float solve was this close
     assert stats.denominator_digits == len(str(lcm(*(x.denominator for x in sd.q))))
+    # one entry per balance (target, source) pair and diagonal, and a full normalization row
+    members = sd.classes.closed[0]
+    local = {s: i for i, s in enumerate(members)}
+    last = len(members) - 1
+    entries = {(local[t], local[s]) for s in members for t in mc.rows[s] if local[t] < last}
+    assert stats.nnz == len(entries | {(j, j) for j in range(last)}) + len(members)
+    assert stats.residual == "int64"
     # the stats ride along without taking part in equality
     assert sd == chain.StationaryDistribution(q=sd.q, classes=sd.classes, unique=sd.unique)
     mc = _random_multiclass_chain(random.Random(5))
@@ -155,6 +165,7 @@ def test_solve_stats_describe_each_solve(debruijn8):
     # one absorption solve shared by all classes, then one balance solve per class reached
     assert sd.solves[0].dim == len(sd.classes.transient)
     assert len(sd.solves) == 1 + sum(1 for comp in sd.classes.closed if any(sd.q[s] for s in comp))
+    assert {s.residual for s in sd.solves} == {"int64"}
 
 
 def test_large_denominators_stay_exact():
@@ -169,6 +180,7 @@ def test_large_denominators_stay_exact():
     assert sd.q == bareiss_stationary(mc)
     assert _balanced(mc, sd.q, range(mc.size))
     assert sd.solves[0].denominator_digits > 200
+    assert sd.solves[0].residual == "int"  # entries past 2**20 keep Python integers
 
 
 def _nearly_decomposable(eps: Fraction) -> MarkovChain:
@@ -212,6 +224,77 @@ def test_ill_conditioned_system_still_certifies(mc):
     assert sd.q == bareiss_stationary(mc)
     # the float solve keeps fewer bits per lift than on a well-conditioned chain
     assert sd.solves[0].bits_per_lift < 52
+
+
+def _solves(mc: MarkovChain) -> list[tuple]:
+    """(d, numerators, lifts, bits_per_lift, residual) of each solve in stationary(mc)."""
+    out = []
+    solve = chain._solve_exact
+
+    def recording(a, b):
+        d, nums, stats = solve(a, b)
+        out.append((d, nums, stats.lifts, stats.bits_per_lift, stats.residual))
+        return d, nums, stats
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "_solve_exact", recording)
+        stationary(mc)
+    return out
+
+
+@pytest.mark.parametrize(
+    "mc",
+    [pytest.param(mc, id=name) for name, mc in _corpus()]
+    + [
+        pytest.param(_nearly_decomposable(Fraction(1, 2**40)), id="6-states-2^-40"),
+        pytest.param(_nearly_decomposable(Fraction(1, 2**55)), id="6-states-2^-55"),
+        pytest.param(_coupled_cycles(50, Fraction(1, 2**50)), id="100-states-2^-50"),
+        # (the three above have entries past 2**20, so they are wide already)
+        # ill-conditioned (38 bits per lift), yet with entries below 2**20: the int64 path
+        pytest.param(_nearly_decomposable(Fraction(1, 2**18)), id="6-states-2^-18"),
+        pytest.param(_uniform_chain(debruijn8_demo()), id="debruijn8"),
+    ],
+)
+def test_python_int_residual_lifts_as_the_int64_residual(monkeypatch, mc):
+    default = _solves(mc)
+    monkeypatch.setattr(chain, "_INT64_ENTRY_LIMIT", 0)  # every system is wide
+    wide = _solves(mc)
+    assert [s[:4] for s in wide] == [s[:4] for s in default]
+    assert {s[4] for s in wide} == {"int"}
+
+
+@pytest.mark.parametrize("labels", ["debruijn8", "bbcdaadcbbdddbbb"])
+def test_int64_residual_leaves_matvec_to_the_certificate(monkeypatch, labels):
+    mc = _uniform_chain(debruijn8_demo() if labels == "debruijn8" else de_bruijn(3, tuple(labels)))
+    calls = {"matvec": 0, "candidates": 0}
+    matvec, reconstruct = chain._matvec, chain._reconstruct
+
+    def counted_matvec(a, x):
+        calls["matvec"] += 1
+        return matvec(a, x)
+
+    def counted_reconstruct(xs, m):
+        found = reconstruct(xs, m)
+        calls["candidates"] += found is not None
+        return found
+
+    monkeypatch.setattr(chain, "_matvec", counted_matvec)
+    monkeypatch.setattr(chain, "_reconstruct", counted_reconstruct)
+    (stats,) = stationary(mc).solves
+    assert stats.residual == "int64"
+    # one certificate check per candidate, and no residual update
+    assert calls["matvec"] == calls["candidates"] >= 1
+    calls.update(matvec=0, candidates=0)
+    monkeypatch.setattr(chain, "_INT64_ENTRY_LIMIT", 0)
+    (stats,) = stationary(mc).solves
+    assert calls["matvec"] == calls["candidates"] + stats.lifts
+
+
+def test_a_row_with_no_entry_raises():
+    # np.add.reduceat would read the empty row 1 as the first entry of row 2
+    with pytest.raises(ChainError, match="row 1 of the system has no entry") as info:
+        chain._solve_exact([((0,), (1,)), ((), ()), ((2,), (3,))], [[1, 0, 3]])
+    assert info.value.stage == "chain"
 
 
 def test_beyond_double_precision_fails_fast():

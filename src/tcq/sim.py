@@ -2,8 +2,10 @@
 
 The walk is a sample path of the same chain that ``statespace`` enumerates:
 it drives a ``statespace.Explorer`` along the sampled symbols, reading each
-memoized arc straight from its row and computing an arc (one call of the
-transition kernel) only on its first use. Only the states the walk visits
+memoized arc straight from the current state's row and asking the explorer
+only on a miss. The explorer runs the transition kernel at most once per
+miss: for one arc at a state's first miss, and for all of the state's
+successors, kept as a block, at its second. Only the states the walk visits
 are ever interned, so graphs whose full space is too large to enumerate (or
 that are periodic) still simulate.
 
@@ -149,21 +151,21 @@ def simulate(
         )
     bounds, support = source_thresholds(src)
     explorer = Explorer(g)
-    rows = explorer.rows
-    increments = np.empty(n, dtype=np.uint8)
+    rows, arc = explorer.rows, explorer.arc
+    buf = bytearray(n)
     for start, stop in _worker_ranges(n, workers):
-        si = 0  # each range restarts from the zero state
+        si, row = 0, rows[0]  # each range restarts from the zero state
         for cs in range(start, stop, _CHUNK):
             ce = min(cs + _CHUNK, stop)
             xs = symbol_indices(seed, cs, ce, bounds, support).tolist()
-            pos = cs
-            for xi in xs:
-                arc = rows[si][xi]
-                if arc is None:
-                    arc = explorer.arc(si, xi)
-                si, inc = arc
-                increments[pos] = inc
-                pos += 1
+            for pos, xi in enumerate(xs, cs):
+                step = row[xi]
+                if step is None:
+                    step = arc(si, xi)
+                si, inc = step
+                row = rows[si]
+                buf[pos] = inc
+    increments = np.frombuffer(buf, dtype=np.uint8)
 
     estimate = float(increments.mean())
     batch_count = min(100, n)

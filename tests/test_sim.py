@@ -14,8 +14,11 @@ from tcq import (
     SourceModel,
     analyze,
     de_bruijn,
+    debruijn8_demo,
     encode,
+    enumerate_states,
     parse_graph,
+    sim,
     simulate,
     viterbi,
     z_score,
@@ -190,25 +193,142 @@ def test_rng_seed_distinctness():
     assert (a != b).any()
 
 
+XOR4 = de_bruijn(4, tuple("abbacddccddcabbacddcabbaabbacddc"))  # 927 states
+
+
+def _walk_graph(name: str):
+    if name == "debruijn8":
+        return debruijn8_demo()
+    if name == "xor4":
+        return XOR4
+    rng = random.Random(0)  # a random order-4 quaternary labelling: 3,415 states
+    return de_bruijn(4, tuple(rng.choice("abcd") for _ in range(32)))
+
+
+def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
+    """simulate, returning the result, the walk's Explorer and its kernel
+    calls: (reduced_transition, advance outside reduced_transition)."""
+    made = []
+    calls = [0, 0]
+    inside = [False]
+    single = viterbi.reduced_transition
+    advance = viterbi.advance
+
+    class Recorded(sim.Explorer):
+        def __init__(self, graph):
+            super().__init__(graph)
+            made.append(self)
+
+    def counted_single(*args):
+        calls[0] += 1
+        inside[0] = True  # its own advance call is not counted again
+        try:
+            return single(*args)
+        finally:
+            inside[0] = False
+
+    def counted_advance(*args):
+        calls[1] += not inside[0]
+        return advance(*args)
+
+    monkeypatch.setattr(sim, "Explorer", Recorded)
+    monkeypatch.setattr(viterbi, "reduced_transition", counted_single)
+    monkeypatch.setattr(viterbi, "advance", counted_advance)
+    r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=seed, workers=workers)
+    monkeypatch.undo()
+    [explorer] = made
+    return r, explorer, tuple(calls)
+
+
 def test_simulate_explores_only_the_walk(monkeypatch):
     """The walk computes an arc on its first use only: an order-5 quaternary
     labelling, whose full space is too large to enumerate in a unit test,
-    needs at most one reduced transition per step."""
+    needs at most one reduced transition per step, and at most one kernel
+    call per step and two per state it interns."""
     rng = random.Random(5)
     g = de_bruijn(5, tuple(rng.choice("abcd") for _ in range(64)))
     assert len(g.alphabet) == 4
-    calls = 0
-    original = viterbi.reduced_transition
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(viterbi, "reduced_transition", counted)
-    r = simulate(g, SourceModel.uniform(g.alphabet), n=2000, seed=0)
-    assert 0 < calls <= 2000
+    r, explorer, (single, expanded) = _walk(monkeypatch, g, 2000)
+    assert 0 < single <= 2000
+    assert single + expanded <= 2000
+    assert single + expanded <= 2 * len(explorer.states)
     assert 0.0 < r.estimate < 1.0
+
+
+def test_revisited_states_expand_in_one_kernel_call(monkeypatch, debruijn8):
+    """A 100,000-step walk on debruijn8 (107 states) makes at most one
+    single-arc call and one whole-state expansion per state."""
+    r, explorer, (single, expanded) = _walk(monkeypatch, debruijn8, 100_000)
+    assert len(explorer.states) == 107
+    assert expanded > 0
+    assert single + expanded <= 214
+
+
+@pytest.mark.parametrize("name", ["debruijn8", "xor4", "random-order4-quaternary"])
+def test_walk_arcs_match_the_enumerated_table(monkeypatch, name):
+    """Every arc the walk memoized is the enumerated arc between the same
+    state vectors, no block outlives a full row, and the increments are
+    those of the same walk read off the enumerated table. The kernel runs
+    at most once per step and twice per state the walk interns."""
+    g = _walk_graph(name)
+    ss = enumerate_states(g)
+    src = SourceModel.uniform(g.alphabet)
+    bounds, support = source_thresholds(src)
+    for workers in (1, 2):
+        r, explorer, calls = _walk(monkeypatch, g, 100_000, seed=3, workers=workers)
+        assert sum(calls) <= min(r.n, 2 * len(explorer.states))
+        where = [ss.index[s] for s in explorer.states]
+        memoized = 0
+        for si, row in enumerate(explorer.rows):
+            for xi, step in enumerate(row):
+                if step is not None:
+                    ti, inc = step
+                    assert ss.arcs[where[si]][xi] == (where[ti], inc)
+                    memoized += 1
+        assert memoized > len(explorer.states)
+        assert all(None in explorer.rows[si] for si in explorer.blocks)
+
+        expected = np.empty(r.n, dtype=np.uint8)
+        for start, stop in _worker_ranges(r.n, workers):
+            state = 0
+            xs = symbol_indices(3, start, stop, bounds, support).tolist()
+            for pos, xi in enumerate(xs, start):
+                state, expected[pos] = ss.arcs[state][xi]
+        assert r.increments.dtype == np.uint8
+        assert (r.increments == expected).all()
+
+
+def test_wide_kernel_rows_walk_the_same(monkeypatch):
+    """Kernel rows in a dtype wider than uint8 are kept as lists of ints,
+    and the walk, its states and its arcs are unchanged."""
+    narrow, narrow_explorer, _ = _walk(monkeypatch, XOR4, 20_000, seed=2)
+    monkeypatch.setattr(viterbi, "holding", lambda lo, hi: np.int64)
+    wide, explorer, _ = _walk(monkeypatch, XOR4, 20_000, seed=2)
+    assert explorer.blocks
+    assert all(type(block) is list for block in explorer.blocks.values())
+    assert all(type(c) is int for s in explorer.states for c in s)
+    assert (explorer.states, explorer.rows) == (narrow_explorer.states, narrow_explorer.rows)
+    assert (wide.increments == narrow.increments).all()
+
+
+# 100,000-step increment sums, equal to perfbench's corpus pins
+@pytest.mark.parametrize(
+    "name, seed, workers, total",
+    [
+        ("debruijn8", 0, 1, 25030),
+        ("debruijn8", 0, 2, 25029),
+        ("debruijn8", 3, 1, 25038),
+        ("debruijn8", 3, 2, 25038),
+        ("xor4", 0, 1, 26763),
+        ("xor4", 0, 2, 26762),
+        ("xor4", 3, 1, 26946),
+        ("xor4", 3, 2, 26944),
+    ],
+)
+def test_pinned_walk_sums(name, seed, workers, total):
+    g = _walk_graph(name)
+    r = simulate(g, SourceModel.uniform(g.alphabet), n=100_000, seed=seed, workers=workers)
+    assert int(r.increments.sum()) == total
 
 
 def test_simulate_runs_on_a_periodic_graph():

@@ -6,9 +6,11 @@ The solve rungs are g3, debruijn8 and the first graph of the order-3
 quaternary, order-4 binary, order-5 binary and order-4 quaternary pools of
 ``perfbench/corpus.json`` (read only). Each rung runs in its own child
 process, single-threaded, under a 120 s timeout; a rung that runs out of
-time is recorded as "did not finish". A rung whose first run ends within
-10 s runs three times: ``runs`` keeps every run's seconds, stages and peak
-RSS, and the rung's ``total_s`` and ``stage_s`` are the fastest of them.
+time is recorded as "did not finish". Every solve rung but ``order4q:0``
+(the slowest, tens of seconds) runs three times, chosen by name so that a
+host's speed that day cannot change which rungs repeat: ``runs`` keeps
+every run's seconds, stages and peak RSS, and the rung's ``total_s`` and
+``stage_s`` are the fastest of them.
 For each rung the record holds the state count, the largest solve
 dimension, the seconds in each stage (enumerate, build_chain,
 closed_classes, stationary) and from graph to D(G), the lifts, the fewest
@@ -49,7 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 HEADLINE_S = 60
-REPEAT_WITHIN_S = 10  # a solve rung this fast runs REPEATS times
+RUN_ONCE = {"order4q:0"}  # every other solve rung runs REPEATS times
 REPEATS = 3
 WALK_N = 100_000
 WALK_SEED = 1
@@ -167,10 +169,10 @@ def run_child(name: str) -> dict:
 
 
 def run_rung(name: str) -> dict:
-    """A solve rung, run REPEATS times if its first run ends within
-    REPEAT_WITHIN_S; its seconds are the fastest of the runs."""
+    """A solve rung, run REPEATS times unless it is in RUN_ONCE; its
+    seconds are the fastest of the runs."""
     runs = [run_child(name)]
-    if runs[0]["finished"] and runs[0]["total_s"] <= REPEAT_WITHIN_S:
+    if runs[0]["finished"] and name not in RUN_ONCE:
         runs += [run_child(name) for _ in range(REPEATS - 1)]
     unfinished = [r for r in runs if not r["finished"]]
     if unfinished:

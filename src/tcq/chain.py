@@ -8,10 +8,10 @@ denominators, assembled once as CSR arrays, factored once as a dense
 float64 LU, and solved by numeric lifting (Wan 2006) with one exact integer
 residual update per lift; each lift takes the most bits K for which 2^K
 times the float solve of the residual stays below 2^52, and that cap alone
-sets K. When every entry lies below 2^20 the residual is an int64 array,
-updated with numpy arithmetic that wraps mod 2^64 and so stays exact while
-the true residual is below 2^63 (``_solve_exact`` derives that bound);
-wider systems keep it in Python integers. A common denominator is then
+sets K. The residual is one numpy array: int64 when every entry lies below
+2^20, where numpy arithmetic wraps mod 2^64 and so stays exact while the
+true residual is below 2^63 (``_solve_exact`` derives that bound), and
+Python integers in an ``object`` array otherwise. A common denominator is then
 read off continued fractions, and a candidate stands only if A num = d b
 holds in Python integers on every row: that check, not a bound, is the
 certificate. Systems beyond double precision or the dense factor's memory
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
-from math import frexp, isfinite, isqrt, lcm
-from operator import mul, sub
+from math import frexp, isfinite, isqrt, lcm, log10
+from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -316,22 +316,24 @@ def _solve_exact(
     returned only after A num = d b has been checked in exact integer
     arithmetic for every row and every b.
 
-    The system is assembled once as CSR arrays. When every entry of A and b
-    lies below 2**20 in magnitude, the residual is an int64 array updated
-    with one ``np.add.reduceat``. Numpy's int64 products, sums and shifts
-    are arithmetic mod 2**64 (a shift by 64 or more gives 0, which is
-    2**K r mod 2**64), so r' comes out exact whenever its true value lies
-    below 2**63, however the terms overflow on the way. That value is
-    r' = A (2**K y - x) + 2**K (r - A y). Rounding makes the first term at
-    most sum_j |a_ij| / 2 in row i; a float solve with row-wise relative
-    backward error e makes the second at most 2**K |y| e sum_j |a_ij|,
-    below 2**52 e sum_j |a_ij|. Rows of at most 16,384 entries below 2**20
-    have sum_j |a_ij| < 2**34, so |r'| < 2**63 for any e below 2**-24; a
-    pivoted double-precision solve typically sits near n 2**-53. Wider
-    systems, such as sources with denominators past 2**20, keep their
-    residual in Python integers. A residual that wrapped anyway would only
-    stop the lifts from converging: the certificate then refuses the
-    system, and never passes a wrong answer.
+    The system is assembled once as CSR arrays, and the residual is one
+    numpy array updated with one ``np.add.reduceat`` per lift. Its dtype is
+    int64 when every entry of A and b lies below 2**20 in magnitude, and
+    ``object`` (Python integers) otherwise, as for sources with denominators
+    past 2**20; the power-of-two row scales share that dtype, so even huge
+    entries divide to correctly rounded floats. Numpy's int64 products, sums
+    and shifts are arithmetic mod 2**64 (a shift by 64 or more gives 0,
+    which is 2**K r mod 2**64), so r' comes out exact whenever its true
+    value lies below 2**63, however the terms overflow on the way. That
+    value is r' = A (2**K y - x) + 2**K (r - A y). Rounding makes the first
+    term at most sum_j |a_ij| / 2 in row i; a float solve with row-wise
+    relative backward error e makes the second at most 2**K |y| e sum_j
+    |a_ij|, below 2**52 e sum_j |a_ij|. Rows of at most 16,384 entries below
+    2**20 have sum_j |a_ij| < 2**34, so |r'| < 2**63 for any e below 2**-24;
+    a pivoted double-precision solve typically sits near n 2**-53. A
+    residual that wrapped anyway would only stop the lifts from converging:
+    the certificate then refuses the system, and never passes a wrong
+    answer.
     """
     n = len(a)
     if 8 * n * n > _MAX_FACTOR_BYTES:
@@ -342,57 +344,27 @@ def _solve_exact(
     counts = [len(cols) for cols, _ in a]
     if 0 in counts:  # np.add.reduceat would read an empty row as its next entry
         raise ChainError(f"row {counts.index(0)} of the system has no entry")
+    row_max = [max(map(abs, vs)) for _, vs in a]
+    widest = max(row_max + [abs(v) for bc in b for v in bc])
+    dtype = np.int64 if widest < _INT64_ENTRY_LIMIT else object
     # CSR: row i holds the entries starts[i]:starts[i + 1] of cols and vals
     starts = np.cumsum([0] + counts[:-1])
     rows = np.repeat(np.arange(n), counts)
     cols = np.array([c for cs, _ in a for c in cs], dtype=np.intp)
-    try:
-        vals = np.array([v for _, vs in a for v in vs], dtype=np.int64)
-        rhs = np.array(b, dtype=np.int64).T
-    except OverflowError:
-        narrow = False
-    else:
-        ends = (vals.min(), vals.max(), rhs.min(), rhs.max())
-        narrow = all(-_INT64_ENTRY_LIMIT < v < _INT64_ENTRY_LIMIT for v in ends)
+    vals = np.array([v for _, vs in a for v in vs], dtype=dtype)
+    residual = np.array(b, dtype=dtype).T  # one column per right-hand side
+    # each row scaled by a power of two, to entries of magnitude at most 1
+    scales = np.array([1 << v.bit_length() for v in row_max], dtype=dtype)
     dense = np.zeros((n, n))
-    if narrow:
-        # each row scaled by a power of two, to entries of magnitude at most 1
-        scales = np.ldexp(1.0, np.frexp(np.maximum.reduceat(np.abs(vals), starts))[1])
-        dense[rows, cols] = vals / scales[rows]
-        row_squares = (np.add.reduceat(vals * vals, starts) + (rhs * rhs).max(axis=1)).tolist()
-        residual = rhs
-
-        def update(r: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-            return (r << k) - np.add.reduceat(vals[:, None] * x[cols], starts)
-
-        def scaled(r: np.ndarray) -> np.ndarray:
-            return r / scales[:, None]
-
-    else:
-        int_scales = [1 << max(map(abs, vs)).bit_length() for _, vs in a]
-        dense[rows, cols] = [v / s for (_, vs), s in zip(a, int_scales) for v in vs]
-        row_squares = [
-            sum(v * v for v in vs) + max(bc[i] * bc[i] for bc in b)
-            for i, (_, vs) in enumerate(a)
-        ]
-        residual = [bc[:] for bc in b]  # one list per right-hand side
-
-        def update(r: list[list[int]], x: np.ndarray, k: int) -> list[list[int]]:
-            return [
-                list(map(sub, [v << k for v in rc], _matvec(a, xc)))
-                for rc, xc in zip(r, x.T.tolist())
-            ]
-
-        def scaled(r: list[list[int]]) -> np.ndarray:
-            return np.array([[v / s for v, s in zip(rc, int_scales)] for rc in r]).T
-
+    dense[rows, cols] = vals / scales[rows]
+    row_squares = np.add.reduceat(vals * vals, starts) + (residual * residual).max(axis=1)
     lu = _FloatLU(dense)
     # Hadamard's bound on the minors of (A | b), in bits: past a shift of
     # twice that, plus the bits of the lifting error, reconstruction succeeds
-    hadamard_bits = sum(q.bit_length() // 2 + 1 for q in row_squares)
+    hadamard_bits = sum(q.bit_length() // 2 + 1 for q in row_squares.tolist())
     max_shift = 2 * hadamard_bits + hadamard_bits // 4 + 64
-    digits = [[0] * n for _ in b]  # 2**shift x, rounded, one list per right-hand side
-    first = step = lu.solve(scaled(residual))
+    digits = np.zeros(residual.shape, dtype=object)  # 2**shift x, rounded
+    first = step = lu.solve((residual / scales[:, None]).astype(float))
     fewest, shift, lifts, next_try = None, 0, 0, 1
     while shift <= max_shift:
         # 2**k |step| must stay within the integers a float64 holds exactly
@@ -401,25 +373,28 @@ def _solve_exact(
         if k <= 0:
             raise ChainError("system too ill-conditioned for double precision")
         x = np.rint(np.ldexp(step, k)).astype(np.int64)
-        residual = update(residual, x, k)
-        digits = [[(v << k) + xv for v, xv in zip(dc, xc)] for dc, xc in zip(digits, x.T.tolist())]
+        residual = (residual << k) - np.add.reduceat(vals[:, None] * x.astype(dtype)[cols], starts)
+        digits = (digits << k) + x.astype(object)
         shift, lifts, fewest = shift + k, lifts + 1, min(fewest or k, k)
-        step = lu.solve(scaled(residual))
+        step = lu.solve((residual / scales[:, None]).astype(float))
         if lifts < next_try:
             continue
         # tries spaced by about 1/8 of the lifts so far keep the cost of
         # reconstruction quadratic in the digits
         next_try = lifts + 1 + lifts // 8
-        candidate = _reconstruct([v for col in digits for v in col], 1 << shift)
+        candidate = _reconstruct(digits.T.ravel().tolist(), 1 << shift)
         if candidate is None:
             continue
         d, nums = candidate
         sols = [nums[c * n : (c + 1) * n] for c in range(len(b))]
         if all(_matvec(a, col) == [d * v for v in bc] for col, bc in zip(sols, b)):
             gap = max(abs(v / d - f) for col, fc in zip(sols, first.T) for v, f in zip(col, fc))
-            return d, sols, SolveStats(
-                n, lifts, fewest, float(gap), len(str(d)), len(cols), "int64" if narrow else "int"
-            )
+            # 10**t <= 2**(bits - 1) <= d < 10**(t + 2): d has t + 1 or t + 2
+            # decimal digits (str(d) refuses ints past 4,300 of them)
+            t = int((d.bit_length() - 1) * log10(2))
+            size = t + 1 + (d >= 10 ** (t + 1))
+            kind = "int64" if dtype is np.int64 else "int"
+            return d, sols, SolveStats(n, lifts, fewest, float(gap), size, len(cols), kind)
     raise ChainError(f"no certified solution within the Hadamard bound of {max_shift} bits")
 
 

@@ -235,6 +235,8 @@ def _cmd_rd(args: argparse.Namespace) -> int:
     m = args.alphabet
     if m < 2:
         raise SourceError("alphabet size must be at least 2")
+    if m > 65536:
+        raise SourceError("alphabet size must be at most 65536")
     probs = [1.0 / m] * m
     point = blahut(probs, args.rate)
     check = hamming_rd_closed_form(m, args.rate)
@@ -399,6 +401,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # an exact D(G) can run past Python's default cap of 4,300 digits for
+    # str() of an int (a cap Python releases before 3.10.7 lack); lift it
+    # for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -407,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
     except Error as exc:
         sys.stderr.write(f"error ({exc.stage}): {exc}\n")
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -82,12 +82,16 @@ def parse_permutations(text: str, degree: int) -> tuple[Permutation, ...]:
     Blank lines and '#' comments are skipped.
     """
     out: list[Permutation] = []
+    # no vertex index has more digits than the vertex count; a longer token
+    # is read as -1 (not a permutation), since int() takes time quadratic
+    # in its digits once the CLI lifts Python's cap on them
+    width = len(str(degree))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            p = tuple(int(tok) for tok in line.split())
+            p = tuple(int(tok) if len(tok) <= width else -1 for tok in line.split())
         except ValueError:
             raise GraphStructureError(
                 f"permutation line {lineno}: entries must be integers"

@@ -4,6 +4,9 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +16,7 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 from conftest import EXPECTED_DIR, GRAPH_DIR, REPO_ROOT
+from tcq import SourceModel, analyze, de_bruijn, serialize_graph
 from tcq.cli import main
 
 DB8 = "graphs/debruijn8.g"
@@ -58,6 +62,39 @@ def test_analyze_porcelain_keys(capsys):
     assert fields["distortion"] == "452/1809"
     assert fields["distortion_decimal"] == "0.2498618021"
     assert fields["rate"] == "1"
+
+
+def test_analyze_prints_a_distortion_past_4300_digits(capsys, tmp_path):
+    g = de_bruijn(2, tuple("acbdbdca"))
+    big = 2**1500 + 13
+    probs = [Fraction(big // 5, big), Fraction(big // 3, big), Fraction(big // 7, big)]
+    src = SourceModel(g.alphabet, (*probs, 1 - sum(probs)))
+    path = tmp_path / "wide.g"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    spec = ",".join(f"{s}:{p}" for s, p in zip(src.alphabet, src.probabilities))
+    expected = analyze(g, src).distortion
+    assert expected.denominator > 10**4300  # past Python's default cap for str(int)
+    limit = sys.get_int_max_str_digits()
+    for flags, prefix in ((["--porcelain"], "distortion="), ([], "D(G) = ")):
+        code, out, err = run_cli(capsys, "analyze", "--graph", str(path), "--source", spec, *flags)
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit  # the CLI puts the cap back
+        (line,) = [line for line in out.splitlines() if line.startswith(prefix)]
+        # Decimal parses digit strings past the cap that int() refuses
+        num, den = line[len(prefix) :].split(" ")[0].split("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == expected
+
+
+def test_a_huge_group_entry_fails_fast(capsys, tmp_path):
+    # int() of a 2,000,000-digit token takes tens of seconds once main lifts
+    # Python's int-string cap; the parser refuses it by its length instead
+    group = tmp_path / "huge.perm"
+    group.write_text("9" * 2_000_000 + " 0\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "quotient", "--graph", DB8, "--group", str(group))
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err == "error (graph): permutation line 1: not a permutation of 0..7\n"
 
 
 def test_analyze_with_rd(capsys):
@@ -322,10 +359,14 @@ def test_bad_input_exits_2_without_traceback(capsys, argv, message):
             ("rd", "--alphabet", "4", "--rate", "nan"),
             "error (rd): rate nan outside [0, 2.0] for this source",
         ),
+        (
+            ("rd", "--alphabet", "1000000000", "--rate", "1"),
+            "error (source): alphabet size must be at most 65536",
+        ),
     ],
     ids=[
         "undecodable-graph", "undecodable-group", "no-such-dir", "out-is-dir", "sourceless",
-        "rate-nan",
+        "rate-nan", "alphabet-too-large",
     ],
 )
 def test_bad_input_exits_1_without_traceback(capsys, tmp_path, argv, line):

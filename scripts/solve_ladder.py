@@ -11,11 +11,11 @@ time is recorded as "did not finish". Every solve rung but ``order4q:0``
 host's speed that day cannot change which rungs repeat: ``runs`` keeps
 every run's seconds, stages and peak RSS, and the rung's ``total_s`` and
 ``stage_s`` are the fastest of them.
-For each rung the record holds the state count, the largest solve
-dimension, the seconds in each stage (enumerate, build_chain,
+For each rung the record holds the state count, the dimension of the one
+exact solve, the seconds in each stage (enumerate, build_chain,
 closed_classes, stationary) and from graph to D(G), the lifts, the fewest
 bits per lift, the gap from the first float solve, the digits of the common
-denominator, the nonzeros of the largest solve, how the residuals were kept
+denominator, the nonzeros of the system, how the residual was kept
 ("int64" or "int"), the child's peak RSS and the sha256 of D(G).
 
 The walk rungs are 100,000-step single-worker ``simulate`` calls with seed
@@ -31,7 +31,7 @@ largest rung solved, graph to D(G), within 60 s. Each D(G) digest and each
 increment sum is pinned: the report is still written, but the script exits
 1 if a finished rung differs from its pin:
 
-    python3 scripts/solve_ladder.py --out BENCH_12.json
+    python3 scripts/solve_ladder.py --out BENCH_14.json
 """
 
 from __future__ import annotations
@@ -124,14 +124,14 @@ def measure(name: str) -> dict:
     return {
         "total_s": round(time.perf_counter() - begin, 3),
         "states": len(ss),
-        "solve_dim": max(s.dim for s in sd.solves),
+        "solve_dim": sd.solve.dim,
         "stage_s": stage_s,
-        "lifts": sum(s.lifts for s in sd.solves),
-        "bits_per_lift": min(s.bits_per_lift for s in sd.solves),
-        "float_gap": max(s.float_gap for s in sd.solves),
-        "denominator_digits": max(s.denominator_digits for s in sd.solves),
-        "nnz": max(sd.solves, key=lambda s: s.dim).nnz,
-        "residual": ",".join(sorted({s.residual for s in sd.solves})),
+        "lifts": sd.solve.lifts,
+        "bits_per_lift": sd.solve.bits_per_lift,
+        "float_gap": sd.solve.float_gap,
+        "denominator_digits": sd.solve.denominator_digits,
+        "nnz": sd.solve.nnz,
+        "residual": sd.solve.residual,
         "dg_sha256": hashlib.sha256(str(d).encode()).hexdigest(),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }

@@ -1,22 +1,25 @@
 """Markov chain induced on the state space by a memoryless source.
 
 Everything here is exact rational arithmetic. The per-step distortion rate
-is the stationary expectation of the arc increments. Each linear system
-(a closed class's balance equations, or the absorption equations shared by
-all closed classes) is built in integers over the lcm of its rows'
-denominators, assembled once as CSR arrays, factored once as a dense
-float64 LU, and solved by numeric lifting (Wan 2006) with one exact integer
-residual update per lift; each lift takes the most bits K for which 2^K
-times the float solve of the residual stays below 2^52, and that cap alone
-sets K. The residual is one numpy array: int64 when every entry lies below
-2^20, where numpy arithmetic wraps mod 2^64 and so stays exact while the
-true residual is below 2^63 (``_solve_exact`` derives that bound), and
-Python integers in an ``object`` array otherwise. A common denominator is then
-read off continued fractions, and a candidate stands only if A num = d b
-holds in Python integers on every row: that check, not a bound, is the
-certificate. Systems beyond double precision or the dense factor's memory
-cap raise ChainError. The optional D(R)
-comparison in ``analyze`` is a float lower bound at the precision of ``rd``.
+is the stationary expectation of the arc increments. The long-run law from
+state 0 comes from one linear system (Kemeny and Snell 1960): each closed
+class's balance equations with its total mass in place of the last one,
+and, when there are several closed classes, the expected visits to each
+transient state, which set the mass that enters each class. The system is
+built in integers over the lcm of its rows' denominators, assembled once as
+CSR arrays, factored once as a dense float64 LU, and solved by numeric
+lifting (Wan 2006) with one exact integer residual update per lift; each
+lift takes the most bits K for which 2^K times the float solve of the
+residual stays below 2^52, and that cap alone sets K. The residual is one
+numpy array: int64 when every entry lies below 2^20, where numpy arithmetic
+wraps mod 2^64 and so stays exact while the true residual is below 2^63
+(``_solve_exact`` derives that bound), and Python integers in an ``object``
+array otherwise. A common denominator is then read off continued fractions,
+and a candidate stands only if A num = d b holds in Python integers on
+every row: that check, not a bound, is the certificate. Systems beyond
+double precision or the dense factor's memory cap raise ChainError. The
+optional D(R) comparison in ``analyze`` is a float lower bound at the
+precision of ``rd``.
 """
 
 from __future__ import annotations
@@ -157,13 +160,14 @@ class StationaryDistribution:
 
     With a single closed class this is the unique stationary distribution.
     Otherwise it is the Cesaro limit from state 0: the mixture of per-class
-    stationary laws weighted by the absorption probabilities.
+    stationary laws weighted by the probability of entering each class.
+    ``solve`` describes the one exact solve behind it.
     """
 
     q: tuple[Fraction, ...]
     classes: ClassPartition
     unique: bool
-    solves: tuple[SolveStats, ...] = field(default=(), compare=False, repr=False)
+    solve: SolveStats | None = field(default=None, compare=False, repr=False)
 
 
 def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
@@ -261,7 +265,7 @@ class _FloatLU:
         self.uinv = [np.linalg.inv(np.triu(a[s:e, s:e])) for s, e in self.blocks]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The float x with A x = b, for the columns of ``b``."""
+        """The float x with A x = b."""
         lu, y = self.lu, b[self.perm]
         for (s, e), inv in zip(self.blocks, self.linv):
             y[s:e] = inv @ y[s:e]
@@ -303,18 +307,18 @@ def _matvec(a: list[tuple[tuple[int, ...], tuple[int, ...]]], x: list[int]) -> l
 
 
 def _solve_exact(
-    a: list[tuple[tuple[int, ...], tuple[int, ...]]], b: list[list[int]]
-) -> tuple[int, list[list[int]], SolveStats]:
-    """Solve A x = b exactly for each integer right-hand side b in ``b``.
+    a: list[tuple[tuple[int, ...], tuple[int, ...]]], b: list[int]
+) -> tuple[int, list[int], SolveStats]:
+    """Solve A x = b exactly for an integer right-hand side b.
 
     ``a`` gives each row of the integer matrix A as (columns, values), only
     nonzero entries. Returns a common denominator d and the numerators of
-    each solution. A is factored once in float64, and the solution is lifted
+    the solution. A is factored once in float64, and the solution is lifted
     numerically (Wan 2006): each lift rounds 2**K times the float solve y of
     the residual r to integers x, K as large as keeps them below 2**52, and
     updates the residual exactly to r' = 2**K r - A x. A solution is
     returned only after A num = d b has been checked in exact integer
-    arithmetic for every row and every b.
+    arithmetic for every row.
 
     The system is assembled once as CSR arrays, and the residual is one
     numpy array updated with one ``np.add.reduceat`` per lift. Its dtype is
@@ -345,26 +349,26 @@ def _solve_exact(
     if 0 in counts:  # np.add.reduceat would read an empty row as its next entry
         raise ChainError(f"row {counts.index(0)} of the system has no entry")
     row_max = [max(map(abs, vs)) for _, vs in a]
-    widest = max(row_max + [abs(v) for bc in b for v in bc])
+    widest = max(row_max + list(map(abs, b)))
     dtype = np.int64 if widest < _INT64_ENTRY_LIMIT else object
     # CSR: row i holds the entries starts[i]:starts[i + 1] of cols and vals
     starts = np.cumsum([0] + counts[:-1])
     rows = np.repeat(np.arange(n), counts)
     cols = np.array([c for cs, _ in a for c in cs], dtype=np.intp)
     vals = np.array([v for _, vs in a for v in vs], dtype=dtype)
-    residual = np.array(b, dtype=dtype).T  # one column per right-hand side
+    residual = np.array(b, dtype=dtype)
     # each row scaled by a power of two, to entries of magnitude at most 1
     scales = np.array([1 << v.bit_length() for v in row_max], dtype=dtype)
     dense = np.zeros((n, n))
     dense[rows, cols] = vals / scales[rows]
-    row_squares = np.add.reduceat(vals * vals, starts) + (residual * residual).max(axis=1)
+    row_squares = np.add.reduceat(vals * vals, starts) + residual * residual
     lu = _FloatLU(dense)
     # Hadamard's bound on the minors of (A | b), in bits: past a shift of
     # twice that, plus the bits of the lifting error, reconstruction succeeds
     hadamard_bits = sum(q.bit_length() // 2 + 1 for q in row_squares.tolist())
     max_shift = 2 * hadamard_bits + hadamard_bits // 4 + 64
-    digits = np.zeros(residual.shape, dtype=object)  # 2**shift x, rounded
-    first = step = lu.solve((residual / scales[:, None]).astype(float))
+    digits = np.zeros(n, dtype=object)  # 2**shift x, rounded
+    first = step = lu.solve((residual / scales).astype(float))
     fewest, shift, lifts, next_try = None, 0, 0, 1
     while shift <= max_shift:
         # 2**k |step| must stay within the integers a float64 holds exactly
@@ -373,107 +377,80 @@ def _solve_exact(
         if k <= 0:
             raise ChainError("system too ill-conditioned for double precision")
         x = np.rint(np.ldexp(step, k)).astype(np.int64)
-        residual = (residual << k) - np.add.reduceat(vals[:, None] * x.astype(dtype)[cols], starts)
+        residual = (residual << k) - np.add.reduceat(vals * x.astype(dtype)[cols], starts)
         digits = (digits << k) + x.astype(object)
         shift, lifts, fewest = shift + k, lifts + 1, min(fewest or k, k)
-        step = lu.solve((residual / scales[:, None]).astype(float))
+        step = lu.solve((residual / scales).astype(float))
         if lifts < next_try:
             continue
         # tries spaced by about 1/8 of the lifts so far keep the cost of
         # reconstruction quadratic in the digits
         next_try = lifts + 1 + lifts // 8
-        candidate = _reconstruct(digits.T.ravel().tolist(), 1 << shift)
+        candidate = _reconstruct(digits.tolist(), 1 << shift)
         if candidate is None:
             continue
         d, nums = candidate
-        sols = [nums[c * n : (c + 1) * n] for c in range(len(b))]
-        if all(_matvec(a, col) == [d * v for v in bc] for col, bc in zip(sols, b)):
-            gap = max(abs(v / d - f) for col, fc in zip(sols, first.T) for v, f in zip(col, fc))
+        if _matvec(a, nums) == [d * v for v in b]:
+            gap = max(abs(v / d - f) for v, f in zip(nums, first.tolist()))
             # 10**t <= 2**(bits - 1) <= d < 10**(t + 2): d has t + 1 or t + 2
             # decimal digits (str(d) refuses ints past 4,300 of them)
             t = int((d.bit_length() - 1) * log10(2))
             size = t + 1 + (d >= 10 ** (t + 1))
             kind = "int64" if dtype is np.int64 else "int"
-            return d, sols, SolveStats(n, lifts, fewest, float(gap), size, len(cols), kind)
+            return d, nums, SolveStats(n, lifts, fewest, float(gap), size, len(cols), kind)
     raise ChainError(f"no certified solution within the Hadamard bound of {max_shift} bits")
 
 
-def _class_stationary(
-    mc: MarkovChain, members: tuple[int, ...]
-) -> tuple[int, list[int], SolveStats]:
-    """Stationary law of the chain restricted to one closed class, as a
-    common denominator and one numerator per member."""
-    m = len(members)
-    local = {s: i for i, s in enumerate(members)}
-    scale = lcm(*{p.denominator for s in members for p in mc.rows[s].values()})
-    # balance equations for all targets but the last (one is redundant), times scale
-    eqs: list[dict[int, int]] = [{j: -scale} for j in range(m - 1)]
-    for i, s in enumerate(members):
-        for target, p in mc.rows[s].items():
-            j = local[target]
-            if j < m - 1:
-                v = p.numerator * (scale // p.denominator)
-                eqs[j][i] = v - scale if i == j else v
-    a = [(tuple(eq), tuple(eq.values())) for eq in eqs]
-    a.append((tuple(range(m)), (1,) * m))  # normalization
-    d, (pi,), stats = _solve_exact(a, [[0] * (m - 1) + [1]])
-    if sum(pi) != d:
-        raise ChainError(f"stationary mass sums to {Fraction(sum(pi), d)}, not 1")
-    return d, pi, stats
-
-
-def _absorption_probabilities(
-    mc: MarkovChain, classes: ClassPartition
-) -> tuple[int, list[int], SolveStats | None]:
-    """Probability, from state 0, of ending in each closed class, as a
-    common denominator and one numerator per class."""
-    for ci, comp in enumerate(classes.closed):
-        if 0 in comp:
-            return 1, [int(i == ci) for i in range(len(classes.closed))], None
-    trans = classes.transient
-    pos = {s: i for i, s in enumerate(trans)}
-    owner = {s: ci for ci, comp in enumerate(classes.closed) for s in comp}
-    scale = lcm(*{p.denominator for s in trans for p in mc.rows[s].values()})
-    # (I - Q) h = r times scale, one r per closed class: its one-step mass from each state
-    a: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    b = [[0] * len(trans) for _ in classes.closed]
-    for i, s in enumerate(trans):
-        eq = {i: scale}
-        for target, p in mc.rows[s].items():
-            v = p.numerator * (scale // p.denominator)
-            if target in pos:
-                eq[pos[target]] = eq.get(pos[target], 0) - v
-            else:
-                b[owner[target]][i] += v
-        a.append((tuple(eq), tuple(eq.values())))
-    d, h, stats = _solve_exact(a, b)
-    out = [hc[pos[0]] for hc in h]
-    if sum(out) != d:
-        raise ChainError(f"absorption probabilities sum to {Fraction(sum(out), d)}, not 1")
-    return d, out, stats
-
-
 def stationary(mc: MarkovChain) -> StationaryDistribution:
+    """The long-run law from state 0, from one exact linear system.
+
+    The unknowns, in state order, are the closed states and, when there are
+    several closed classes, the transient ones too. A transient unknown z_j
+    is the expected number of visits to j from state 0; its row reads
+    sum_k z_k P_kj - z_j = -[j = 0] over transient k. A closed state's row
+    balances it within its class, except at the class's last member, whose
+    row sets the class's total mass to [0 in class] + sum_k z_k P(k -> class)
+    (Kemeny and Snell's fundamental matrix). Rows are integers over the lcm
+    of the unknowns' row denominators, save a single class's mass row, which
+    reads sum_i x_i = 1.
+    """
     classes = closed_classes(mc)
-    solves: list[SolveStats] = []
-    if len(classes.closed) == 1:
-        wd, weights = 1, [1]
-    else:
-        wd, weights, stats = _absorption_probabilities(mc, classes)
-        if stats is not None:
-            solves.append(stats)
+    head = {s: comp[-1] for comp in classes.closed for s in comp}  # last member of s's class
+    single = len(classes.closed) == 1
+    unknowns = sorted(head) if single else range(mc.size)
+    col = {s: i for i, s in enumerate(unknowns)}
+    scale = lcm(*{p.denominator for s in unknowns for p in mc.rows[s].values()})
+    eqs = {s: {col[s]: -scale} for s in unknowns}
+    b = [0] * len(unknowns)
+    if not single and 0 not in head:
+        b[0] = -scale
+    unit = 1 if single else scale  # a mass row's entry for each member
+    for comp in classes.closed:
+        eqs[comp[-1]] = dict.fromkeys(map(col.get, comp), unit)
+        b[col[comp[-1]]] = unit * (single or 0 in comp)
+    for i in unknowns:
+        for t, p in mc.rows[i].items():
+            v = p.numerator * (scale // p.denominator)
+            last = head.get(t)
+            if last is not None and i not in head:  # from a transient state into t's class
+                eq, v = eqs[last], -v
+            elif t != last:  # a visit row, or a balance row within t's class
+                eq = eqs[t]
+            else:  # within the class to its last member, whose row is the mass
+                continue
+            eq[col[i]] = eq.get(col[i], 0) + v
+    d, nums, stats = _solve_exact([(tuple(eq), tuple(eq.values())) for eq in eqs.values()], b)
+    mass = sum(nums[col[s]] for s in head)
+    if mass != d:
+        raise ChainError(f"long-run mass sums to {Fraction(mass, d)}, not 1")
     q = [Fraction(0)] * mc.size
-    for w, comp in zip(weights, classes.closed):
-        if w:
-            d, pi, stats = _class_stationary(mc, comp)
-            solves.append(stats)
-            for s, v in zip(comp, pi):
-                q[s] = Fraction(w * v, wd * d)
+    for s in head:
+        q[s] = Fraction(nums[col[s]], d)
     return StationaryDistribution(
         q=tuple(q),
         classes=classes,
-        unique=len(classes.closed) == 1,
-        solves=tuple(solves),
+        unique=single,
+        solve=stats,
     )
 
 

@@ -161,15 +161,7 @@ class RateInfo:
 def parse_graph(text: str) -> LabeledGraph:
     """Parse the line-oriented graph description format."""
     alphabet: list[str] | None = None
-    vertices: list[str] = []
-    seen: set[str] = set()
-    edges: list[Edge] = []
-
-    def declare(v: str):
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
-
+    edges: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -191,9 +183,7 @@ def parse_graph(text: str) -> LabeledGraph:
             _, src, dst, label = tokens
             if label not in alphabet:
                 raise GraphFormatError(f"unknown label {label!r}", lineno)
-            declare(src)
-            declare(dst)
-            edges.append(Edge(src, dst, label))
+            edges.append((src, dst, label))
         else:
             raise GraphFormatError(f"unknown directive {tokens[0]!r}", lineno)
 
@@ -201,7 +191,7 @@ def parse_graph(text: str) -> LabeledGraph:
         raise GraphFormatError("missing alphabet line")
     if not edges:
         raise GraphFormatError("graph has no edges")
-    return LabeledGraph(tuple(vertices), tuple(edges), tuple(alphabet))
+    return graph_from_edges(edges, alphabet)
 
 
 def serialize_graph(g: LabeledGraph) -> str:

@@ -3,8 +3,8 @@
 Enumeration is a breadth-first closure from the zero vector: it advances the
 BFS queue a block of states at a time through ``viterbi.advance`` (every
 state of the block under every symbol in one numpy call) and interns the
-successors in (state, symbol) order, so the discovery order, the arc table
-and the BFS tree are those of a one-arc-at-a-time search. The closure is
+successors in (state, symbol) order, so the discovery order and the arc
+table are those of a one-arc-at-a-time search. The closure is
 finite: every component of every reachable reduced vector is bounded by the
 graph's exact-path constant k.
 
@@ -101,24 +101,11 @@ class StateSpace:
     states: tuple[StateVector, ...]  # discovery order, zero vector first
     # arcs[state][symbol_index] = (successor state index, increment in {0,1})
     arcs: tuple[tuple[Arc, ...], ...]
-    # BFS tree: parents[i] = (parent state index, symbol index); None for the root
-    parents: tuple[tuple[int, int] | None, ...]
     # state vector -> its position in ``states``
     index: dict[StateVector, int] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def witness(self, state_idx: int) -> list[str]:
-        """A symbol sequence that drives the zero vector to this state."""
-        out: list[str] = []
-        i = state_idx
-        while self.parents[i] is not None:
-            parent, xi = self.parents[i]  # type: ignore[misc]
-            out.append(self.graph.alphabet[xi])
-            i = parent
-        out.reverse()
-        return out
 
 
 def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
@@ -143,7 +130,6 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
     states: list[StateVector] = [zero]  # discovery order is the BFS queue order
     index: dict[StateVector, int] = {zero: 0}
     arcs: list[tuple[Arc, ...]] = []
-    parents: list[tuple[int, int] | None] = [None]
     # the queue's vectors as array rows, in a dtype that holds k + 1
     queue = np.zeros((1, g.num_vertices), dtype=viterbi.holding(0, k + 1))
     lo = 0
@@ -162,10 +148,9 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
                 ti = len(states)
                 index[key] = ti
                 states.append(key)
-                si, xi = divmod(pos, n_sym)
-                parents.append((lo + si, xi))
                 fresh.append(pos)
                 if over_k and max(key) > k:
+                    si, xi = divmod(pos, n_sym)
                     raise ComponentBoundError(
                         f"state {key} from ({states[lo + si]}, {g.alphabet[xi]!r})"
                         f" exceeds the bound k={k}"
@@ -189,7 +174,6 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
         k=k,
         states=tuple(states),
         arcs=tuple(arcs),
-        parents=tuple(parents),
         index=index,
     )
 

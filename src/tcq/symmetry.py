@@ -33,6 +33,8 @@ from .viterbi import StateVector
 
 Permutation = tuple[int, ...]
 
+_MAX_GROUP_ORDER = 65_536  # elements a generated group may hold
+
 
 def identity(n: int) -> Permutation:
     return tuple(range(n))
@@ -57,7 +59,11 @@ class PermutationGroup:
     def from_generators(
         cls, generators: tuple[Permutation, ...], degree: int
     ) -> PermutationGroup:
-        """Closure of the generators under composition (includes identity)."""
+        """Closure of the generators under composition (includes identity).
+
+        Raises GraphStructureError once the closure holds more than
+        ``_MAX_GROUP_ORDER`` elements, before listing the rest of the group.
+        """
         for p in generators:
             _check_permutation(p, degree)
         e = identity(degree)
@@ -70,6 +76,11 @@ class PermutationGroup:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
+            if len(seen) > _MAX_GROUP_ORDER:
+                raise GraphStructureError(
+                    f"the generators give a group of more than {_MAX_GROUP_ORDER:,}"
+                    " elements, the limit for a symmetry group"
+                )
         return cls(degree=degree, elements=tuple(sorted(seen)))
 
     def __len__(self) -> int:

@@ -38,9 +38,9 @@ def reduced_transition(g: LabeledGraph, s: StateVector, x: str) -> tuple[StateVe
 
 def enumerate_arcs(g: LabeledGraph):
     """Breadth-first closure from the zero vector, one (state, symbol) arc
-    at a time: returns the states, arcs and BFS parents in discovery order."""
+    at a time: returns the states and arcs in discovery order."""
     zero = (0,) * g.num_vertices
-    states, index, arcs, parents = [zero], {zero: 0}, [], [None]
+    states, index, arcs = [zero], {zero: 0}, []
     si = 0
     while si < len(states):
         row = []
@@ -50,11 +50,10 @@ def enumerate_arcs(g: LabeledGraph):
             if ti is None:
                 ti = index[nxt] = len(states)
                 states.append(nxt)
-                parents.append((si, xi))
             row.append((ti, inc))
         arcs.append(tuple(row))
         si += 1
-    return tuple(states), tuple(arcs), tuple(parents)
+    return tuple(states), tuple(arcs)
 
 
 class MembershipResult(NamedTuple):

@@ -97,6 +97,26 @@ def test_a_huge_group_entry_fails_fast(capsys, tmp_path):
     assert err == "error (graph): permutation line 1: not a permutation of 0..7\n"
 
 
+def test_a_group_too_large_to_list_fails_fast(capsys, tmp_path):
+    # a transposition and a 16-cycle generate all 16! (about 2e13)
+    # permutations of an order-4 de Bruijn graph's vertices
+    graph, group = tmp_path / "db4.g", tmp_path / "s16.perm"
+    labels = ",".join("ab" * 16)
+    code, _, _ = run_cli(
+        capsys, "gen-debruijn", "--order", "4", "--labels", labels, "--out", str(graph)
+    )
+    assert code == 0
+    swap, cycle = [1, 0, *range(2, 16)], [*range(1, 16), 0]
+    lines = (" ".join(map(str, p)) + "\n" for p in (swap, cycle))
+    group.write_text("".join(lines), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "quotient", "--graph", str(graph), "--group", str(group))
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("error (graph): the generators give a group of more than 65,536")
+    assert err.count("\n") == 1
+
+
 def test_analyze_with_rd(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--graph", DB8, "--with-rd", "--porcelain")
     assert code == 0

@@ -62,6 +62,21 @@ def _random_multiclass_chain(rng: random.Random) -> MarkovChain:
     return MarkovChain(size=n, rows=tuple(rows), absorb=absorb)
 
 
+def _recurrent_start_chain() -> MarkovChain:
+    """State 0 in the closed class {0, 3}; the transient states 1 and 4,
+    which 0 cannot reach, drain into it and into the closed class {2, 5}."""
+    rows = (
+        {0: Fraction(1, 2), 3: Fraction(1, 2)},
+        {4: Fraction(1, 3), 2: Fraction(1, 3), 0: Fraction(1, 3)},
+        {5: Fraction(3, 4), 2: Fraction(1, 4)},
+        {0: Fraction(2, 5), 3: Fraction(3, 5)},
+        {1: Fraction(1, 2), 5: Fraction(1, 2)},
+        {2: Fraction(1)},
+    )
+    absorb = tuple(Fraction(k, 6) for k in (0, 3, 6, 2, 0, 4))
+    return MarkovChain(size=6, rows=rows, absorb=absorb)
+
+
 def _uniform_chain(g) -> MarkovChain:
     return build_chain(enumerate_states(g), SourceModel.uniform(g.alphabet))
 
@@ -76,6 +91,7 @@ def _corpus() -> list[tuple[str, MarkovChain]]:
             out.append((f"random-{len(out)}", mc))
     for i in range(2):
         out.append((f"multiclass-{i}", _random_multiclass_chain(rng)))
+    out.append(("recurrent-start-multiclass", _recurrent_start_chain()))
     # order-3 de Bruijn labellings whose closed class has 117 and 144 states
     for labels in ("bbcdaadcbbdddbbb", "ccdaaaccdccbcbcc"):
         out.append((f"debruijn3-{labels}", _uniform_chain(de_bruijn(3, tuple(labels)))))
@@ -135,16 +151,21 @@ def test_stationary_matches_bareiss_and_float(mc):
 
 @pytest.mark.parametrize("mc", [pytest.param(mc, id=name) for name, mc in _corpus()])
 def test_stationary_matches_modular_dixon(monkeypatch, mc):
-    """The same integer systems, solved by the modular p-adic oracle."""
+    """The same integer system, solved by the modular p-adic oracle."""
     expected = stationary(mc).q
-    monkeypatch.setattr(chain, "_solve_exact", lambda a, b: (*dixon_solve(a, b), None))
+
+    def dixon(a, b):
+        d, (nums,) = dixon_solve(a, [b])
+        return d, nums, None
+
+    monkeypatch.setattr(chain, "_solve_exact", dixon)
     assert stationary(mc).q == expected
 
 
 def test_solve_stats_describe_each_solve(debruijn8):
     mc = _uniform_chain(debruijn8)
     sd = stationary(mc)
-    (stats,) = sd.solves
+    stats = sd.solve
     assert stats.dim == len(sd.classes.closed[0]) == 106
     assert stats.lifts == 1  # certified by the first reconstruction
     # the cap alone sets K: 2**K times the largest entry stays below 2**52
@@ -160,12 +181,13 @@ def test_solve_stats_describe_each_solve(debruijn8):
     assert stats.residual == "int64"
     # the stats ride along without taking part in equality
     assert sd == chain.StationaryDistribution(q=sd.q, classes=sd.classes, unique=sd.unique)
-    mc = _random_multiclass_chain(random.Random(5))
-    sd = stationary(mc)
-    # one absorption solve shared by all classes, then one balance solve per class reached
-    assert sd.solves[0].dim == len(sd.classes.transient)
-    assert len(sd.solves) == 1 + sum(1 for comp in sd.classes.closed if any(sd.q[s] for s in comp))
-    assert {s.residual for s in sd.solves} == {"int64"}
+    for mc in (_random_multiclass_chain(random.Random(5)), _recurrent_start_chain()):
+        sd = stationary(mc)
+        # one solve over the transient visits and every closed class's balance and mass
+        assert sd.solve.dim == len(sd.classes.transient) + sum(map(len, sd.classes.closed))
+        assert sd.solve.residual == "int64"
+    # from a recurrent state 0, none of the mass reaches the other class
+    assert [sd.q[s] for s in (2, 5)] == [0, 0] and sd.q[0] + sd.q[3] == 1
 
 
 def test_large_denominators_stay_exact(monkeypatch):
@@ -187,8 +209,8 @@ def test_large_denominators_stay_exact(monkeypatch):
         sd = stationary(mc)
         assert sd.q == bareiss_stationary(mc)
         assert _balanced(mc, sd.q, range(mc.size))
-        assert sd.solves[0].denominator_digits > 200
-        assert sd.solves[0].residual == "int"  # entries past 2**20 keep Python integers
+        assert sd.solve.denominator_digits > 200
+        assert sd.solve.residual == "int"  # entries past 2**20 keep Python integers
         # d's digits are counted without str(d)
         d, _, stats = solved[-1]
         assert 10 ** (stats.denominator_digits - 1) <= d < 10**stats.denominator_digits
@@ -234,11 +256,11 @@ def test_ill_conditioned_system_still_certifies(mc):
     sd = stationary(mc)
     assert sd.q == bareiss_stationary(mc)
     # the float solve keeps fewer bits per lift than on a well-conditioned chain
-    assert sd.solves[0].bits_per_lift < 52
+    assert sd.solve.bits_per_lift < 52
 
 
 def _solves(mc: MarkovChain) -> list[tuple]:
-    """(d, numerators, lifts, bits_per_lift, residual) of each solve in stationary(mc)."""
+    """(d, numerators, lifts, bits_per_lift, residual) of the solve in stationary(mc)."""
     out = []
     solve = chain._solve_exact
 
@@ -291,13 +313,13 @@ def test_int64_residual_leaves_matvec_to_the_certificate(monkeypatch, labels):
 
     monkeypatch.setattr(chain, "_matvec", counted_matvec)
     monkeypatch.setattr(chain, "_reconstruct", counted_reconstruct)
-    (stats,) = stationary(mc).solves
+    stats = stationary(mc).solve
     assert stats.residual == "int64"
     # one certificate check per candidate, and no residual update
     assert calls["matvec"] == calls["candidates"] >= 1
     calls.update(matvec=0, candidates=0)
     monkeypatch.setattr(chain, "_INT64_ENTRY_LIMIT", 0)
-    (stats,) = stationary(mc).solves
+    stats = stationary(mc).solve
     assert stats.residual == "int"
     # the Python-int residual is updated in numpy as well: only the certificate runs _matvec
     assert calls["matvec"] == calls["candidates"] >= 1
@@ -306,7 +328,7 @@ def test_int64_residual_leaves_matvec_to_the_certificate(monkeypatch, labels):
 def test_a_row_with_no_entry_raises():
     # np.add.reduceat would read the empty row 1 as the first entry of row 2
     with pytest.raises(ChainError, match="row 1 of the system has no entry") as info:
-        chain._solve_exact([((0,), (1,)), ((), ()), ((2,), (3,))], [[1, 0, 3]])
+        chain._solve_exact([((0,), (1,)), ((), ()), ((2,), (3,))], [1, 0, 3])
     assert info.value.stage == "chain"
 
 
@@ -330,7 +352,7 @@ def test_a_float_solve_off_by_a_relative_2_to_the_minus_20_still_certifies(
     monkeypatch.setattr(chain._FloatLU, "solve", lambda lu, b: exact_solve(lu, b) * (1 + 2**-20))
     sd = stationary(mc)
     assert sd.q == bareiss_stationary(mc)
-    assert sd.solves[0].bits_per_lift == 20
+    assert sd.solve.bits_per_lift == 20
 
 
 def test_oversized_system_is_refused_before_allocating(monkeypatch, capsys):
@@ -342,9 +364,9 @@ def test_oversized_system_is_refused_before_allocating(monkeypatch, capsys):
     assert err.startswith("error (chain): a system of 106 unknowns") and err.count("\n") == 1
 
 
-# integer (columns, values) rows and right-hand sides of a system that is
+# integer (columns, values) rows and right-hand side of a system that is
 # singular over the rationals: [[1, 2], [2, 4]] x = [1, 2]
-SINGULAR = ([((0, 1), (1, 2)), ((0, 1), (2, 4))], [[1, 2]])
+SINGULAR = ([((0, 1), (1, 2)), ((0, 1), (2, 4))], [1, 2])
 
 
 def test_singular_system_raises():

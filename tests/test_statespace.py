@@ -45,18 +45,6 @@ def test_enumeration_is_deterministic(debruijn8):
     b = enumerate_states(debruijn8)
     assert a.states == b.states
     assert a.arcs == b.arcs
-    assert a.parents == b.parents
-
-
-def test_witness_replays_to_state(g3, debruijn8):
-    for g in (g3, debruijn8):
-        ss = enumerate_states(g)
-        assert ss.witness(0) == []
-        for i in range(len(ss)):
-            s = zero_state(g)
-            for x in ss.witness(i):
-                s, _ = reduced_transition(g, s, x)
-            assert s == ss.states[i]
 
 
 def test_requires_strong_connectivity_and_aperiodicity():
@@ -151,7 +139,7 @@ DIFFERENTIAL_CORPUS = [
 def test_enumeration_matches_per_arc_oracle(gi):
     g = DIFFERENTIAL_CORPUS[gi]
     ss = enumerate_states(g)
-    assert (ss.states, ss.arcs, ss.parents) == enumerate_arcs(g)
+    assert (ss.states, ss.arcs) == enumerate_arcs(g)
     assert ss.index == {s: i for i, s in enumerate(ss.states)}
 
 
@@ -159,12 +147,14 @@ def test_block_boundary_inside_a_layer():
     """A BFS layer larger than one block is split between two kernel calls;
     the second also takes the first states of the next layer."""
     ss = enumerate_states(BIG_LAYER)
-    depth = [0] * len(ss)
-    for i, parent in enumerate(ss.parents[1:], 1):
-        depth[i] = depth[parent[0]] + 1
+    # a state's BFS parent is the source of the first arc, in arc order, into it
+    depth = {0: 0}
+    for si, row in enumerate(ss.arcs):
+        for ti, _ in row:
+            depth.setdefault(ti, depth[si] + 1)
     assert len(ss) > statespace._BLOCK
-    assert max(Counter(depth).values()) > statespace._BLOCK
-    assert (ss.states, ss.arcs, ss.parents) == enumerate_arcs(BIG_LAYER)
+    assert max(Counter(depth.values()).values()) > statespace._BLOCK
+    assert (ss.states, ss.arcs) == enumerate_arcs(BIG_LAYER)
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
@@ -172,7 +162,7 @@ def test_small_blocks_give_the_same_space(monkeypatch, debruijn8, block):
     expected = enumerate_arcs(debruijn8)
     monkeypatch.setattr(statespace, "_BLOCK", block)
     ss = enumerate_states(debruijn8)
-    assert (ss.states, ss.arcs, ss.parents) == expected
+    assert (ss.states, ss.arcs) == expected
 
 
 def test_component_above_k_raises(monkeypatch, g3):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,17 @@ def test_group_closure():
     assert trivial.elements == (identity(3),)
     with pytest.raises(GraphStructureError, match="not a permutation"):
         PermutationGroup.from_generators(((0, 0, 1),), 3)
+
+    def symmetric(n):  # a transposition and an n-cycle generate all n! permutations
+        return PermutationGroup.from_generators(((1, 0, *range(2, n)), (*range(1, n), 0)), n)
+
+    assert len(symmetric(8)) == 40_320
+    start = time.perf_counter()
+    # 9! = 362,880 is past the limit, refused before the group is listed
+    with pytest.raises(GraphStructureError, match="more than 65,536 elements") as info:
+        symmetric(9)
+    assert time.perf_counter() - start < 5
+    assert info.value.stage == "graph"
 
 
 def test_xor_translation_group():

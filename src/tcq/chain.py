@@ -2,13 +2,14 @@
 
 Everything here is exact rational arithmetic. The per-step distortion rate
 is the stationary expectation of the arc increments. The long-run law from
-state 0 comes from one linear system (Kemeny and Snell 1960): each closed
-class's balance equations with its total mass in place of the last one,
-and, when there are several closed classes, the expected visits to each
-transient state, which set the mass that enters each class. The system is
-built in integers over the lcm of its rows' denominators, assembled once as
-CSR arrays, factored once as a dense float64 LU, and solved by numeric
-lifting (Wan 2006) with one exact integer residual update per lift; each
+state 0 comes from one linear system (Kemeny and Snell 1960) over the
+states that 0 reaches: each reached closed class's balance equations with
+its total mass in place of the last one, and, when 0 reaches several closed
+classes, the expected visits to each reached transient state, which set the
+mass that enters each class. The system is built in integers over the lcm
+of its rows' denominators, assembled once as CSR arrays, factored once as a
+dense float64 LU, and solved by numeric lifting (Wan 2006) with one exact
+integer residual update per lift; each
 lift takes the most bits K for which 2^K times the float solve of the
 residual stays below 2^52, and that cap alone sets K. The residual is one
 numpy array: int64 when every entry lies below 2^20, where numpy arithmetic
@@ -404,30 +405,40 @@ def _solve_exact(
 def stationary(mc: MarkovChain) -> StationaryDistribution:
     """The long-run law from state 0, from one exact linear system.
 
-    The unknowns, in state order, are the closed states and, when there are
-    several closed classes, the transient ones too. A transient unknown z_j
-    is the expected number of visits to j from state 0; its row reads
-    sum_k z_k P_kj - z_j = -[j = 0] over transient k. A closed state's row
-    balances it within its class, except at the class's last member, whose
-    row sets the class's total mass to [0 in class] + sum_k z_k P(k -> class)
-    (Kemeny and Snell's fundamental matrix). Rows are integers over the lcm
-    of the unknowns' row denominators, save a single class's mass row, which
-    reads sum_i x_i = 1.
+    The unknowns, in state order, are the closed states that state 0 reaches
+    and, when it reaches several closed classes (so 0 is transient), the
+    transient states it reaches too; every other state's share is 0. A
+    transient unknown z_j is the expected number of visits to j from state
+    0; its row reads sum_k z_k P_kj - z_j = -[j = 0] over transient k. A
+    closed state's row balances it within its class, except at the class's
+    last member, whose row sets the class's total mass: sum_k z_k P(k ->
+    class) (Kemeny and Snell's fundamental matrix), or 1 for a lone reached
+    class. Rows are integers over the lcm of the unknowns' row denominators,
+    save a lone reached class's mass row, which reads sum_i x_i = 1.
     """
     classes = closed_classes(mc)
-    head = {s: comp[-1] for comp in classes.closed for s in comp}  # last member of s's class
-    single = len(classes.closed) == 1
-    unknowns = sorted(head) if single else range(mc.size)
+    reached = bytearray(mc.size)
+    reached[0], todo = 1, [0]
+    while todo:
+        for t in mc.rows[todo.pop()]:
+            if not reached[t]:
+                reached[t] = 1
+                todo.append(t)
+    comps = [comp for comp in classes.closed if reached[comp[0]]]
+    head = {s: comp[-1] for comp in comps for s in comp}  # last member of s's class
+    single = len(comps) == 1
+    unknowns = sorted(head) if single else [s for s in range(mc.size) if reached[s]]
     col = {s: i for i, s in enumerate(unknowns)}
     scale = lcm(*{p.denominator for s in unknowns for p in mc.rows[s].values()})
     eqs = {s: {col[s]: -scale} for s in unknowns}
     b = [0] * len(unknowns)
-    if not single and 0 not in head:
-        b[0] = -scale
+    if single:  # the one reached class holds all the mass
+        b[col[comps[0][-1]]] = 1
+    else:  # state 0 is transient, and the walk starts there
+        b[col[0]] = -scale
     unit = 1 if single else scale  # a mass row's entry for each member
-    for comp in classes.closed:
+    for comp in comps:
         eqs[comp[-1]] = dict.fromkeys(map(col.get, comp), unit)
-        b[col[comp[-1]]] = unit * (single or 0 in comp)
     for i in unknowns:
         for t, p in mc.rows[i].items():
             v = p.numerator * (scale // p.denominator)
@@ -449,7 +460,7 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     return StationaryDistribution(
         q=tuple(q),
         classes=classes,
-        unique=single,
+        unique=len(classes.closed) == 1,
         solve=stats,
     )
 

@@ -77,8 +77,43 @@ def _recurrent_start_chain() -> MarkovChain:
     return MarkovChain(size=6, rows=rows, absorb=absorb)
 
 
+def _partly_reached_chain() -> MarkovChain:
+    """State 0 transient and draining, through the transient state 2, into
+    the closed classes {1} and {3, 4}; the transient state 5, which 0
+    cannot reach, drains into 0 and into a third closed class {6, 7}."""
+    rows = (
+        {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)},
+        {1: Fraction(1)},
+        {0: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 2)},
+        {3: Fraction(1, 3), 4: Fraction(2, 3)},
+        {3: Fraction(1)},
+        {0: Fraction(1, 2), 6: Fraction(1, 2)},
+        {6: Fraction(1, 5), 7: Fraction(4, 5)},
+        {6: Fraction(1)},
+    )
+    absorb = tuple(Fraction(k, 4) for k in (1, 0, 2, 3, 4, 1, 2, 0))
+    return MarkovChain(size=8, rows=rows, absorb=absorb)
+
+
 def _uniform_chain(g) -> MarkovChain:
     return build_chain(enumerate_states(g), SourceModel.uniform(g.alphabet))
+
+
+def _one_symbol_chain(g, symbol: str) -> MarkovChain:
+    """The chain under a source that only ever emits ``symbol``: a real
+    graph whose chain splits into several closed classes."""
+    src = SourceModel(g.alphabet, tuple(Fraction(x == symbol) for x in g.alphabet))
+    return build_chain(enumerate_states(g), src)
+
+
+def _reached(mc: MarkovChain) -> set[int]:
+    seen, todo = {0}, [0]
+    while todo:
+        for t in mc.rows[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
 
 
 def _corpus() -> list[tuple[str, MarkovChain]]:
@@ -92,6 +127,13 @@ def _corpus() -> list[tuple[str, MarkovChain]]:
     for i in range(2):
         out.append((f"multiclass-{i}", _random_multiclass_chain(rng)))
     out.append(("recurrent-start-multiclass", _recurrent_start_chain()))
+    out.append(("transient-start-partly-reached", _partly_reached_chain()))
+    # zero-probability symbols split real graphs' chains: debruijn8 under "c"
+    # alone has four closed classes, of which state 0 (transient) reaches
+    # one; this order-3 labelling under "a" alone has two, one holding 0
+    out.append(("debruijn8-only-c", _one_symbol_chain(debruijn8_demo(), "c")))
+    g = de_bruijn(3, tuple("dabcbbbbcbbcabbd"))
+    out.append(("debruijn3-dabcbbbbcbbcabbd-only-a", _one_symbol_chain(g, "a")))
     # order-3 de Bruijn labellings whose closed class has 117 and 144 states
     for labels in ("bbcdaadcbbdddbbb", "ccdaaaccdccbcbcc"):
         out.append((f"debruijn3-{labels}", _uniform_chain(de_bruijn(3, tuple(labels)))))
@@ -181,13 +223,33 @@ def test_solve_stats_describe_each_solve(debruijn8):
     assert stats.residual == "int64"
     # the stats ride along without taking part in equality
     assert sd == chain.StationaryDistribution(q=sd.q, classes=sd.classes, unique=sd.unique)
-    for mc in (_random_multiclass_chain(random.Random(5)), _recurrent_start_chain()):
+    # from a transient state 0 that reaches several closed classes: one solve
+    # over the transient visits and class balances and masses of what 0 reaches
+    for mc in (_random_multiclass_chain(random.Random(5)), _partly_reached_chain()):
         sd = stationary(mc)
-        # one solve over the transient visits and every closed class's balance and mass
-        assert sd.solve.dim == len(sd.classes.transient) + sum(map(len, sd.classes.closed))
+        assert sd.solve.dim == len(_reached(mc))
         assert sd.solve.residual == "int64"
-    # from a recurrent state 0, none of the mass reaches the other class
+    assert sd.solve.dim == 5 and sd.q[5:] == (0, 0, 0)
+    # from a recurrent state 0 the one solve is its class, and none of the
+    # mass reaches the other class
+    sd = stationary(_recurrent_start_chain())
+    assert sd.solve.dim == 2
     assert [sd.q[s] for s in (2, 5)] == [0, 0] and sd.q[0] + sd.q[3] == 1
+    # a real graph split by a zero-probability symbol: the one reached class
+    sd = stationary(_one_symbol_chain(debruijn8_demo(), "c"))
+    assert len(sd.classes.closed) == 4 and sd.solve.dim == 4
+
+
+def test_states_that_state_0_cannot_reach_stay_out_of_the_solve():
+    """State 0 alone is a closed class, and so is state 1; 20,000 more
+    transient states drain into both. The solve has one unknown, far below
+    the dense factor's cap of 16,384."""
+    half = Fraction(1, 2)
+    rows = ({0: Fraction(1)}, {1: Fraction(1)}) + ({0: half, 1: half},) * 20_000
+    mc = MarkovChain(size=len(rows), rows=rows, absorb=(Fraction(0),) * len(rows))
+    sd = stationary(mc)
+    assert sd.solve.dim == 1 and not sd.unique
+    assert sd.q[0] == 1 and not any(sd.q[1:])
 
 
 def test_large_denominators_stay_exact(monkeypatch):

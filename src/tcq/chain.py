@@ -1,13 +1,17 @@
 """Markov chain induced on the state space by a memoryless source.
 
-Everything here is exact rational arithmetic. The per-step distortion rate
-is the stationary expectation of the arc increments. The long-run law from
-state 0 comes from one linear system (Kemeny and Snell 1960) over the
-states that 0 reaches: each reached closed class's balance equations with
+Everything here is exact rational arithmetic. The chain is one integer CSR
+table over one scale (``MarkovChain``): ``build_chain`` fills it with numpy
+from the state space's successor and increment arrays, ``closed_classes``
+runs one strongly-connected-components pass over it, and ``stationary``
+assembles its linear system from it with numpy; Fraction rows are a view
+built only when read. The per-step distortion rate is the stationary
+expectation of the arc increments. The long-run law from state 0 comes from
+one linear system (Kemeny and Snell 1960) over the states that 0 reaches: each reached closed class's balance equations with
 its total mass in place of the last one, and, when 0 reaches several closed
 classes, the expected visits to each reached transient state, which set the
 mass that enters each class. The system is built in integers over the lcm
-of its rows' denominators, assembled once as CSR arrays, factored once as a
+of its rows' denominators, handed over as CSR arrays, factored once as a
 dense float64 LU, and solved by numeric lifting (Wan 2006) with one exact
 integer residual update per lift; each
 lift takes the most bits K for which 2^K times the float solve of the
@@ -28,15 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
-from functools import cache
-from math import frexp, isfinite, isqrt, lcm, log10
+from functools import cached_property
+from itertools import pairwise
+from math import frexp, gcd, isfinite, isqrt, lcm, log10
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ChainError, GraphStructureError, SourceError
-from .graph import LabeledGraph, RateInfo, rate_of, strongly_connected_components
+from .graph import LabeledGraph, RateInfo, rate_of, strong_components
 from .statespace import StateSpace, enumerate_states
 
 if TYPE_CHECKING:
@@ -101,36 +106,100 @@ class SourceModel:
         return cls(alphabet=alphabet, probabilities=tuple(assigned[s] for s in alphabet))
 
 
-@dataclass(frozen=True)
 class MarkovChain:
-    """Sparse row-stochastic chain plus the per-state increment mass.
+    """Row-stochastic chain plus the per-state increment mass, as one integer
+    CSR table over one scale.
 
-    ``rows[i]`` maps successor index to probability (only nonzero entries);
-    ``absorb[i]`` is the probability that a step from state i increments.
+    Row i's successors are ``succ[indptr[i]:indptr[i + 1]]``, ascending, and
+    ``num`` holds their probabilities times ``scale``; ``absorb_num[i]`` is
+    ``scale`` times the probability that a step from state i increments. The
+    numerators are int64 arrays, or Python integers in ``object`` arrays
+    when a row's sum could pass 2**63. The table is checked on construction:
+    at least one state, successors among the states, positive entries, and
+    rows summing to ``scale``.
+
+    ``rows[i]`` (successor index to probability) and ``absorb[i]`` give the
+    same chain as Fractions, one shared Fraction per distinct numerator; they
+    are built on first access. ``MarkovChain(size, rows, absorb)`` builds the
+    table from such rows, over the lcm of their denominators.
     """
 
-    size: int
-    rows: tuple[dict[int, Fraction], ...]
-    absorb: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not len(self.rows) == len(self.absorb) == self.size:
+    def __init__(self, size: int, rows: Sequence[dict[int, Fraction]], absorb: Sequence[Fraction]):
+        if not len(rows) == len(absorb) == size:
             raise ChainError("need one row and one increment mass per state")
-        # Rows are checked once per tuple of value objects: build_chain shares
-        # them between rows, and all of them stay alive in self.rows, so no
-        # id is reused while this runs.
-        passed: set[tuple[int, ...]] = set()
-        for i, row in enumerate(self.rows):
-            key = tuple(map(id, row.values()))
-            if key in passed:
-                continue
-            # exactly: the numerators over the lcm of the denominators sum to it
-            scale = lcm(*(f.denominator for f in row.values()))
-            if sum(f.numerator * (scale // f.denominator) for f in row.values()) != scale or any(
-                f.numerator <= 0 for f in row.values()
-            ):
-                raise ChainError(f"row {i} is not positive entries summing to 1")
-            passed.add(key)
+        entries = [sorted(row.items()) for row in rows]
+        scale = lcm(*{f.denominator for row in rows for f in row.values()}, *(a.denominator for a in absorb))
+        num = [f.numerator * (scale // f.denominator) for row in entries for _, f in row]
+        absorb_num = [a.numerator * (scale // a.denominator) for a in absorb]
+        widest = max(max(map(len, rows), default=0), 1) * max(map(abs, [scale, *num, *absorb_num]))
+        self._set_table(
+            size,
+            scale,
+            np.cumsum([0, *map(len, rows)]),
+            np.array([t for row in entries for t, _ in row], dtype=np.intp),
+            _numerators(num, widest),
+            _numerators(absorb_num, widest),
+        )
+
+    @classmethod
+    def from_table(
+        cls,
+        size: int,
+        scale: int,
+        indptr: np.ndarray,
+        succ: np.ndarray,
+        num: np.ndarray,
+        absorb_num: np.ndarray,
+    ) -> MarkovChain:
+        """The chain of an integer CSR table, checked as ``MarkovChain`` checks it."""
+        mc = cls.__new__(cls)
+        mc._set_table(size, scale, indptr, succ, num, absorb_num)
+        return mc
+
+    def _set_table(self, size, scale, indptr, succ, num, absorb_num) -> None:
+        if size < 1:
+            raise ChainError("a chain needs at least one state")
+        if not len(indptr) == len(absorb_num) + 1 == size + 1:
+            raise ChainError("need one row and one increment mass per state")
+        # empty rows first: np.add.reduceat would read one as its next entry
+        counts = np.diff(indptr)
+        bad = counts == 0
+        if not bad.any():
+            nonpositive = np.zeros(size, dtype=bool)
+            nonpositive[np.repeat(np.arange(size), counts)[num <= 0]] = True
+            bad = nonpositive | (np.add.reduceat(num, indptr[:-1]) != scale)
+        if bad.any():
+            raise ChainError(f"row {int(np.argmax(bad))} is not positive entries summing to 1")
+        outside = np.flatnonzero((succ < 0) | (succ >= size))
+        if outside.size:
+            e = int(outside[0])
+            row = int(np.searchsorted(indptr, e, side="right")) - 1
+            raise ChainError(f"row {row} names state {succ[e]}, outside the {size} states")
+        self.size, self.scale = size, scale
+        self.indptr, self.succ, self.num, self.absorb_num = indptr, succ, num, absorb_num
+
+    @cached_property
+    def _fractions(self) -> dict[int, Fraction]:
+        """Each distinct numerator of the table over the scale, as one Fraction."""
+        values = {*self.num.tolist(), *self.absorb_num.tolist()}
+        return {v: Fraction(v, self.scale) for v in values}
+
+    @cached_property
+    def rows(self) -> tuple[dict[int, Fraction], ...]:
+        probs = list(map(self._fractions.__getitem__, self.num.tolist()))
+        states = list(range(self.size))  # one int object per state, shared by every row
+        succ = list(map(states.__getitem__, self.succ.tolist()))
+        return tuple(dict(zip(succ[s:e], probs[s:e])) for s, e in pairwise(self.indptr.tolist()))
+
+    @cached_property
+    def absorb(self) -> tuple[Fraction, ...]:
+        return tuple(map(self._fractions.__getitem__, self.absorb_num.tolist()))
+
+
+def _numerators(values, widest: int) -> np.ndarray:
+    """Integers as int64 when ``widest`` bounds every sum of them below
+    2**63, and as Python integers otherwise."""
+    return np.array(values, dtype=np.int64 if widest < 1 << 63 else object)
 
 
 @dataclass(frozen=True)
@@ -172,6 +241,9 @@ class StationaryDistribution:
 
 
 def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
+    """The chain of ``ss`` under ``src``: each support symbol's probability
+    as an integer weight over the lcm of the denominators, summed over the
+    symbols that share a successor and over the incrementing symbols."""
     if src.alphabet != ss.graph.alphabet:
         raise SourceError(
             f"source alphabet {src.alphabet} does not match graph alphabet"
@@ -179,36 +251,36 @@ def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
         )
     probs = [Fraction(p) for p in src.probabilities]
     scale = lcm(*(p.denominator for p in probs))
-    # every entry is an integer over one scale; each distinct numerator
-    # becomes one Fraction, shared by every row that holds it
-    weights = [(xi, p.numerator * (scale // p.denominator)) for xi, p in enumerate(probs) if p]
-    shared = cache(lambda num: Fraction(num, scale))
-    rows: list[dict[int, Fraction]] = []
-    absorb: list[Fraction] = []
-    for arc_row in ss.arcs:
-        nums: dict[int, int] = {}  # successor -> numerator of its probability
-        increments = 0
-        for xi, w in weights:
-            ti, inc = arc_row[xi]
-            nums[ti] = nums.get(ti, 0) + w
-            increments += inc * w
-        rows.append({ti: shared(num) for ti, num in nums.items()})
-        absorb.append(shared(increments))
-    return MarkovChain(size=len(ss), rows=tuple(rows), absorb=tuple(absorb))
+    support = [xi for xi, p in enumerate(probs) if p]
+    # every merged entry and increment mass sums weights to at most the scale
+    weights = _numerators([probs[xi].numerator * (scale // probs[xi].denominator) for xi in support], scale)
+    # each row's support arcs by successor, merged where successors repeat
+    succ = ss.succ[:, support]
+    order = np.argsort(succ, axis=1, kind="stable")
+    succ = np.take_along_axis(succ, order, axis=1)
+    first = np.ones(succ.shape, dtype=bool)
+    first[:, 1:] = succ[:, 1:] != succ[:, :-1]
+    starts = np.flatnonzero(first)
+    num = np.add.reduceat(weights[order].ravel(), starts)
+    indptr = np.zeros(len(ss) + 1, dtype=np.intp)
+    np.cumsum(first.sum(axis=1), out=indptr[1:])
+    absorb_num = (ss.inc[:, support].astype(weights.dtype) * weights).sum(axis=1)
+    return MarkovChain.from_table(len(ss), scale, indptr, succ.ravel()[starts], num, absorb_num)
 
 
 def closed_classes(mc: MarkovChain) -> ClassPartition:
-    adj = [sorted(row) for row in mc.rows]
-    comps = strongly_connected_components(mc.size, adj)
-    closed: list[tuple[int, ...]] = []
-    transient: list[int] = []
-    for comp in comps:
-        members = set(comp)
-        if all(t in members for i in comp for t in mc.rows[i]):
-            closed.append(tuple(sorted(comp)))
-        else:
-            transient.extend(comp)
-    return ClassPartition(closed=tuple(closed), transient=tuple(sorted(transient)))
+    """The chain's closed classes (the components no arc leaves), in the
+    order ``strong_components`` completes them, and its transient states."""
+    comp = np.array(strong_components(mc.indptr.tolist(), mc.succ.tolist()))
+    source = np.repeat(comp, np.diff(mc.indptr))
+    leaves = np.zeros(int(comp.max()) + 1, dtype=bool)
+    leaves[source[comp[mc.succ] != source]] = True
+    members = np.flatnonzero(~leaves[comp])
+    order = np.argsort(comp[members], kind="stable")
+    members, labels = members[order], comp[members[order]]
+    splits = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    closed = tuple(tuple(c.tolist()) for c in np.split(members, splits))
+    return ClassPartition(closed=closed, transient=tuple(np.flatnonzero(leaves[comp]).tolist()))
 
 
 _PANEL = 64  # columns per pivoting panel, and per diagonal block of the solves
@@ -301,19 +373,21 @@ def _reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
     return d, [(d * x + (m >> 1)) // m for x in xs]
 
 
-def _matvec(a: list[tuple[tuple[int, ...], tuple[int, ...]]], x: list[int]) -> list[int]:
-    """Exact ``A x`` for A given as (columns, values) per row."""
-    get = x.__getitem__
-    return [sum(map(mul, vals, map(get, cols))) for cols, vals in a]
+def _matvec(a: tuple[np.ndarray, np.ndarray, np.ndarray], x: list[int]) -> list[int]:
+    """Exact ``A x`` in Python integers, for A as CSR arrays (indptr, cols, vals)."""
+    indptr, cols, vals = a
+    terms = list(map(mul, vals.tolist(), map(x.__getitem__, cols.tolist())))
+    return [sum(terms[s:e]) for s, e in pairwise(indptr.tolist())]
 
 
 def _solve_exact(
-    a: list[tuple[tuple[int, ...], tuple[int, ...]]], b: list[int]
+    a: tuple[np.ndarray, np.ndarray, np.ndarray], b: list[int]
 ) -> tuple[int, list[int], SolveStats]:
     """Solve A x = b exactly for an integer right-hand side b.
 
-    ``a`` gives each row of the integer matrix A as (columns, values), only
-    nonzero entries. Returns a common denominator d and the numerators of
+    ``a`` gives the integer matrix A as CSR arrays (indptr, cols, vals): row
+    i holds the nonzero entries ``indptr[i]:indptr[i + 1]``, in int64 or
+    Python integers. Returns a common denominator d and the numerators of
     the solution. A is factored once in float64, and the solution is lifted
     numerically (Wan 2006): each lift rounds 2**K times the float solve y of
     the residual r to integers x, K as large as keeps them below 2**52, and
@@ -321,8 +395,8 @@ def _solve_exact(
     returned only after A num = d b has been checked in exact integer
     arithmetic for every row.
 
-    The system is assembled once as CSR arrays, and the residual is one
-    numpy array updated with one ``np.add.reduceat`` per lift. Its dtype is
+    The residual is one numpy array updated with one ``np.add.reduceat`` per
+    lift. Its dtype is
     int64 when every entry of A and b lies below 2**20 in magnitude, and
     ``object`` (Python integers) otherwise, as for sources with denominators
     past 2**20; the power-of-two row scales share that dtype, so even huge
@@ -340,23 +414,22 @@ def _solve_exact(
     the certificate then refuses the system, and never passes a wrong
     answer.
     """
-    n = len(a)
+    indptr, cols, vals = a
+    n = len(indptr) - 1
     if 8 * n * n > _MAX_FACTOR_BYTES:
         raise ChainError(
             f"a system of {n} unknowns needs {8 * n * n:,} bytes for its dense float"
             f" factor, above the limit of {_MAX_FACTOR_BYTES:,}"
         )
-    counts = [len(cols) for cols, _ in a]
-    if 0 in counts:  # np.add.reduceat would read an empty row as its next entry
-        raise ChainError(f"row {counts.index(0)} of the system has no entry")
-    row_max = [max(map(abs, vs)) for _, vs in a]
+    counts = np.diff(indptr)
+    if not counts.all():  # np.add.reduceat would read an empty row as its next entry
+        raise ChainError(f"row {int(np.argmin(counts))} of the system has no entry")
+    starts = indptr[:-1]
+    row_max = np.maximum.reduceat(abs(vals), starts).tolist()
     widest = max(row_max + list(map(abs, b)))
     dtype = np.int64 if widest < _INT64_ENTRY_LIMIT else object
-    # CSR: row i holds the entries starts[i]:starts[i + 1] of cols and vals
-    starts = np.cumsum([0] + counts[:-1])
+    vals = vals.astype(dtype)
     rows = np.repeat(np.arange(n), counts)
-    cols = np.array([c for cs, _ in a for c in cs], dtype=np.intp)
-    vals = np.array([v for _, vs in a for v in vs], dtype=dtype)
     residual = np.array(b, dtype=dtype)
     # each row scaled by a power of two, to entries of magnitude at most 1
     scales = np.array([1 << v.bit_length() for v in row_max], dtype=dtype)
@@ -402,6 +475,13 @@ def _solve_exact(
     raise ChainError(f"no certified solution within the Hadamard bound of {max_shift} bits")
 
 
+def _entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in a CSR table of the entries of ``rows``, row by row."""
+    starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
 def stationary(mc: MarkovChain) -> StationaryDistribution:
     """The long-run law from state 0, from one exact linear system.
 
@@ -413,50 +493,68 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     closed state's row balances it within its class, except at the class's
     last member, whose row sets the class's total mass: sum_k z_k P(k ->
     class) (Kemeny and Snell's fundamental matrix), or 1 for a lone reached
-    class. Rows are integers over the lcm of the unknowns' row denominators,
-    save a lone reached class's mass row, which reads sum_i x_i = 1.
+    class. Rows are integers over the lcm of the unknowns' row denominators
+    (the chain's scale over the gcd of it and their numerators), save a lone
+    reached class's mass row, which reads sum_i x_i = 1.
     """
     classes = closed_classes(mc)
-    reached = bytearray(mc.size)
-    reached[0], todo = 1, [0]
-    while todo:
-        for t in mc.rows[todo.pop()]:
-            if not reached[t]:
-                reached[t] = 1
-                todo.append(t)
-    comps = [comp for comp in classes.closed if reached[comp[0]]]
-    head = {s: comp[-1] for comp in comps for s in comp}  # last member of s's class
+    indptr, succ = mc.indptr, mc.succ
+    comps = [comp for comp in classes.closed if comp[0] == 0]  # the class holding 0
+    if not comps:  # 0 is transient: the classes it reaches
+        reached = np.zeros(mc.size, dtype=bool)
+        reached[0], frontier = True, np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            targets = succ[_entries(indptr, frontier)]
+            frontier = targets[~reached[targets]]  # repeats are gathered twice, never kept
+            reached[frontier] = True
+        comps = [comp for comp in classes.closed if reached[comp[0]]]
+    last = np.full(mc.size, -1, dtype=np.intp)  # last member of a reached closed state's class
+    for comp in comps:
+        last[list(comp)] = comp[-1]
+    closed = np.flatnonzero(last >= 0)
     single = len(comps) == 1
-    unknowns = sorted(head) if single else [s for s in range(mc.size) if reached[s]]
-    col = {s: i for i, s in enumerate(unknowns)}
-    scale = lcm(*{p.denominator for s in unknowns for p in mc.rows[s].values()})
-    eqs = {s: {col[s]: -scale} for s in unknowns}
-    b = [0] * len(unknowns)
+    unknowns = closed if single else np.flatnonzero(reached)
+    m = len(unknowns)
+    col = np.full(mc.size, -1, dtype=np.intp)
+    col[unknowns] = np.arange(m)
+    e = _entries(indptr, unknowns)
+    i, t, num = np.repeat(unknowns, np.diff(indptr)[unknowns]), succ[e], mc.num[e]
+    common = gcd(mc.scale, *set(num.tolist()))
+    scale, num = mc.scale // common, num // common
+    # an arc from a transient state into a class enters the class's mass row,
+    # negated; an arc within a class into its last member is left out
+    into = (last[t] >= 0) & (last[i] < 0)
+    keep = into | (t != last[t])
+    balanced = unknowns[last[unknowns] != unknowns]  # rows with -scale on the diagonal
+    unit = 1 if single else scale  # a mass row's entry for each member
+    row = np.concatenate([np.where(into, last[t], t)[keep], balanced, last[closed]])
+    column = np.concatenate([i[keep], balanced, closed])
+    value = np.concatenate(
+        [
+            np.where(into, -num, num)[keep],
+            np.full(len(balanced), -scale, dtype=num.dtype),
+            np.full(len(closed), unit, dtype=num.dtype),
+        ]
+    )
+    # CSR over the unknowns, entries at the same place summed
+    key = col[row] * m + col[column]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    firsts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    system_indptr = np.searchsorted(key[firsts], np.arange(m + 1) * m)
+    system = (system_indptr, key[firsts] % m, np.add.reduceat(value[order], firsts))
+    b = [0] * m
     if single:  # the one reached class holds all the mass
         b[col[comps[0][-1]]] = 1
     else:  # state 0 is transient, and the walk starts there
         b[col[0]] = -scale
-    unit = 1 if single else scale  # a mass row's entry for each member
-    for comp in comps:
-        eqs[comp[-1]] = dict.fromkeys(map(col.get, comp), unit)
-    for i in unknowns:
-        for t, p in mc.rows[i].items():
-            v = p.numerator * (scale // p.denominator)
-            last = head.get(t)
-            if last is not None and i not in head:  # from a transient state into t's class
-                eq, v = eqs[last], -v
-            elif t != last:  # a visit row, or a balance row within t's class
-                eq = eqs[t]
-            else:  # within the class to its last member, whose row is the mass
-                continue
-            eq[col[i]] = eq.get(col[i], 0) + v
-    d, nums, stats = _solve_exact([(tuple(eq), tuple(eq.values())) for eq in eqs.values()], b)
-    mass = sum(nums[col[s]] for s in head)
-    if mass != d:
-        raise ChainError(f"long-run mass sums to {Fraction(mass, d)}, not 1")
+    d, nums, stats = _solve_exact(system, b)
+    shares = [nums[c] for c in col[closed].tolist()]
+    if sum(shares) != d:
+        raise ChainError(f"long-run mass sums to {Fraction(sum(shares), d)}, not 1")
     q = [Fraction(0)] * mc.size
-    for s in head:
-        q[s] = Fraction(nums[col[s]], d)
+    for s, x in zip(closed.tolist(), shares):
+        q[s] = Fraction(x, d)
     return StationaryDistribution(
         q=tuple(q),
         classes=classes,
@@ -467,13 +565,12 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
 
 def distortion_rate(mc: MarkovChain, sd: StationaryDistribution) -> Fraction:
     """The stationary expectation of the increment mass, as one integer dot
-    product over the common denominators of both."""
-    dq, da = (lcm(*(x.denominator for x in xs)) for xs in (sd.q, mc.absorb))
+    product over the common denominator of the law and the chain's scale."""
+    dq = lcm(*(x.denominator for x in sd.q))
     dot = sum(
-        q.numerator * (dq // q.denominator) * a.numerator * (da // a.denominator)
-        for q, a in zip(sd.q, mc.absorb)
+        q.numerator * (dq // q.denominator) * a for q, a in zip(sd.q, mc.absorb_num.tolist()) if q
     )
-    return Fraction(dot, dq * da)
+    return Fraction(dot, dq * mc.scale)
 
 
 def decimal_string(x: Fraction, places: int = 10) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -217,58 +218,59 @@ def graph_from_edges(
     return LabeledGraph(tuple(vertices), tuple(es), tuple(alphabet))
 
 
-def strongly_connected_components(
-    n: int, adj: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """Iterative Tarjan; components are returned in reverse topological order."""
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index_of[root] != -1:
+def strong_components(indptr: Sequence[int], succ: Sequence[int]) -> list[int]:
+    """Strongly connected components of the digraph in which vertex v has
+    the successors ``succ[indptr[v]:indptr[v + 1]]``, by Pearce's iterative
+    algorithm ("A space-efficient algorithm for finding strongly connected
+    components", IPL 2016). Returns each vertex's component, numbered in the
+    order a depth-first search (roots and successors in the given order)
+    completes them: reverse topological order, as Tarjan's algorithm finds
+    them.
+    """
+    n = len(indptr) - 1
+    rindex = [0] * n  # DFS index, lowered to a reachable one; n - 1 - component once done
+    root = bytearray(n)  # whether rindex[v] is still v's own DFS index
+    cursor = list(indptr[:-1])  # each vertex's next successor position
+    done: list[int] = []  # visited vertices whose component is still open
+    index, c = 1, n - 1
+    for r in range(n):
+        if rindex[r]:
             continue
-        # explicit DFS stack of (vertex, next-child position)
-        work = [(root, 0)]
+        rindex[r], root[r], index = index, 1, index + 1
+        work = [r]  # the DFS path
         while work:
-            v, ci = work[-1]
-            if ci == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            if ci < len(adj[v]):
-                work[-1] = (v, ci + 1)
-                w = adj[v][ci]
-                if index_of[w] == -1:
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index_of[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-    return comps
+            v = work[-1]
+            e, end, low = cursor[v], indptr[v + 1], rindex[v]
+            while e < end:
+                w = succ[e]
+                if not rindex[w]:
+                    break
+                if rindex[w] < low:
+                    low, root[v] = rindex[w], 0
+                e += 1
+            rindex[v], cursor[v] = low, e
+            if e < end:  # descend into w; v resumes at this edge once w is done
+                rindex[w], root[w], index = index, 1, index + 1
+                work.append(w)
+                continue
+            work.pop()
+            if not root[v]:
+                done.append(v)
+                continue
+            index -= 1
+            while done and low <= rindex[done[-1]]:
+                rindex[done.pop()] = c
+                index -= 1
+            rindex[v] = c
+            c -= 1
+    return [n - 1 - x for x in rindex]
 
 
 def validate(g: LabeledGraph) -> ValidationReport:
     """Structural verdicts: strong connectivity and aperiodicity."""
     n = g.num_vertices
-    comps = strongly_connected_components(n, g.successors)
-    sc = len(comps) == 1
+    indptr = [0, *accumulate(map(len, g.successors))]
+    sc = max(strong_components(indptr, [w for ws in g.successors for w in ws])) == 0
 
     aperiodic: bool | None = None
     if sc:

@@ -6,7 +6,10 @@ state of the block under every symbol in one numpy call) and interns the
 successors in (state, symbol) order, so the discovery order and the arc
 table are those of a one-arc-at-a-time search. The closure is
 finite: every component of every reachable reduced vector is bounded by the
-graph's exact-path constant k.
+graph's exact-path constant k. The arc table is kept as two arrays,
+``StateSpace.succ`` (successor indices) and ``StateSpace.inc``
+(increments), of one row per state and one column per symbol;
+``StateSpace.arcs`` is the same table as tuples, built only when read.
 
 ``Explorer`` interns reduced vectors lazily, in the order a walk first takes
 them; Monte Carlo drives it along the sampled walk. A state's first miss
@@ -20,6 +23,7 @@ only the states it visits and a block costs symbols x (vertices + 1) bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,16 +100,25 @@ class Explorer:
 
 @dataclass(frozen=True)
 class StateSpace:
+    """The enumerated space as arrays: ``succ[i, x]`` is the successor of
+    state i under symbol index x and ``inc[i, x]`` the increment of that arc.
+    ``arcs`` is the same table as tuples, built on first access."""
+
     graph: LabeledGraph
     k: int
     states: tuple[StateVector, ...]  # discovery order, zero vector first
-    # arcs[state][symbol_index] = (successor state index, increment in {0,1})
-    arcs: tuple[tuple[Arc, ...], ...]
+    succ: np.ndarray = field(compare=False, repr=False)  # intp, (states, symbols)
+    inc: np.ndarray = field(compare=False, repr=False)  # uint8, (states, symbols)
     # state vector -> its position in ``states``
     index: dict[StateVector, int] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[Arc, ...], ...]:
+        """arcs[state][symbol index] = (successor state index, increment)."""
+        return tuple(map(tuple, map(zip, self.succ.tolist(), self.inc.tolist())))
 
 
 def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
@@ -129,7 +142,8 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
     zero = viterbi.zero_state(g)
     states: list[StateVector] = [zero]  # discovery order is the BFS queue order
     index: dict[StateVector, int] = {zero: 0}
-    arcs: list[tuple[Arc, ...]] = []
+    succ_all: list[int] = []  # successor indices in (state, symbol) order
+    inc_blocks: list[np.ndarray] = []
     # the queue's vectors as array rows, in a dtype that holds k + 1
     queue = np.zeros((1, g.num_vertices), dtype=viterbi.holding(0, k + 1))
     lo = 0
@@ -160,8 +174,8 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
                         f"more than {max_states} states; raise max_states to continue"
                     )
             succ[pos] = ti
-        pairs = zip(succ, inc.ravel().tolist())
-        arcs.extend(zip(*[pairs] * n_sym))  # one tuple of n_sym arcs per state
+        succ_all += succ
+        inc_blocks.append(inc)
         if len(states) > len(queue):
             grown = np.empty((2 * len(states), g.num_vertices), queue.dtype)
             grown[: len(queue)] = queue
@@ -173,7 +187,8 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
         graph=g,
         k=k,
         states=tuple(states),
-        arcs=tuple(arcs),
+        succ=np.array(succ_all, dtype=np.intp).reshape(-1, n_sym),
+        inc=np.concatenate(inc_blocks).astype(np.uint8),
         index=index,
     )
 
@@ -191,7 +206,9 @@ def format_statespace(ss: StateSpace) -> str:
     ]
     lines.extend(" ".join(str(c) for c in s) for s in ss.states)
     lines.append("arcs:")
-    for si, row in enumerate(ss.arcs):
-        for xi, (ti, inc) in enumerate(row):
-            lines.append(f"{si} {ss.graph.alphabet[xi]} {ti} {inc}")
+    symbols = ss.graph.alphabet
+    arcs = zip(ss.succ.ravel().tolist(), ss.inc.ravel().tolist())
+    for pos, (ti, inc) in enumerate(arcs):
+        si, xi = divmod(pos, len(symbols))
+        lines.append(f"{si} {symbols[xi]} {ti} {inc}")
     return "\n".join(lines) + "\n"

@@ -1,22 +1,25 @@
 """Independent checks used only by tests: a per-arc scalar transition and
-breadth-first enumeration, checks of the enumerated state space, a dense
-fraction-free (Bareiss) solve of the chain's linear systems, and a modular
-p-adic (Dixon) solver with the contract of the production exact solver."""
+breadth-first enumeration, the tuple, dict and Tarjan forms of the
+enumeration, the chain and the class split that the integer tables replaced,
+checks of the enumerated state space, a dense fraction-free (Bareiss) solve
+of the chain's linear systems, and a modular p-adic (Dixon) solver with the
+contract of the production exact solver."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import pairwise
 from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from tcq.chain import MarkovChain, closed_classes
+from tcq.chain import ClassPartition, MarkovChain, SourceModel
 from tcq.errors import ChainError
 from tcq.graph import LabeledGraph
 from tcq.statespace import StateSpace
-from tcq.viterbi import StateVector
+from tcq.viterbi import StateVector, advance
 
 
 def transition(g: LabeledGraph, s: StateVector, x: str) -> StateVector:
@@ -54,6 +57,107 @@ def enumerate_arcs(g: LabeledGraph):
         arcs.append(tuple(row))
         si += 1
     return tuple(states), tuple(arcs)
+
+
+def enumerate_tuples(g: LabeledGraph, block: int = 2048):
+    """Breadth-first closure from the zero vector, a block of the queue at a
+    time through ``viterbi.advance``, each state's arcs kept as a tuple of
+    (successor, increment) pairs: returns the states and arcs."""
+    n_sym = len(g.alphabet)
+    zero = (0,) * g.num_vertices
+    states, index, arcs = [zero], {zero: 0}, []
+    lo = 0
+    while lo < len(states):
+        hi = min(lo + block, len(states))
+        t, inc = advance(g, np.array(states[lo:hi], dtype=np.int64))
+        succ = []
+        for key in map(tuple, t.reshape(-1, g.num_vertices).tolist()):
+            ti = index.get(key)
+            if ti is None:
+                ti = index[key] = len(states)
+                states.append(key)
+            succ.append(ti)
+        pairs = zip(succ, inc.ravel().tolist())
+        arcs.extend(zip(*[pairs] * n_sym))  # one tuple of n_sym arcs per state
+        lo = hi
+    return tuple(states), tuple(arcs)
+
+
+def chain_dicts(arcs, src: SourceModel):
+    """The chain of an arc table as {successor: Fraction} rows and
+    increment masses, summed one arc at a time over integer weights."""
+    probs = [Fraction(p) for p in src.probabilities]
+    scale = lcm(*(p.denominator for p in probs))
+    weights = [(xi, p.numerator * (scale // p.denominator)) for xi, p in enumerate(probs) if p]
+    rows, absorb = [], []
+    for arc_row in arcs:
+        nums: dict[int, int] = {}  # successor -> numerator of its probability
+        increments = 0
+        for xi, w in weights:
+            ti, inc = arc_row[xi]
+            nums[ti] = nums.get(ti, 0) + w
+            increments += inc * w
+        rows.append({ti: Fraction(num, scale) for ti, num in nums.items()})
+        absorb.append(Fraction(increments, scale))
+    return tuple(rows), tuple(absorb)
+
+
+def tarjan_components(n: int, adj) -> list[list[int]]:
+    """Iterative Tarjan; components are returned in reverse topological order."""
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, 0)]  # explicit DFS stack of (vertex, next-child position)
+        while work:
+            v, ci = work[-1]
+            if ci == 0:
+                index_of[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            if ci < len(adj[v]):
+                work[-1] = (v, ci + 1)
+                w = adj[v][ci]
+                if index_of[w] == -1:
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index_of[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def tarjan_closed_classes(rows) -> ClassPartition:
+    """The closed classes of {successor: probability} rows, in Tarjan's
+    order, and the transient states."""
+    comps = tarjan_components(len(rows), [sorted(row) for row in rows])
+    closed: list[tuple[int, ...]] = []
+    transient: list[int] = []
+    for comp in comps:
+        members = set(comp)
+        if all(t in members for i in comp for t in rows[i]):
+            closed.append(tuple(sorted(comp)))
+        else:
+            transient.extend(comp)
+    return ClassPartition(closed=tuple(closed), transient=tuple(sorted(transient)))
 
 
 class MembershipResult(NamedTuple):
@@ -122,7 +226,7 @@ def clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
 def bareiss_stationary(mc: MarkovChain) -> tuple[Fraction, ...]:
     """The long-run law from state 0, from dense balance and absorption
     systems solved by :func:`solve_integer` (O(n**3) big-integer steps)."""
-    classes = closed_classes(mc)
+    classes = tarjan_closed_classes(mc.rows)
     q = [Fraction(0)] * mc.size
     # from inside a closed class the walk stays there; from a transient
     # state, (I - Q) h = r with r the one-step mass into each class in turn
@@ -225,13 +329,13 @@ def wang_reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
     return d, nums
 
 
-def dixon_solve(
-    a: list[tuple[tuple[int, ...], tuple[int, ...]]], b: list[list[int]]
-) -> tuple[int, list[list[int]]]:
-    """Solve A x = b exactly, for A as integer (columns, values) rows and
-    each integer right-hand side in ``b``, by p-adic lifting (Dixon 1982)
-    from one modular LU: the common denominator d and the numerators of
-    each solution, checked as A num = d b in exact arithmetic."""
+def dixon_solve(a: tuple[np.ndarray, ...], b: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Solve A x = b exactly, for A as integer CSR arrays (indptr, cols,
+    vals) and each integer right-hand side in ``b``, by p-adic lifting
+    (Dixon 1982) from one modular LU: the common denominator d and the
+    numerators of each solution, checked as A num = d b in exact arithmetic."""
+    indptr, cols, vals = (x.tolist() for x in a)
+    a = [(cols[s:e], vals[s:e]) for s, e in pairwise(indptr)]
     n = len(a)
 
     def matvec(x: list[int]) -> list[int]:

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -290,11 +291,47 @@ def test_chain_invariants_raise():
         MarkovChain(size=1, rows=({0: Fraction(2), 1: Fraction(-1)},), absorb=(HALF,))
     with pytest.raises(ChainError, match="one row and one increment mass"):
         MarkovChain(size=2, rows=({0: Fraction(1)},), absorb=(Fraction(0),))
+    # successors outside the states: -1 would index the last state from the end
+    with pytest.raises(ChainError, match="row 0 names state -1, outside the 1 states"):
+        MarkovChain(size=1, rows=({-1: Fraction(1)},), absorb=(Fraction(0),))
+    with pytest.raises(ChainError, match="row 1 names state 5, outside the 2 states"):
+        MarkovChain(size=2, rows=({0: Fraction(1)}, {5: Fraction(1)}), absorb=(Fraction(0),) * 2)
+    with pytest.raises(ChainError, match="a chain needs at least one state"):
+        MarkovChain(size=0, rows=(), absorb=())
+
+
+def _table(size, succ, num, absorb_num=None, indptr=None):
+    """``MarkovChain.from_table`` over scale 1, one entry per row by default."""
+    return MarkovChain.from_table(
+        size,
+        1,
+        np.arange(len(succ) + 1) if indptr is None else np.array(indptr),
+        np.array(succ, dtype=np.intp),
+        np.array(num, dtype=np.int64),
+        np.zeros(size, dtype=np.int64) if absorb_num is None else np.array(absorb_num),
+    )
+
+
+def test_table_invariants_raise():
+    with pytest.raises(ChainError, match="row 0 names state -1, outside the 1 states"):
+        _table(1, [-1], [1])
+    with pytest.raises(ChainError, match="row 1 names state 2, outside the 2 states"):
+        _table(2, [0, 2], [1, 1])
+    with pytest.raises(ChainError, match="a chain needs at least one state"):
+        _table(0, [], [])
+    with pytest.raises(ChainError, match="row 1 is not positive entries summing to 1"):
+        _table(2, [0, 1, 1], [1, 2, -1], indptr=[0, 1, 3])
+    with pytest.raises(ChainError, match="row 1 is not positive entries summing to 1"):
+        _table(3, [0, 2], [1, 1], indptr=[0, 1, 1, 2])  # an empty row
+    with pytest.raises(ChainError, match="one row and one increment mass"):
+        _table(2, [0, 0], [1, 1], absorb_num=[0])
+    mc = _table(2, [1, 0], [1, 1], absorb_num=[0, 1])
+    assert (mc.rows, mc.absorb) == (({1: Fraction(1)}, {0: Fraction(1)}), (0, 1))
 
 
 def test_row_check_is_exact_on_shared_entries():
-    """Rows built from the same Fraction objects are checked once, but a row
-    that differs in one entry, by however little, is still checked."""
+    """A row that differs from a valid one in one entry, by however little,
+    is refused."""
     third = Fraction(1, 3)
     good = {0: third, 1: 2 * third}
     tiny = Fraction(1, 10**40)
@@ -328,14 +365,26 @@ def test_build_chain_matches_arc_by_arc_sums(seed):
 
 
 def test_chain_invariants_survive_optimized_mode():
-    """The row check is a raise, not an assert: it holds under python -O."""
+    """The chain checks are raises, not asserts: they hold under python -O,
+    on both construction paths."""
     code = (
         "from fractions import Fraction\n"
+        "import numpy as np\n"
         "from tcq import ChainError, MarkovChain\n"
-        "try:\n"
-        "    MarkovChain(size=1, rows=({0: Fraction(1, 2)},), absorb=(Fraction(0),))\n"
-        "except ChainError as exc:\n"
-        "    print(exc.stage, exc)\n"
+        "zero, ints = (Fraction(0),), lambda *v: np.array(v, dtype=np.int64)\n"
+        "for make in (\n"
+        "    lambda: MarkovChain(size=1, rows=({0: Fraction(1, 2)},), absorb=zero),\n"
+        "    lambda: MarkovChain(size=1, rows=({-1: Fraction(1)},), absorb=zero),\n"
+        "    lambda: MarkovChain(size=1, rows=({5: Fraction(1)},), absorb=zero),\n"
+        "    lambda: MarkovChain(size=0, rows=(), absorb=()),\n"
+        "    lambda: MarkovChain.from_table(1, 1, ints(0, 1), ints(-1), ints(1), ints(0)),\n"
+        "    lambda: MarkovChain.from_table(1, 1, ints(0, 1), ints(5), ints(1), ints(0)),\n"
+        "    lambda: MarkovChain.from_table(0, 1, ints(0), ints(), ints(), ints()),\n"
+        "):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ChainError as exc:\n"
+        "        print(exc.stage, exc)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -345,4 +394,12 @@ def test_chain_invariants_survive_optimized_mode():
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "chain row 0 is not positive entries summing to 1\n"
+    assert proc.stdout.splitlines() == [
+        "chain row 0 is not positive entries summing to 1",
+        "chain row 0 names state -1, outside the 1 states",
+        "chain row 0 names state 5, outside the 1 states",
+        "chain a chain needs at least one state",
+        "chain row 0 names state -1, outside the 1 states",
+        "chain row 0 names state 5, outside the 1 states",
+        "chain a chain needs at least one state",
+    ]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import networkx as nx
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_code_graph
+from oracles import tarjan_components
 from tcq import (
     Edge,
     GraphFormatError,
@@ -23,6 +25,7 @@ from tcq import (
     serialize_graph,
     validate,
 )
+from tcq.graph import strong_components
 
 G3_TEXT = """\
 alphabet a b
@@ -124,6 +127,21 @@ def test_validate_matches_networkx(seed):
         assert report.aperiodic == nx.is_aperiodic(h)
     else:
         assert report.aperiodic is None
+
+
+@given(st.integers(0, 10**9))
+def test_strong_components_match_tarjan(seed):
+    """Pearce's components over CSR lists are Tarjan's, in Tarjan's order,
+    on random digraphs with self-loops, parallel arcs and sinks."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    adj = [sorted(rng.randrange(n) for _ in range(rng.randint(0, 3))) for _ in range(n)]
+    indptr = [0, *accumulate(map(len, adj))]
+    comp = strong_components(indptr, [w for ws in adj for w in ws])
+    expected = tarjan_components(n, adj)
+    assert sorted(set(comp)) == list(range(len(expected)))
+    for c, members in enumerate(expected):
+        assert {v for v in range(n) if comp[v] == c} == set(members)
 
 
 def test_validate_out_degree_profile(g3):

@@ -240,6 +240,37 @@ def test_solve_stats_describe_each_solve(debruijn8):
     assert len(sd.classes.closed) == 4 and sd.solve.dim == 4
 
 
+# (dim, lifts, bits_per_lift, denominator_digits, nnz, residual) of the one
+# system of each order-3 pool graph of perfbench/corpus.json, as recorded
+# when ``stationary`` assembled it from Fraction rows
+ORDER3_SYSTEMS = [
+    ("caacdacdcbddcaaa", (228, 8, 49, 61, 1359, "int64")),
+    ("accacbcdadcbcbbb", (229, 7, 48, 48, 1370, "int64")),
+    ("cadddcbbdcabbccc", (229, 8, 48, 53, 1366, "int64")),
+    ("accbdbcbdccddacc", (222, 10, 48, 61, 1325, "int64")),
+    ("aabcbccccdbdbaba", (221, 8, 49, 56, 1311, "int64")),
+    ("cddabbaabacbdaaa", (230, 7, 48, 48, 1369, "int64")),
+    ("bcaabcacbddbddbb", (221, 8, 47, 60, 1298, "int64")),
+    ("aaabbdbadccdbbcc", (224, 8, 49, 59, 1339, "int64")),
+    ("dabcbbbbcbbcabbd", (223, 6, 49, 44, 1316, "int64")),
+    ("bdcddbbdbbbacbbd", (225, 7, 47, 46, 1344, "int64")),
+    ("accadcccaaacddcb", (226, 8, 48, 61, 1352, "int64")),
+    ("dcacaddbacbbadaa", (225, 7, 48, 48, 1346, "int64")),
+    ("ddcdddbbdabadaba", (230, 12, 49, 77, 1376, "int64")),
+]
+
+
+@pytest.mark.parametrize(
+    "labels,expected",
+    [pytest.param("debruijn8", (106, 1, 57, 4, 611, "int64"), id="debruijn8")]
+    + [pytest.param(labels, stats, id=labels) for labels, stats in ORDER3_SYSTEMS],
+)
+def test_the_integer_system_is_unchanged(labels, expected):
+    g = debruijn8_demo() if labels == "debruijn8" else de_bruijn(3, tuple(labels))
+    s = stationary(_uniform_chain(g)).solve
+    assert (s.dim, s.lifts, s.bits_per_lift, s.denominator_digits, s.nnz, s.residual) == expected
+
+
 def test_states_that_state_0_cannot_reach_stay_out_of_the_solve():
     """State 0 alone is a closed class, and so is state 1; 20,000 more
     transient states drain into both. The solve has one unknown, far below
@@ -389,8 +420,9 @@ def test_int64_residual_leaves_matvec_to_the_certificate(monkeypatch, labels):
 
 def test_a_row_with_no_entry_raises():
     # np.add.reduceat would read the empty row 1 as the first entry of row 2
+    a = (np.array([0, 1, 1, 2]), np.array([0, 2]), np.array([1, 3]))
     with pytest.raises(ChainError, match="row 1 of the system has no entry") as info:
-        chain._solve_exact([((0,), (1,)), ((), ()), ((2,), (3,))], [1, 0, 3])
+        chain._solve_exact(a, [1, 0, 3])
     assert info.value.stage == "chain"
 
 
@@ -426,23 +458,26 @@ def test_oversized_system_is_refused_before_allocating(monkeypatch, capsys):
     assert err.startswith("error (chain): a system of 106 unknowns") and err.count("\n") == 1
 
 
-# integer (columns, values) rows and right-hand side of a system that is
+# CSR lists (indptr, cols, vals) and right-hand side of a system that is
 # singular over the rationals: [[1, 2], [2, 4]] x = [1, 2]
-SINGULAR = ([((0, 1), (1, 2)), ((0, 1), (2, 4))], [1, 2])
+SINGULAR = (([0, 2, 4], [0, 1, 0, 1], [1, 2, 2, 4]), [1, 2])
 
 
 def test_singular_system_raises():
+    (a, b) = SINGULAR
     with pytest.raises(ChainError, match="singular system") as info:
-        chain._solve_exact(*SINGULAR)
+        chain._solve_exact(tuple(map(np.array, a)), b)
     assert info.value.stage == "chain"
 
 
 def test_singular_system_raises_in_optimized_mode():
     code = (
+        "import numpy as np\n"
         "from tcq import ChainError\n"
         "from tcq.chain import _solve_exact\n"
+        f"a, b = {SINGULAR!r}\n"
         "try:\n"
-        f"    _solve_exact(*{SINGULAR!r})\n"
+        "    _solve_exact(tuple(map(np.array, a)), b)\n"
         "except ChainError as exc:\n"
         "    print(exc.stage, exc)\n"
     )

@@ -376,8 +376,9 @@ def _reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
 def _matvec(a: tuple[np.ndarray, np.ndarray, np.ndarray], x: list[int]) -> list[int]:
     """Exact ``A x`` in Python integers, for A as CSR arrays (indptr, cols, vals)."""
     indptr, cols, vals = a
-    terms = list(map(mul, vals.tolist(), map(x.__getitem__, cols.tolist())))
-    return [sum(terms[s:e]) for s, e in pairwise(indptr.tolist())]
+    cols, vals, get = cols.tolist(), vals.tolist(), x.__getitem__
+    # row by row, so that only one row's products are alive at a time
+    return [sum(map(mul, vals[s:e], map(get, cols[s:e]))) for s, e in pairwise(indptr.tolist())]
 
 
 def _solve_exact(

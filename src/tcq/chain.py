@@ -7,10 +7,11 @@ runs one strongly-connected-components pass over it, and ``stationary``
 assembles its linear system from it with numpy; Fraction rows are a view
 built only when read. The per-step distortion rate is the stationary
 expectation of the arc increments. The long-run law from state 0 comes from
-one linear system (Kemeny and Snell 1960) over the states that 0 reaches: each reached closed class's balance equations with
-its total mass in place of the last one, and, when 0 reaches several closed
-classes, the expected visits to each reached transient state, which set the
-mass that enters each class. The system is built in integers over the lcm
+one linear system (Kemeny and Snell 1960) over the states that 0 reaches:
+each reached closed class's balance equations with its total mass in place
+of the last one, and, when 0 reaches several closed classes, the expected
+visits to each reached transient state, which set the mass that enters each
+class. The system is built in integers over the lcm
 of its rows' denominators, handed over as CSR arrays, factored once as a
 dense float64 LU, and solved by numeric lifting (Wan 2006) with one exact
 integer residual update per lift; each
@@ -121,14 +122,17 @@ class MarkovChain:
     ``rows[i]`` (successor index to probability) and ``absorb[i]`` give the
     same chain as Fractions, one shared Fraction per distinct numerator; they
     are built on first access. ``MarkovChain(size, rows, absorb)`` builds the
-    table from such rows, over the lcm of their denominators.
+    table from such rows and masses, over the lcm of their denominators.
     """
 
-    def __init__(self, size: int, rows: Sequence[dict[int, Fraction]], absorb: Sequence[Fraction]):
+    def __init__(
+        self, size: int, rows: Sequence[dict[int, Fraction]], absorb: Sequence[Fraction]
+    ):
         if not len(rows) == len(absorb) == size:
             raise ChainError("need one row and one increment mass per state")
         entries = [sorted(row.items()) for row in rows]
-        scale = lcm(*{f.denominator for row in rows for f in row.values()}, *(a.denominator for a in absorb))
+        denominators = {f.denominator for row in rows for f in row.values()}
+        scale = lcm(*denominators, *(a.denominator for a in absorb))
         num = [f.numerator * (scale // f.denominator) for row in entries for _, f in row]
         absorb_num = [a.numerator * (scale // a.denominator) for a in absorb]
         widest = max(max(map(len, rows), default=0), 1) * max(map(abs, [scale, *num, *absorb_num]))
@@ -253,7 +257,7 @@ def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
     scale = lcm(*(p.denominator for p in probs))
     support = [xi for xi, p in enumerate(probs) if p]
     # every merged entry and increment mass sums weights to at most the scale
-    weights = _numerators([probs[xi].numerator * (scale // probs[xi].denominator) for xi in support], scale)
+    weights = _numerators([int(probs[xi] * scale) for xi in support], scale)
     # each row's support arcs by successor, merged where successors repeat
     succ = ss.succ[:, support]
     order = np.argsort(succ, axis=1, kind="stable")

@@ -9,28 +9,44 @@ built only when read. The per-step distortion rate is the stationary
 expectation of the arc increments. The long-run law from state 0 comes from
 one linear system (Kemeny and Snell 1960) over the states that 0 reaches:
 each reached closed class's balance equations with its total mass in place
-of the last one, and, when 0 reaches several closed classes, the expected
+of one of them, and, when 0 reaches several closed classes, the expected
 visits to each reached transient state, which set the mass that enters each
-class. The system is built in integers over the lcm
-of its rows' denominators, handed over as CSR arrays, factored once as a
-dense float64 LU, and solved by numeric lifting (Wan 2006) with one exact
-integer residual update per lift; each
-lift takes the most bits K for which 2^K times the float solve of the
-residual stays below 2^52, and that cap alone sets K. The residual is one
-numpy array: int64 when every entry lies below 2^20, where numpy arithmetic
-wraps mod 2^64 and so stays exact while the true residual is below 2^63
-(``_solve_exact`` derives that bound), and Python integers in an ``object``
-array otherwise. A common denominator is then read off continued fractions,
-and a candidate stands only if A num = d b holds in Python integers on
-every row: that check, not a bound, is the certificate. Systems beyond
-double precision or the dense factor's memory cap raise ChainError. The
-optional D(R) comparison in ``analyze`` is a float lower bound at the
-precision of ``rd``.
+class.
+
+Before it is solved, the system is censored (the stochastic complement of
+Meyer 1989, by the state reduction of Grassmann, Taksar and Heyman 1985): a
+state whose balance row names exactly one predecessor i other than itself
+has x_j = P_ij x_i, so it leaves the system, resolved by pointer jumping
+to a surviving root with an integer coefficient over a power of the scale;
+rounds repeat while the censored chain has such states. A transient state
+0 stays, and so does one member of a class that is a pure cycle. One
+``np.bincount`` finds the candidates, so a chain without any is solved
+exactly as before. ``SolveStats`` reports the unknowns before censoring
+(``unreduced_dim``) beside those solved (``dim``).
+
+The censored system is built in integers, each row divided by its gcd,
+handed over as CSR arrays, factored once as a dense float64 LU, and solved
+by numeric lifting (Wan 2006) with one exact integer residual update per
+lift; each lift takes the most bits K for which 2^K times the float solve
+of the residual stays below 2^52, and that cap alone sets K. The residual
+is one numpy array: int64 when every row's sum of |entries| lies below
+2^34, where numpy arithmetic wraps mod 2^64 and so stays exact while the
+true residual is below 2^63 (``_solve_exact`` derives that bound), and
+Python integers in an ``object`` array otherwise. A common denominator is
+then read off continued fractions, and a candidate stands only if A num =
+d b holds in Python integers on every row. The eliminated shares are then
+back-substituted in integers over one common denominator, and the whole
+law is certified once more on the original chain's equations: balance
+within each class, total mass 1, and with several classes the expected
+visits and class masses. Those checks, not a bound, are the certificate.
+Systems beyond double precision or the dense factor's memory cap raise
+ChainError. The optional D(R) comparison in ``analyze`` is a float lower
+bound at the precision of ``rd``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
@@ -214,12 +230,15 @@ class ClassPartition:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """One exact solve: its dimension, numeric lifts, fewest bits gained by a
-    lift, largest gap from the first float solve to the certified solution,
+    """One exact solve: its dimension, the unknowns it had before censoring
+    (the reached class's size, plus the reached transient states when state
+    0 reaches several classes), numeric lifts, fewest bits gained by a lift,
+    largest gap from the first float solve to the certified solution,
     decimal digits of that solution's common denominator, nonzeros of the
     system, and how its residual was kept (``"int64"`` or ``"int"``)."""
 
     dim: int
+    unreduced_dim: int
     lifts: int
     bits_per_lift: int
     float_gap: float
@@ -292,7 +311,7 @@ _LEAF = 8  # panel columns eliminated one at a time
 _ROWS = 256  # rows per chunk of the trailing update
 _MAX_FACTOR_BYTES = 2 << 30  # cap on the dense factor (n <= 16,384), checked first
 _MANTISSA = 52  # integer bits a float64 holds exactly, less one for rounding
-_INT64_ENTRY_LIMIT = 1 << 20  # systems with every |entry| below this lift in int64
+_INT64_ROW_LIMIT = 1 << 34  # systems with every row's sum of |entries| and every |b_i| below lift in int64
 
 
 def _unit_lower_inverse(block: np.ndarray) -> np.ndarray:
@@ -401,23 +420,25 @@ def _solve_exact(
     arithmetic for every row.
 
     The residual is one numpy array updated with one ``np.add.reduceat`` per
-    lift. Its dtype is
-    int64 when every entry of A and b lies below 2**20 in magnitude, and
-    ``object`` (Python integers) otherwise, as for sources with denominators
-    past 2**20; the power-of-two row scales share that dtype, so even huge
-    entries divide to correctly rounded floats. Numpy's int64 products, sums
-    and shifts are arithmetic mod 2**64 (a shift by 64 or more gives 0,
-    which is 2**K r mod 2**64), so r' comes out exact whenever its true
-    value lies below 2**63, however the terms overflow on the way. That
-    value is r' = A (2**K y - x) + 2**K (r - A y). Rounding makes the first
-    term at most sum_j |a_ij| / 2 in row i; a float solve with row-wise
-    relative backward error e makes the second at most 2**K |y| e sum_j
-    |a_ij|, below 2**52 e sum_j |a_ij|. Rows of at most 16,384 entries below
-    2**20 have sum_j |a_ij| < 2**34, so |r'| < 2**63 for any e below 2**-24;
-    a pivoted double-precision solve typically sits near n 2**-53. A
-    residual that wrapped anyway would only stop the lifts from converging:
-    the certificate then refuses the system, and never passes a wrong
-    answer.
+    lift. Its dtype is int64 when every row of A has sum_j |a_ij| < 2**34
+    and every |b_i| lies below 2**34 too, and ``object`` (Python integers)
+    otherwise, as for sources with denominators past 2**34; the power-of-two
+    row scales share that dtype, so even huge entries divide to correctly
+    rounded floats. Numpy's int64 products, sums and shifts are arithmetic
+    mod 2**64 (a shift by 64 or more gives 0, which is 2**K r mod 2**64), so
+    r' comes out exact whenever its true value lies below 2**63, however the
+    terms overflow on the way. That value is r' = A (2**K y - x) + 2**K (r -
+    A y). Rounding makes the first term at most sum_j |a_ij| / 2 in row i; a
+    float solve with row-wise relative backward error e makes the second at
+    most 2**K |y| e sum_j |a_ij|, below 2**52 e sum_j |a_ij|. With sum_j
+    |a_ij| < 2**34 that gives |r'| < 2**63 for any e below 2**-24; a pivoted
+    double-precision solve typically sits near n 2**-53. The row sum, not
+    the widest entry, is what the bound needs: a row of a few 2**29 entries
+    lifts in int64. Hadamard's row norms sum squares, which can pass 2**63
+    under that limit, so they take Python integers whenever the widest
+    entry's square times the row length could. A residual that wrapped
+    anyway would only stop the lifts from converging: the certificate then
+    refuses the system, and never passes a wrong answer.
     """
     indptr, cols, vals = a
     n = len(indptr) - 1
@@ -430,9 +451,13 @@ def _solve_exact(
     if not counts.all():  # np.add.reduceat would read an empty row as its next entry
         raise ChainError(f"row {int(np.argmin(counts))} of the system has no entry")
     starts = indptr[:-1]
-    row_max = np.maximum.reduceat(abs(vals), starts).tolist()
+    magnitude = abs(vals)
+    row_max = np.maximum.reduceat(magnitude, starts).tolist()
     widest = max(row_max + list(map(abs, b)))
-    dtype = np.int64 if widest < _INT64_ENTRY_LIMIT else object
+    # below the limit, no entry and so no int64 row sum of at most n entries overflows
+    narrow = widest < _INT64_ROW_LIMIT
+    narrow = narrow and int(np.add.reduceat(magnitude, starts).max()) < _INT64_ROW_LIMIT
+    dtype = np.int64 if narrow else object
     vals = vals.astype(dtype)
     rows = np.repeat(np.arange(n), counts)
     residual = np.array(b, dtype=dtype)
@@ -440,7 +465,10 @@ def _solve_exact(
     scales = np.array([1 << v.bit_length() for v in row_max], dtype=dtype)
     dense = np.zeros((n, n))
     dense[rows, cols] = vals / scales[rows]
-    row_squares = np.add.reduceat(vals * vals, starts) + residual * residual
+    # a row's sum of squares can pass 2**63 while its sum stays below the limit
+    square = np.int64 if widest * widest * (int(counts.max()) + 1) < 1 << 63 else object
+    wide, rhs = vals.astype(square), residual.astype(square)
+    row_squares = np.add.reduceat(wide * wide, starts) + rhs * rhs
     lu = _FloatLU(dense)
     # Hadamard's bound on the minors of (A | b), in bits: past a shift of
     # twice that, plus the bits of the lifting error, reconstruction succeeds
@@ -476,7 +504,7 @@ def _solve_exact(
             t = int((d.bit_length() - 1) * log10(2))
             size = t + 1 + (d >= 10 ** (t + 1))
             kind = "int64" if dtype is np.int64 else "int"
-            return d, nums, SolveStats(n, lifts, fewest, float(gap), size, len(cols), kind)
+            return d, nums, SolveStats(n, n, lifts, fewest, float(gap), size, len(cols), kind)
     raise ChainError(f"no certified solution within the Hadamard bound of {max_shift} bits")
 
 
@@ -485,6 +513,128 @@ def _entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
     ends = np.cumsum(counts)
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _censor(
+    size: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    num: np.ndarray,
+    scale: int,
+    klass: np.ndarray,
+    keep: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Eliminate every unknown whose balance row names exactly one
+    predecessor, other than itself, then repeat on the censored chain.
+
+    Arc k says that ``num[k] / scale`` of ``src[k]``'s share flows into
+    ``dst[k]`` within one balance row, so an unknown j whose only predecessor
+    is i has x_j = P_ij x_i (the stochastic complement of Meyer 1989; the
+    state reduction of Grassmann, Taksar and Heyman 1985). ``klass`` names
+    each reached closed state's class (-1 for a transient state), and
+    ``keep`` is a state never eliminated (a transient state 0, whose row has
+    a right-hand side). A class whose surviving members would all go (a pure
+    cycle) keeps its largest. Each round resolves the new eliminations to
+    their roots by pointer jumping. Returns ``root``, ``coef`` (Python
+    integers) and ``power`` with x_s = coef[s] / scale**power[s] x_root[s],
+    or None when nothing is eliminated.
+    """
+    states = np.arange(size)
+    root, alive = states.copy(), np.ones(size, dtype=bool)
+    coef, power = np.ones(size, dtype=object), np.zeros(size, dtype=np.int64)
+    closed = klass >= 0
+    while True:
+        live = alive[dst]  # arcs into eliminated states are done with
+        src, dst, num = src[live], dst[live], num[live]
+        source = root[src]
+        # one root among each target's predecessors', and the arcs from any other
+        sole = states.copy()
+        sole[dst] = source
+        mixed = np.bincount(dst[source != sole[dst]], minlength=size)
+        cand = (mixed == 0) & (sole != states)
+        if keep is not None:
+            cand[keep] = False
+        going = cand & closed
+        members = np.bincount(klass[alive & closed], minlength=size)
+        pure = np.flatnonzero((np.bincount(klass[going], minlength=size) == members) & (members > 0))
+        if pure.size:  # every survivor of these classes has one predecessor: keep the largest
+            anchor = np.zeros(size, dtype=np.intp)
+            np.maximum.at(anchor, klass[going], np.flatnonzero(going))
+            cand[anchor[pure]] = False
+        if not cand.any():
+            break
+        # x_j = sum over j's arcs of num/scale * coef/scale**power * x_root,
+        # over the largest power of the scale among them
+        arcs = cand[dst]
+        j, i, w = dst[arcs], src[arcs], num[arcs]
+        lifted = power[i] + 1
+        top = np.zeros(size, dtype=np.int64)
+        np.maximum.at(top, j, lifted)
+        powers = np.array([scale**k for k in range(int(lifted.max()) + 1)], dtype=object)
+        total = np.zeros(size, dtype=object)
+        np.add.at(total, j, w.astype(object) * coef[i] * powers[top[j] - lifted])
+        coef[cand], power[cand], root[cand] = total[cand], top[cand], sole[cand]
+        alive[cand] = False
+        # pointer jumping, each state's coefficient times its parent's: a
+        # chain of parents halves each step, and one that never ends is a cycle
+        for _ in range(size.bit_length() + 1):
+            up = root[root]
+            hop = np.flatnonzero(up != root)
+            if not hop.size:
+                break
+            via = root[hop]
+            coef[hop] = coef[hop] * coef[via]
+            power[hop] += power[via]
+            root[hop] = up[hop]
+        else:
+            raise ChainError(f"censoring found a cycle of single predecessors through state {hop[0]}")
+    return None if alive.all() else (root, coef, power)
+
+
+def _back_substitute(
+    x: np.ndarray, d: int, scale: int, root: np.ndarray, coef: np.ndarray, power: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Every state's numerator over one common denominator, from the
+    survivors' numerators ``x`` over ``d``: x_s = coef[s] / scale**power[s]
+    x_root[s]. Returns the numerators (Python integers) and the denominator."""
+    top = int(power.max())
+    powers = np.array([scale**k for k in range(top + 1)], dtype=object)
+    return coef * x[root] * powers[top - power], d * scale**top
+
+
+def _certify(
+    x: np.ndarray,
+    d: int,
+    scale: int,
+    arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    into: np.ndarray,
+    last: np.ndarray,
+    unknowns: np.ndarray,
+    single: bool,
+) -> None:
+    """Raise ChainError unless the numerators ``x`` over ``d`` solve the
+    original chain's equations in integers: every reached closed state's
+    balance within its class and, with several reached classes, every
+    reached transient state's expected visits and every class's entering
+    mass. ``stationary`` checks the total mass 1 on every path."""
+    src, dst, num = arcs
+    size = len(x)
+    # rows 0..size-1 balance each state; row size + c sets class c's mass,
+    # which an arc from a transient state into the class draws on
+    rows = np.zeros(2 * size, dtype=object)
+    flow = np.where(into, -num, num).astype(object) * x[src]
+    np.add.at(rows, np.where(into, size + last[dst], dst), flow)
+    rows[unknowns] -= scale * x[unknowns]
+    closed = unknowns[last[unknowns] >= 0]
+    if not single:  # the walk starts at the transient state 0
+        rows[0] += scale * d
+        np.add.at(rows, size + last[closed], scale * x[closed])
+    if rows.any():
+        bad = int(np.flatnonzero(rows)[0])
+        raise ChainError(
+            f"the back-substituted law fails the original chain's"
+            f" {'balance' if bad < size else 'class mass'} equation of state {bad % size}"
+        )
 
 
 def stationary(mc: MarkovChain) -> StationaryDistribution:
@@ -501,6 +651,20 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     class. Rows are integers over the lcm of the unknowns' row denominators
     (the chain's scale over the gcd of it and their numerators), save a lone
     reached class's mass row, which reads sum_i x_i = 1.
+
+    Before the solve, the system is censored: an unknown whose row names a
+    single predecessor i other than itself has x_j = P_ij x_i, and leaves
+    the system (``_censor``; repeated while the censored chain has such
+    states). One ``np.bincount`` finds the candidates, so a chain without
+    any pays nothing more. The survivors' system substitutes each
+    eliminated share by its root's, with the class mass row at the class's
+    last survivor and each row over the largest power of the scale among its
+    entries, divided by its gcd. The eliminated shares are back-substituted
+    in exact integers over one common denominator, and the full law is then
+    certified on the original chain's equations (``_certify``), so a fault
+    in the censoring raises ChainError instead of passing. ``solve.dim``
+    counts the unknowns solved, ``solve.unreduced_dim`` those before
+    censoring.
     """
     classes = closed_classes(mc)
     indptr, succ = mc.indptr, mc.succ
@@ -519,20 +683,38 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     closed = np.flatnonzero(last >= 0)
     single = len(comps) == 1
     unknowns = closed if single else np.flatnonzero(reached)
-    m = len(unknowns)
-    col = np.full(mc.size, -1, dtype=np.intp)
-    col[unknowns] = np.arange(m)
     e = _entries(indptr, unknowns)
     i, t, num = np.repeat(unknowns, np.diff(indptr)[unknowns]), succ[e], mc.num[e]
     common = gcd(mc.scale, *set(num.tolist()))
     scale, num = mc.scale // common, num // common
-    # an arc from a transient state into a class enters the class's mass row,
-    # negated; an arc within a class into its last member is left out
+    # an arc from a transient state into a class enters the class's mass
+    # row, negated; every other arc enters its target's balance row
     into = (last[t] >= 0) & (last[i] < 0)
-    keep = into | (t != last[t])
-    balanced = unknowns[last[unknowns] != unknowns]  # rows with -scale on the diagonal
+    within = ~into
+    fold = None
+    if (np.bincount(t[within], minlength=mc.size) == 1).any():
+        fold = _censor(mc.size, i[within], t[within], num[within], scale, last, None if single else 0)
+    anchor = last  # the row of each class's mass: its last member that stays
+    if fold is not None:
+        root, coef, power = fold
+        survivor = root == np.arange(mc.size)
+        anchor = np.full(mc.size, -1, dtype=np.intp)
+        kept = closed[survivor[closed]]
+        np.maximum.at(anchor, last[kept], kept)
+        anchor = np.where(last >= 0, anchor[last], -1)
+        solved = unknowns[survivor[unknowns]]
+    else:
+        solved = unknowns
+    m = len(solved)
+    col = np.full(mc.size, -1, dtype=np.intp)
+    col[solved] = np.arange(m)
+    # a balance row for each solved state but its class's anchor
+    keep = into | (t != anchor[t])
+    if fold is not None:
+        keep &= into | survivor[t]
+    balanced = solved[anchor[solved] != solved]  # rows with -scale on the diagonal
     unit = 1 if single else scale  # a mass row's entry for each member
-    row = np.concatenate([np.where(into, last[t], t)[keep], balanced, last[closed]])
+    row = np.concatenate([np.where(into, anchor[t], t)[keep], balanced, anchor[closed]])
     column = np.concatenate([i[keep], balanced, closed])
     value = np.concatenate(
         [
@@ -541,25 +723,48 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
             np.full(len(closed), unit, dtype=num.dtype),
         ]
     )
-    # CSR over the unknowns, entries at the same place summed
+    dtype = num.dtype
+    if fold is not None:
+        # each eliminated share as its root's times coef / scale**power, and
+        # each row over the largest such power in it; an entry is then at
+        # most scale**(power + 1) * coef, which bounds the sums in int64
+        widest = len(value) * scale ** (int(power.max()) + 1) * max(coef.tolist())
+        dtype = np.int64 if widest < 1 << 63 else object
+        value = value.astype(dtype) * coef.astype(dtype)[column]
+        lifted, column = power[column], root[column]
+        top = np.zeros(m, dtype=np.int64)
+        np.maximum.at(top, col[row], lifted)
+        powers = np.array([scale**k for k in range(int(top.max()) + 1)], dtype=dtype)
+        value *= powers[top[col[row]] - lifted]
+    b = np.zeros(m, dtype=dtype)
+    if single:  # the one reached class holds all the mass
+        b[col[anchor[comps[0][-1]]]] = 1
+    else:  # state 0 is transient, and the walk starts there
+        b[col[0]] = -scale
+    # CSR over the solved unknowns, entries at the same place summed
     key = col[row] * m + col[column]
     order = np.argsort(key, kind="stable")
     key = key[order]
     firsts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     system_indptr = np.searchsorted(key[firsts], np.arange(m + 1) * m)
-    system = (system_indptr, key[firsts] % m, np.add.reduceat(value[order], firsts))
-    b = [0] * m
-    if single:  # the one reached class holds all the mass
-        b[col[comps[0][-1]]] = 1
-    else:  # state 0 is transient, and the walk starts there
-        b[col[0]] = -scale
-    d, nums, stats = _solve_exact(system, b)
-    shares = [nums[c] for c in col[closed].tolist()]
-    if sum(shares) != d:
-        raise ChainError(f"long-run mass sums to {Fraction(sum(shares), d)}, not 1")
+    vals = np.add.reduceat(value[order], firsts)
+    if fold is not None:  # each row, with its right-hand side, over its gcd
+        b *= powers[top]
+        g = np.gcd(np.gcd.reduceat(vals, system_indptr[:-1]), b)
+        vals, b = vals // np.repeat(g, np.diff(system_indptr)), b // g
+    d, nums, stats = _solve_exact((system_indptr, key[firsts] % m, vals), b.tolist())
+    x = np.zeros(mc.size, dtype=object)
+    x[solved] = nums
+    if fold is not None:
+        x, d = _back_substitute(x, d, scale, *fold)
+        _certify(x, d, scale, (i, t, num), into, last, unknowns, single)
+        stats = replace(stats, unreduced_dim=len(unknowns))
+    total = x[closed].sum()
+    if total != d:
+        raise ChainError(f"long-run mass sums to {Fraction(total, d)}, not 1")
     q = [Fraction(0)] * mc.size
-    for s, x in zip(closed.tolist(), shares):
-        q[s] = Fraction(x, d)
+    for s, v in zip(closed.tolist(), x[closed].tolist()):
+        q[s] = Fraction(v, d)
     return StationaryDistribution(
         q=tuple(q),
         classes=classes,

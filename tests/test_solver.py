@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, random_code_graph
-from oracles import bareiss_stationary, dixon_solve
+from oracles import bareiss_stationary, dixon_solve, solve_integer
 from tcq import (
     ChainError,
     MarkovChain,
@@ -198,7 +198,8 @@ def test_stationary_matches_modular_dixon(monkeypatch, mc):
 
     def dixon(a, b):
         d, (nums,) = dixon_solve(a, [b])
-        return d, nums, None
+        n = len(b)
+        return d, nums, chain.SolveStats(n, n, 0, 0, 0.0, 0, len(a[1]), "int")
 
     monkeypatch.setattr(chain, "_solve_exact", dixon)
     assert stationary(mc).q == expected
@@ -223,52 +224,256 @@ def test_solve_stats_describe_each_solve(debruijn8):
     assert stats.residual == "int64"
     # the stats ride along without taking part in equality
     assert sd == chain.StationaryDistribution(q=sd.q, classes=sd.classes, unique=sd.unique)
+    assert stats.unreduced_dim == stats.dim  # no state has a single predecessor
     # from a transient state 0 that reaches several closed classes: one solve
-    # over the transient visits and class balances and masses of what 0 reaches
-    for mc in (_random_multiclass_chain(random.Random(5)), _partly_reached_chain()):
+    # over the transient visits and class balances and masses of what 0
+    # reaches, less the states censoring eliminates
+    for mc, dim in ((_random_multiclass_chain(random.Random(5)), 6), (_partly_reached_chain(), 4)):
         sd = stationary(mc)
-        assert sd.solve.dim == len(_reached(mc))
+        assert sd.solve.unreduced_dim == len(_reached(mc))
+        assert sd.solve.dim == dim
         assert sd.solve.residual == "int64"
-    assert sd.solve.dim == 5 and sd.q[5:] == (0, 0, 0)
+    # state 4's one predecessor is 3: it leaves the 5 unknowns
+    assert sd.solve.unreduced_dim == 5 and sd.q[5:] == (0, 0, 0)
     # from a recurrent state 0 the one solve is its class, and none of the
-    # mass reaches the other class
+    # mass reaches the other class; both states have self-loops
     sd = stationary(_recurrent_start_chain())
-    assert sd.solve.dim == 2
+    assert sd.solve.dim == sd.solve.unreduced_dim == 2
     assert [sd.q[s] for s in (2, 5)] == [0, 0] and sd.q[0] + sd.q[3] == 1
-    # a real graph split by a zero-probability symbol: the one reached class
+    # a real graph split by a zero-probability symbol: the one reached class,
+    # a 4-cycle, solved as its one kept member
     sd = stationary(_one_symbol_chain(debruijn8_demo(), "c"))
-    assert len(sd.classes.closed) == 4 and sd.solve.dim == 4
+    assert len(sd.classes.closed) == 4 and sd.solve.unreduced_dim == 4 and sd.solve.dim == 1
 
 
-# (dim, lifts, bits_per_lift, denominator_digits, nnz, residual) of the one
-# system of each order-3 pool graph of perfbench/corpus.json, as recorded
-# when ``stationary`` assembled it from Fraction rows
+# (unreduced_dim, dim, lifts, bits_per_lift, denominator_digits, nnz,
+# residual) of the one system of each order-3 pool graph of
+# perfbench/corpus.json. unreduced_dim is the class size, the dimension
+# recorded when ``stationary`` assembled the system from Fraction rows;
+# the rest describe the censored system that is solved.
 ORDER3_SYSTEMS = [
-    ("caacdacdcbddcaaa", (228, 8, 49, 61, 1359, "int64")),
-    ("accacbcdadcbcbbb", (229, 7, 48, 48, 1370, "int64")),
-    ("cadddcbbdcabbccc", (229, 8, 48, 53, 1366, "int64")),
-    ("accbdbcbdccddacc", (222, 10, 48, 61, 1325, "int64")),
-    ("aabcbccccdbdbaba", (221, 8, 49, 56, 1311, "int64")),
-    ("cddabbaabacbdaaa", (230, 7, 48, 48, 1369, "int64")),
-    ("bcaabcacbddbddbb", (221, 8, 47, 60, 1298, "int64")),
-    ("aaabbdbadccdbbcc", (224, 8, 49, 59, 1339, "int64")),
-    ("dabcbbbbcbbcabbd", (223, 6, 49, 44, 1316, "int64")),
-    ("bdcddbbdbbbacbbd", (225, 7, 47, 46, 1344, "int64")),
-    ("accadcccaaacddcb", (226, 8, 48, 61, 1352, "int64")),
-    ("dcacaddbacbbadaa", (225, 7, 48, 48, 1346, "int64")),
-    ("ddcdddbbdabadaba", (230, 12, 49, 77, 1376, "int64")),
+    ("caacdacdcbddcaaa", (228, 174, 8, 48, 61, 1191, "int64")),
+    ("accacbcdadcbcbbb", (229, 191, 7, 47, 48, 1251, "int64")),
+    ("cadddcbbdcabbccc", (229, 169, 7, 48, 53, 1177, "int64")),
+    ("accbdbcbdccddacc", (222, 179, 10, 49, 61, 1191, "int64")),
+    ("aabcbccccdbdbaba", (221, 174, 8, 47, 56, 1163, "int64")),
+    ("cddabbaabacbdaaa", (230, 192, 7, 48, 48, 1249, "int64")),
+    ("bcaabcacbddbddbb", (221, 158, 8, 47, 60, 1082, "int64")),
+    ("aaabbdbadccdbbcc", (224, 170, 8, 48, 59, 1169, "int64")),
+    ("dabcbbbbcbbcabbd", (223, 180, 6, 49, 44, 1163, "int64")),
+    ("bdcddbbdbbbacbbd", (225, 172, 7, 49, 46, 1178, "int64")),
+    ("accadcccaaacddcb", (226, 156, 8, 50, 61, 1126, "int64")),
+    ("dcacaddbacbbadaa", (225, 177, 7, 48, 48, 1192, "int64")),
+    ("ddcdddbbdabadaba", (230, 152, 12, 49, 77, 1133, "int64")),
 ]
 
 
 @pytest.mark.parametrize(
     "labels,expected",
-    [pytest.param("debruijn8", (106, 1, 57, 4, 611, "int64"), id="debruijn8")]
+    # debruijn8 has no single-predecessor state: its system is not censored
+    [pytest.param("debruijn8", (106, 106, 1, 57, 4, 611, "int64"), id="debruijn8")]
     + [pytest.param(labels, stats, id=labels) for labels, stats in ORDER3_SYSTEMS],
 )
 def test_the_integer_system_is_unchanged(labels, expected):
     g = debruijn8_demo() if labels == "debruijn8" else de_bruijn(3, tuple(labels))
     s = stationary(_uniform_chain(g)).solve
-    assert (s.dim, s.lifts, s.bits_per_lift, s.denominator_digits, s.nnz, s.residual) == expected
+    assert (
+        s.unreduced_dim,
+        s.dim,
+        s.lifts,
+        s.bits_per_lift,
+        s.denominator_digits,
+        s.nnz,
+        s.residual,
+    ) == expected
+
+
+def _weighted_chain(rows: list[dict[int, int]]) -> MarkovChain:
+    """The chain whose row i sends weight w to state j, over the row's sum."""
+    rows = tuple({j: Fraction(w, sum(row.values())) for j, w in row.items()} for row in rows)
+    return MarkovChain(size=len(rows), rows=rows, absorb=tuple(Fraction(s % 2) for s in range(len(rows))))
+
+
+def _tailed_chain(rng: random.Random, hubs: int) -> MarkovChain:
+    """``hubs`` states with self-loops on a ring, so that each of them
+    stays in the solve. From each hub, a tail of 3 to 6 states of one
+    predecessor each runs back to a random hub, and two branches of one
+    state each meet again at a state that only a second round of
+    censoring eliminates, once both branches have folded into the hub."""
+    rows: list[dict[int, int]] = [
+        {h: rng.randint(1, 5), (h + 1) % hubs: rng.randint(1, 5)} for h in range(hubs)
+    ]
+
+    def add(row: dict[int, int]) -> int:
+        rows.append(row)
+        return len(rows) - 1
+
+    for h in range(hubs):
+        prev = h
+        for _ in range(rng.randint(3, 6)):
+            rows[prev][len(rows)] = rng.randint(1, 5)
+            prev = add({})
+        rows[prev][rng.randrange(hubs)] = 1
+        meet = add({rng.randrange(hubs): 1})
+        for _ in range(2):
+            rows[h][add({meet: 1})] = rng.randint(1, 5)
+    return _weighted_chain(rows)
+
+
+def _draining_chain() -> MarkovChain:
+    """State 0 transient, with state 2 its one predecessor, reaching three
+    closed classes: {4, 5}, where 4's one predecessor is 5; {6}; and the
+    pure cycle 7-8-9. The transient states 1 and 2 have one predecessor
+    each (0 and 1), and 3 has a self-loop."""
+    return _weighted_chain(
+        [
+            {1: 1, 4: 1},
+            {2: 1},
+            {0: 1, 3: 1, 6: 1},
+            {3: 1, 7: 1},
+            {5: 1},
+            {4: 1, 5: 1},
+            {6: 1},
+            {8: 1},
+            {9: 1},
+            {7: 1},
+        ]
+    )
+
+
+def _censoring(mc: MarkovChain) -> tuple:
+    """stationary(mc) and the (root, coef, power) that censoring returned."""
+    folds = []
+    censor = chain._censor
+
+    def recording(*args):
+        folds.append(censor(*args))
+        return folds[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "_censor", recording)
+        sd = stationary(mc)
+    return sd, (folds or [None])[0]
+
+
+@pytest.mark.parametrize(
+    "mc,dim",
+    [
+        # a pure cycle keeps one member, whose mass row reads 5 x = 1
+        pytest.param(_weighted_chain([{(s + 1) % 5: 1} for s in range(5)]), 1, id="pure-5-cycle"),
+        pytest.param(_draining_chain(), 5, id="transient-start-three-classes"),
+        # a zero-probability symbol leaves debruijn8 a reached 4-cycle
+        pytest.param(_one_symbol_chain(debruijn8_demo(), "c"), 1, id="debruijn8-only-c"),
+        pytest.param(
+            _one_symbol_chain(de_bruijn(3, tuple("dabcbbbbcbbcabbd")), "a"), 1, id="debruijn3-only-a"
+        ),
+    ]
+    + [
+        pytest.param(_tailed_chain(random.Random(seed), hubs), hubs, id=f"tails-{hubs}-hubs-{seed}")
+        for seed, hubs in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 6))
+    ],
+)
+def test_censoring_matches_bareiss(mc, dim):
+    sd, fold = _censoring(mc)
+    assert sd.q == bareiss_stationary(mc)
+    assert sd.solve.dim == dim < sd.solve.unreduced_dim
+    root, coef, power = fold
+    assert all(0 < c <= mc.scale**p for c, p in zip(coef.tolist(), power.tolist()))
+
+
+def test_censoring_reaches_depth_3_and_a_second_round():
+    mc = _tailed_chain(random.Random(3), 3)
+    sd, (root, coef, power) = _censoring(mc)
+    assert int(power.max()) >= 3  # a tail state 3 or more steps below its hub
+    meets = [s for s in range(mc.size) if len(mc.rows[s]) == 1 and len(
+        [i for i in range(mc.size) if s in mc.rows[i]]) == 2]
+    assert meets and all(root[s] < 3 for s in meets)  # each meeting state folded into a hub
+
+
+def test_censoring_never_folds_a_transient_state_0():
+    mc = _draining_chain()
+    sd, (root, coef, power) = _censoring(mc)
+    assert root.tolist()[:4] == [0, 0, 0, 3]  # 1 and 2 fold into 0, which stays
+    assert root[4] == 5 and root[6] == 6
+    assert len({root[s] for s in (7, 8, 9)}) == 1  # one member of the cycle stays
+    assert sd.q[:4] == (0, 0, 0, 0) and sum(sd.q) == 1
+
+
+def test_the_random_corpus_is_censored():
+    censored = {name for name, mc in _corpus() if (s := stationary(mc).solve).dim < s.unreduced_dim}
+    assert {f"random-{k}" for k in range(8)} <= censored
+    assert "recurrent-start-multiclass" not in censored  # both its states have self-loops
+
+
+def test_a_corrupted_back_substituted_share_raises_in_optimized_mode():
+    """State 0 has a self-loop; 1, 2 and 3 follow it round a cycle, one
+    predecessor each, and fold into it. Corrupting 3's share after the
+    back-substitution must fail the original chain's balance equations,
+    first that of state 0, which 3 feeds."""
+    code = (
+        "from fractions import Fraction\n"
+        "from tcq import ChainError, MarkovChain, stationary\n"
+        "from tcq import chain\n"
+        "real = chain._back_substitute\n"
+        "def corrupt(*args):\n"
+        "    x, d = real(*args)\n"
+        "    x[3] += 1\n"
+        "    return x, d\n"
+        "h, one = Fraction(1, 2), Fraction(1)\n"
+        "rows = ({0: h, 1: h}, {2: one}, {3: one}, {0: one})\n"
+        "mc = MarkovChain(size=4, rows=rows, absorb=(Fraction(0),) * 4)\n"
+        "print(stationary(mc).q == (Fraction(2, 5),) + (Fraction(1, 5),) * 3)\n"
+        "chain._back_substitute = corrupt\n"
+        "try:\n"
+        "    stationary(mc)\n"
+        "except ChainError as exc:\n"
+        "    print(exc.stage, exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "True",
+        "chain the back-substituted law fails the original chain's balance equation of state 0",
+    ]
+
+
+def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    entries = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    return (
+        np.cumsum([0] + [len(e) for e in entries]),
+        np.array([j for e in entries for j, _ in e]),
+        np.array([v for e in entries for _, v in e], dtype=object),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows,b,residual",
+    [
+        # short rows with a wide entry: the row sums stay below 2**34
+        pytest.param([[2**25, 3, 0], [1, 2, 1], [0, 1, 5]], [1, 0, 2], "int64", id="2^25-entry"),
+        # the entry's square passes 2**63: Hadamard's bound needs Python integers
+        pytest.param([[2**33, 3, 0], [1, 2, 1], [0, 1, 5]], [1, 0, 2], "int64", id="2^33-entry"),
+        # squares of 2**64 that would wrap to 0, on a system that needs the whole bound
+        pytest.param(
+            [[2**32, 1, 0, 0], [0, 2**32, 1, 0], [0, 0, 2**32, 1], [1, 0, 0, 2**32]],
+            [1, 0, 0, 0],
+            "int64",
+            id="2^32-entry-per-row",
+        ),
+        pytest.param([[2**33, 2**33, 1], [1, 2, 1], [0, 1, 5]], [1, 0, 2], "int", id="row-sum-2^34"),
+        pytest.param([[7, 3, 0], [1, 2, 1], [0, 1, 5]], [2**34, 0, 2], "int", id="rhs-2^34"),
+    ],
+)
+def test_int64_residual_is_chosen_by_row_sums(rows, b, residual):
+    d, nums, stats = chain._solve_exact(_csr(rows), b)
+    assert stats.residual == residual
+    assert [Fraction(v, d) for v in nums] == solve_integer([row + [r] for row, r in zip(rows, b)])
 
 
 def test_states_that_state_0_cannot_reach_stay_out_of_the_solve():
@@ -303,30 +508,38 @@ def test_large_denominators_stay_exact(monkeypatch):
         assert sd.q == bareiss_stationary(mc)
         assert _balanced(mc, sd.q, range(mc.size))
         assert sd.solve.denominator_digits > 200
-        assert sd.solve.residual == "int"  # entries past 2**20 keep Python integers
+        assert sd.solve.residual == "int"  # row sums past 2**34 keep Python integers
         # d's digits are counted without str(d)
         d, _, stats = solved[-1]
         assert 10 ** (stats.denominator_digits - 1) <= d < 10**stats.denominator_digits
 
 
-def _nearly_decomposable(eps: Fraction) -> MarkovChain:
+def _nearly_decomposable(eps: Fraction, lazy: bool = False) -> MarkovChain:
     """Two lazy 3-cycles, 0-1-2 and 3-4-5, joined by transitions of mass eps
-    and 2 eps: the balance system's condition number grows like 1/eps."""
+    and 2 eps: the balance system's condition number grows like 1/eps.
+
+    States 2 and 5 each have one predecessor (1 and 4), so censoring solves
+    4 unknowns. With ``lazy``, 2 and 5 also stay put with probability 1/2:
+    every state then has a self-loop, none is eliminated, and the dense
+    factor sees all 6 unknowns."""
     h = Fraction(1, 2)
+    stay = h if lazy else Fraction(0)
     rows = (
         {0: h, 1: h - eps, 3: eps},
         {1: Fraction(1, 3), 2: Fraction(2, 3)},
-        {0: Fraction(1)},
+        {0: 1 - stay, 2: stay},
         {3: h, 4: h - 2 * eps, 0: 2 * eps},
         {4: Fraction(1, 4), 5: Fraction(3, 4)},
-        {3: Fraction(1)},
+        {3: 1 - stay, 5: stay},
     )
+    rows = tuple({j: p for j, p in row.items() if p} for row in rows)
     return MarkovChain(size=6, rows=rows, absorb=(Fraction(0), h, Fraction(1)) * 2)
 
 
 def _coupled_cycles(length: int, eps: Fraction) -> MarkovChain:
     """Two lazy cycles of ``length`` states each, joined from their first
-    states by transitions of mass eps and 2 eps."""
+    states by transitions of mass eps and 2 eps. Every state has a
+    self-loop, so censoring eliminates none."""
     h = Fraction(1, 2)
     rows = []
     for start, out in ((0, eps), (length, 2 * eps)):
@@ -338,16 +551,20 @@ def _coupled_cycles(length: int, eps: Fraction) -> MarkovChain:
 
 
 @pytest.mark.parametrize(
-    "mc",
+    "mc,dim",
     [
-        pytest.param(_nearly_decomposable(Fraction(1, 2**40)), id="6-states-2^-40"),
-        pytest.param(_nearly_decomposable(Fraction(1, 2**55)), id="6-states-2^-55"),
-        pytest.param(_coupled_cycles(50, Fraction(1, 2**50)), id="100-states-2^-50"),
+        # censored: states 2 and 5 leave, and the dense factor sees 4 unknowns
+        pytest.param(_nearly_decomposable(Fraction(1, 2**40)), 4, id="6-states-2^-40"),
+        pytest.param(_nearly_decomposable(Fraction(1, 2**55)), 4, id="6-states-2^-55"),
+        # self-loops everywhere: nothing is eliminated, the dense factor sees all
+        pytest.param(_nearly_decomposable(Fraction(1, 2**55), lazy=True), 6, id="6-lazy-states-2^-55"),
+        pytest.param(_coupled_cycles(50, Fraction(1, 2**50)), 100, id="100-states-2^-50"),
     ],
 )
-def test_ill_conditioned_system_still_certifies(mc):
+def test_ill_conditioned_system_still_certifies(mc, dim):
     sd = stationary(mc)
     assert sd.q == bareiss_stationary(mc)
+    assert (sd.solve.unreduced_dim, sd.solve.dim) == (mc.size, dim)
     # the float solve keeps fewer bits per lift than on a well-conditioned chain
     assert sd.solve.bits_per_lift < 52
 
@@ -375,15 +592,17 @@ def _solves(mc: MarkovChain) -> list[tuple]:
         pytest.param(_nearly_decomposable(Fraction(1, 2**40)), id="6-states-2^-40"),
         pytest.param(_nearly_decomposable(Fraction(1, 2**55)), id="6-states-2^-55"),
         pytest.param(_coupled_cycles(50, Fraction(1, 2**50)), id="100-states-2^-50"),
-        # (the three above have entries past 2**20, so they are wide already)
-        # ill-conditioned (38 bits per lift), yet with entries below 2**20: the int64 path
+        # (the three above have row sums past 2**34, so they are wide already)
+        # censored to 4 unknowns, which lift 53 bits at a time in int64
         pytest.param(_nearly_decomposable(Fraction(1, 2**18)), id="6-states-2^-18"),
+        # ill-conditioned (26 bits per lift), yet with row sums below 2**34: the int64 path
+        pytest.param(_nearly_decomposable(Fraction(1, 2**30)), id="6-states-2^-30"),
         pytest.param(_uniform_chain(debruijn8_demo()), id="debruijn8"),
     ],
 )
 def test_python_int_residual_lifts_as_the_int64_residual(monkeypatch, mc):
     default = _solves(mc)
-    monkeypatch.setattr(chain, "_INT64_ENTRY_LIMIT", 0)  # every system is wide
+    monkeypatch.setattr(chain, "_INT64_ROW_LIMIT", 0)  # every system is wide
     wide = _solves(mc)
     assert [s[:4] for s in wide] == [s[:4] for s in default]
     assert {s[4] for s in wide} == {"int"}
@@ -411,7 +630,7 @@ def test_int64_residual_leaves_matvec_to_the_certificate(monkeypatch, labels):
     # one certificate check per candidate, and no residual update
     assert calls["matvec"] == calls["candidates"] >= 1
     calls.update(matvec=0, candidates=0)
-    monkeypatch.setattr(chain, "_INT64_ENTRY_LIMIT", 0)
+    monkeypatch.setattr(chain, "_INT64_ROW_LIMIT", 0)
     stats = stationary(mc).solve
     assert stats.residual == "int"
     # the Python-int residual is updated in numpy as well: only the certificate runs _matvec
@@ -427,12 +646,27 @@ def test_a_row_with_no_entry_raises():
 
 
 def test_beyond_double_precision_fails_fast():
+    # censored to 4 unknowns, and lazy with all 6 in the dense factor
+    for lazy in (False, True):
+        mc = _nearly_decomposable(Fraction(1, 2**200), lazy=lazy)
+        start = time.perf_counter()
+        with pytest.raises(ChainError, match="too ill-conditioned") as info:
+            stationary(mc)
+        assert info.value.stage == "chain"
+        assert time.perf_counter() - start < 10
+
+
+def test_censored_system_certifies_past_the_unreduced_refusal():
+    """At eps = 2**-80 the unreduced 6-unknown system is refused; censored
+    to 4 unknowns it lifts a bit at a time to the certified law."""
     mc = _nearly_decomposable(Fraction(1, 2**80))
-    start = time.perf_counter()
-    with pytest.raises(ChainError) as info:
-        stationary(mc)
-    assert info.value.stage == "chain"
-    assert time.perf_counter() - start < 10
+    sd = stationary(mc)
+    assert sd.q == bareiss_stationary(mc)
+    assert (sd.solve.unreduced_dim, sd.solve.dim) == (6, 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "_censor", lambda *args: None)
+        with pytest.raises(ChainError, match="too ill-conditioned"):
+            stationary(mc)
 
 
 def test_a_float_solve_off_by_a_relative_2_to_the_minus_20_still_certifies(

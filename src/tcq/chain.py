@@ -21,7 +21,7 @@ to a surviving root with an integer coefficient over a power of the scale;
 rounds repeat while the censored chain has such states. A transient state
 0 stays, and so does one member of a class that is a pure cycle. One
 ``np.bincount`` finds the candidates, so a chain without any is solved
-exactly as before. ``SolveStats`` reports the unknowns before censoring
+its unreduced system for that one count. ``SolveStats`` reports the unknowns before censoring
 (``unreduced_dim``) beside those solved (``dim``).
 
 The censored system is built in integers, each row divided by its gcd,
@@ -311,7 +311,7 @@ _LEAF = 8  # panel columns eliminated one at a time
 _ROWS = 256  # rows per chunk of the trailing update
 _MAX_FACTOR_BYTES = 2 << 30  # cap on the dense factor (n <= 16,384), checked first
 _MANTISSA = 52  # integer bits a float64 holds exactly, less one for rounding
-_INT64_ROW_LIMIT = 1 << 34  # systems with every row's sum of |entries| and every |b_i| below lift in int64
+_INT64_ROW_LIMIT = 1 << 34  # int64 lifting below this sum of a row's |entries|, and |b_i|
 
 
 def _unit_lower_inverse(block: np.ndarray) -> np.ndarray:
@@ -556,7 +556,8 @@ def _censor(
             cand[keep] = False
         going = cand & closed
         members = np.bincount(klass[alive & closed], minlength=size)
-        pure = np.flatnonzero((np.bincount(klass[going], minlength=size) == members) & (members > 0))
+        leaving = np.bincount(klass[going], minlength=size)
+        pure = np.flatnonzero((leaving == members) & (members > 0))
         if pure.size:  # every survivor of these classes has one predecessor: keep the largest
             anchor = np.zeros(size, dtype=np.intp)
             np.maximum.at(anchor, klass[going], np.flatnonzero(going))
@@ -587,7 +588,7 @@ def _censor(
             power[hop] += power[via]
             root[hop] = up[hop]
         else:
-            raise ChainError(f"censoring found a cycle of single predecessors through state {hop[0]}")
+            raise ChainError(f"censoring met a cycle of single predecessors at state {hop[0]}")
     return None if alive.all() else (root, coef, power)
 
 
@@ -693,7 +694,8 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     within = ~into
     fold = None
     if (np.bincount(t[within], minlength=mc.size) == 1).any():
-        fold = _censor(mc.size, i[within], t[within], num[within], scale, last, None if single else 0)
+        keep = None if single else 0  # a transient state 0 has a right-hand side
+        fold = _censor(mc.size, i[within], t[within], num[within], scale, last, keep)
     anchor = last  # the row of each class's mass: its last member that stays
     if fold is not None:
         root, coef, power = fold

@@ -291,7 +291,8 @@ def test_the_integer_system_is_unchanged(labels, expected):
 def _weighted_chain(rows: list[dict[int, int]]) -> MarkovChain:
     """The chain whose row i sends weight w to state j, over the row's sum."""
     rows = tuple({j: Fraction(w, sum(row.values())) for j, w in row.items()} for row in rows)
-    return MarkovChain(size=len(rows), rows=rows, absorb=tuple(Fraction(s % 2) for s in range(len(rows))))
+    absorb = tuple(Fraction(s % 2) for s in range(len(rows)))
+    return MarkovChain(size=len(rows), rows=rows, absorb=absorb)
 
 
 def _tailed_chain(rng: random.Random, hubs: int) -> MarkovChain:
@@ -365,7 +366,9 @@ def _censoring(mc: MarkovChain) -> tuple:
         # a zero-probability symbol leaves debruijn8 a reached 4-cycle
         pytest.param(_one_symbol_chain(debruijn8_demo(), "c"), 1, id="debruijn8-only-c"),
         pytest.param(
-            _one_symbol_chain(de_bruijn(3, tuple("dabcbbbbcbbcabbd")), "a"), 1, id="debruijn3-only-a"
+            _one_symbol_chain(de_bruijn(3, tuple("dabcbbbbcbbcabbd")), "a"),
+            1,
+            id="debruijn3-only-a",
         ),
     ]
     + [
@@ -385,9 +388,9 @@ def test_censoring_reaches_depth_3_and_a_second_round():
     mc = _tailed_chain(random.Random(3), 3)
     sd, (root, coef, power) = _censoring(mc)
     assert int(power.max()) >= 3  # a tail state 3 or more steps below its hub
-    meets = [s for s in range(mc.size) if len(mc.rows[s]) == 1 and len(
-        [i for i in range(mc.size) if s in mc.rows[i]]) == 2]
-    assert meets and all(root[s] < 3 for s in meets)  # each meeting state folded into a hub
+    preds = [{i for i in range(mc.size) if s in mc.rows[i]} for s in range(mc.size)]
+    meets = [s for s, p in enumerate(preds) if len(p) == 2 and all(len(preds[i]) == 1 for i in p)]
+    assert len(meets) == 3 and all(root[s] < 3 for s in meets)  # each folded into a hub
 
 
 def test_censoring_never_folds_a_transient_state_0():
@@ -466,7 +469,9 @@ def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             "int64",
             id="2^32-entry-per-row",
         ),
-        pytest.param([[2**33, 2**33, 1], [1, 2, 1], [0, 1, 5]], [1, 0, 2], "int", id="row-sum-2^34"),
+        pytest.param(
+            [[2**33, 2**33, 1], [1, 2, 1], [0, 1, 5]], [1, 0, 2], "int", id="row-sum-2^34"
+        ),
         pytest.param([[7, 3, 0], [1, 2, 1], [0, 1, 5]], [2**34, 0, 2], "int", id="rhs-2^34"),
     ],
 )
@@ -557,7 +562,9 @@ def _coupled_cycles(length: int, eps: Fraction) -> MarkovChain:
         pytest.param(_nearly_decomposable(Fraction(1, 2**40)), 4, id="6-states-2^-40"),
         pytest.param(_nearly_decomposable(Fraction(1, 2**55)), 4, id="6-states-2^-55"),
         # self-loops everywhere: nothing is eliminated, the dense factor sees all
-        pytest.param(_nearly_decomposable(Fraction(1, 2**55), lazy=True), 6, id="6-lazy-states-2^-55"),
+        pytest.param(
+            _nearly_decomposable(Fraction(1, 2**55), lazy=True), 6, id="6-lazy-states-2^-55"
+        ),
         pytest.param(_coupled_cycles(50, Fraction(1, 2**50)), 100, id="100-states-2^-50"),
     ],
 )

@@ -694,8 +694,8 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     within = ~into
     fold = None
     if (np.bincount(t[within], minlength=mc.size) == 1).any():
-        keep = None if single else 0  # a transient state 0 has a right-hand side
-        fold = _censor(mc.size, i[within], t[within], num[within], scale, last, keep)
+        pinned = None if single else 0  # a transient state 0 has a right-hand side
+        fold = _censor(mc.size, i[within], t[within], num[within], scale, last, pinned)
     anchor = last  # the row of each class's mass: its last member that stays
     if fold is not None:
         root, coef, power = fold
@@ -725,11 +725,15 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
             np.full(len(closed), unit, dtype=num.dtype),
         ]
     )
-    dtype = num.dtype
+    b = np.zeros(m, dtype=num.dtype)
+    if single:  # the one reached class holds all the mass
+        b[col[anchor[comps[0][-1]]]] = 1
+    else:  # state 0 is transient, and the walk starts there
+        b[col[0]] = -scale
     if fold is not None:
         # each eliminated share as its root's times coef / scale**power, and
-        # each row over the largest such power in it; an entry is then at
-        # most scale**(power + 1) * coef, which bounds the sums in int64
+        # each row over the largest such power in it; no entry then exceeds
+        # scale**(max power + 1) * max coef, so int64 sums hold them below
         widest = len(value) * scale ** (int(power.max()) + 1) * max(coef.tolist())
         dtype = np.int64 if widest < 1 << 63 else object
         value = value.astype(dtype) * coef.astype(dtype)[column]
@@ -738,11 +742,7 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
         np.maximum.at(top, col[row], lifted)
         powers = np.array([scale**k for k in range(int(top.max()) + 1)], dtype=dtype)
         value *= powers[top[col[row]] - lifted]
-    b = np.zeros(m, dtype=dtype)
-    if single:  # the one reached class holds all the mass
-        b[col[anchor[comps[0][-1]]]] = 1
-    else:  # state 0 is transient, and the walk starts there
-        b[col[0]] = -scale
+        b = b.astype(dtype) * powers[top]
     # CSR over the solved unknowns, entries at the same place summed
     key = col[row] * m + col[column]
     order = np.argsort(key, kind="stable")
@@ -751,7 +751,6 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     system_indptr = np.searchsorted(key[firsts], np.arange(m + 1) * m)
     vals = np.add.reduceat(value[order], firsts)
     if fold is not None:  # each row, with its right-hand side, over its gcd
-        b *= powers[top]
         g = np.gcd(np.gcd.reduceat(vals, system_indptr[:-1]), b)
         vals, b = vals // np.repeat(g, np.diff(system_indptr)), b // g
     d, nums, stats = _solve_exact((system_indptr, key[firsts] % m, vals), b.tolist())

@@ -576,6 +576,13 @@ def _censor(
         np.add.at(total, j, w.astype(object) * coef[i] * powers[top[j] - lifted])
         coef[cand], power[cand], root[cand] = total[cand], top[cand], sole[cand]
         alive[cand] = False
+        # whole factors of the scale come out, so that an arc of probability 1
+        # adds no power and a long path of them keeps its shares small
+        fresh = np.flatnonzero(cand)
+        while fresh.size:
+            fresh = fresh[(power[fresh] > 0) & (coef[fresh] % scale == 0)]
+            coef[fresh] //= scale
+            power[fresh] -= 1
         # pointer jumping, each state's coefficient times its parent's: a
         # chain of parents halves each step, and one that never ends is a cycle
         for _ in range(size.bit_length() + 1):

@@ -298,9 +298,10 @@ def _weighted_chain(rows: list[dict[int, int]]) -> MarkovChain:
 def _tailed_chain(rng: random.Random, hubs: int) -> MarkovChain:
     """``hubs`` states with self-loops on a ring, so that each of them
     stays in the solve. From each hub, a tail of 3 to 6 states of one
-    predecessor each runs back to a random hub, and two branches of one
-    state each meet again at a state that only a second round of
-    censoring eliminates, once both branches have folded into the hub."""
+    predecessor each runs back to a random hub, each tail state also
+    returning to its hub, and two branches of one state each meet again at
+    a state that only a second round of censoring eliminates, once both
+    branches have folded into the hub."""
     rows: list[dict[int, int]] = [
         {h: rng.randint(1, 5), (h + 1) % hubs: rng.randint(1, 5)} for h in range(hubs)
     ]
@@ -313,7 +314,7 @@ def _tailed_chain(rng: random.Random, hubs: int) -> MarkovChain:
         prev = h
         for _ in range(rng.randint(3, 6)):
             rows[prev][len(rows)] = rng.randint(1, 5)
-            prev = add({})
+            prev = add({h: rng.randint(1, 5)})
         rows[prev][rng.randrange(hubs)] = 1
         meet = add({rng.randrange(hubs): 1})
         for _ in range(2):
@@ -391,6 +392,22 @@ def test_censoring_reaches_depth_3_and_a_second_round():
     preds = [{i for i in range(mc.size) if s in mc.rows[i]} for s in range(mc.size)]
     meets = [s for s, p in enumerate(preds) if len(p) == 2 and all(len(preds[i]) == 1 for i in p)]
     assert len(meets) == 3 and all(root[s] < 3 for s in meets)  # each folded into a hub
+
+
+def test_probability_one_arcs_add_no_power():
+    """State 0 stays put with probability p, else it starts a path of 2,000
+    states with one successor each back to 0, under a 65-bit scale. The
+    path's shares all equal (1 - p) times 0's: the path adds no power of
+    the scale, so no share grows with the path's length."""
+    big = 2**64 + 13
+    p, n = Fraction(big // 3, big), 2000
+    rows = [{0: p, 1: 1 - p}] + [{k + 1: Fraction(1)} for k in range(1, n - 1)] + [{0: Fraction(1)}]
+    mc = MarkovChain(size=n, rows=tuple(rows), absorb=(Fraction(0),) * n)
+    sd, (root, coef, power) = _censoring(mc)
+    assert (sd.solve.unreduced_dim, sd.solve.dim) == (n, 1)
+    assert int(power.max()) == 1
+    first = 1 / (1 + (n - 1) * (1 - p))
+    assert sd.q == (first,) + ((1 - p) * first,) * (n - 1)
 
 
 def test_censoring_never_folds_a_transient_state_0():

@@ -248,9 +248,8 @@ def test_solve_stats_describe_each_solve(debruijn8):
 
 # (unreduced_dim, dim, lifts, bits_per_lift, denominator_digits, nnz,
 # residual) of the one system of each order-3 pool graph of
-# perfbench/corpus.json. unreduced_dim is the class size, the dimension
-# recorded when ``stationary`` assembled the system from Fraction rows;
-# the rest describe the censored system that is solved.
+# perfbench/corpus.json: unreduced_dim is the class size, and the rest
+# describe the censored system that is solved.
 ORDER3_SYSTEMS = [
     ("caacdacdcbddcaaa", (228, 174, 8, 48, 61, 1191, "int64")),
     ("accacbcdadcbcbbb", (229, 191, 7, 47, 48, 1251, "int64")),

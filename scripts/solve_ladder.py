@@ -28,14 +28,16 @@ enumerate. Each runs once in its own child process and records its
 seconds, peak RSS and increment sum.
 
 The report also names the git commit (marked "-dirty" when tracked files
-differ from it) and the Python, numpy and scipy versions (scipy "absent"
-when it is not installed; it is never imported). The headline is the
+differ from it), the Python, numpy and scipy versions (scipy "absent"
+when it is not installed; it is never imported), numpy's BLAS and LAPACK
+with their versions, from numpy's build configuration, and the dgetrf
+symbol that tcq binds for its float factor. The headline is the
 largest rung solved, graph to D(G), within 60 s, largest by its unreduced
 dimension, so that censoring more states cannot move it by itself. Each
 D(G) digest and each increment sum is pinned: the report is still written,
 but the script exits 1 if a finished rung differs from its pin:
 
-    python3 scripts/solve_ladder.py --out BENCH_16.json
+    python3 scripts/solve_ladder.py --out BENCH_17.json
 """
 
 from __future__ import annotations
@@ -200,6 +202,19 @@ def installed_version(package: str) -> str:
         return "absent"
 
 
+def linear_algebra() -> dict:
+    """numpy's BLAS and LAPACK, as its build configuration names them, and
+    the dgetrf symbol that tcq's float factor binds."""
+    import numpy
+
+    sys.path.insert(0, str(ROOT / "src"))  # the tcq that the children run
+    from tcq import chain
+
+    deps = numpy.show_config(mode="dicts")["Build Dependencies"]
+    named = {lib: f"{deps[lib]['name']} {deps[lib]['version']}" for lib in ("blas", "lapack")}
+    return {**named, "dgetrf": chain._lapack()[0].__name__}
+
+
 def git_commit() -> str:
     """The checked-out commit, with "-dirty" when tracked files differ from
     it, or "unknown" outside a git checkout."""
@@ -256,6 +271,7 @@ def main() -> int:
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "threads": 1,
+            **linear_algebra(),
         },
         "rungs": rungs,
         "walks": walks,

@@ -20,36 +20,39 @@ has x_j = P_ij x_i, so it leaves the system, resolved by pointer jumping
 to a surviving root with an integer coefficient over a power of the scale;
 rounds repeat while the censored chain has such states. A transient state
 0 stays, and so does one member of a class that is a pure cycle. One
-``np.bincount`` finds the candidates, so a chain without any is solved
-its unreduced system for that one count. ``SolveStats`` reports the unknowns before censoring
+``np.bincount`` finds the candidates, so a chain without any pays for that
+count alone. ``SolveStats`` reports the unknowns before censoring
 (``unreduced_dim``) beside those solved (``dim``).
 
 The censored system is built in integers, each row divided by its gcd,
-handed over as CSR arrays, factored once as a dense float64 LU, and solved
-by numeric lifting (Wan 2006) with one exact integer residual update per
-lift; each lift takes the most bits K for which 2^K times the float solve
-of the residual stays below 2^52, and that cap alone sets K. The residual
-is one numpy array: int64 when every row's sum of |entries| lies below
-2^34, where numpy arithmetic wraps mod 2^64 and so stays exact while the
-true residual is below 2^63 (``_solve_exact`` derives that bound), and
+handed over as CSR arrays, factored once in float64 by LAPACK's dgetrf
+(through ctypes, in the OpenBLAS that numpy loads), and solved by numeric
+lifting (Wan 2006): one dgetrs solve and one exact integer residual update
+per lift; each lift takes the most bits K for which 2^K times the float
+solve of the residual stays below 2^52, and that cap alone sets K. The
+residual is one numpy array: int64 when every row's sum of |entries| lies
+below 2^34, where numpy arithmetic wraps mod 2^64 and so stays exact while
+the true residual is below 2^63 (``_solve_exact`` derives that bound), and
 Python integers in an ``object`` array otherwise. A common denominator is
-then read off continued fractions, and a candidate stands only if A num =
-d b holds in Python integers on every row. The eliminated shares are then
-back-substituted in integers over one common denominator, and the whole
-law is certified once more on the original chain's equations: balance
-within each class, total mass 1, and with several classes the expected
-visits and class masses. Those checks, not a bound, are the certificate.
-Systems beyond double precision or the dense factor's memory cap raise
-ChainError. The optional D(R) comparison in ``analyze`` is a float lower
-bound at the precision of ``rd``.
+then read off continued fractions, and a candidate stands only if A num = d
+b holds in Python integers on every row. The eliminated shares are then
+back-substituted in integers over one common denominator, and the whole law
+is certified once more on the original chain's equations: balance within
+each class, total mass 1, and with several classes the expected visits and
+class masses. Those checks, not a bound, are the certificate. D(G) is one
+integer dot product with the law's numerators; its Fractions are built only
+when ``q`` is read. Systems beyond double precision or the dense factor's
+memory cap raise ChainError. The optional D(R) comparison in ``analyze`` is
+a float lower bound at the precision of ``rd``.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import pairwise
 from math import frexp, gcd, isfinite, isqrt, lcm, log10
 from operator import mul
@@ -247,20 +250,35 @@ class SolveStats:
     residual: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StationaryDistribution:
     """Long-run occupation law of the chain started at state 0.
 
     With a single closed class this is the unique stationary distribution.
     Otherwise it is the Cesaro limit from state 0: the mixture of per-class
     stationary laws weighted by the probability of entering each class.
-    ``solve`` describes the one exact solve behind it.
+    It is held as integer ``numerators`` over one ``denominator``, in lowest
+    terms, which ``q`` gives as Fractions, built on first read; the
+    constructor takes either form. ``solve`` describes the exact solve.
     """
 
-    q: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
     classes: ClassPartition
     unique: bool
     solve: SolveStats | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, q, classes, unique, solve=None, *, denominator: int | None = None):
+        if denominator is None:  # Fractions, over the lcm of their denominators
+            denominator = lcm(*(v.denominator for v in q))
+            q = [v.numerator * (denominator // v.denominator) for v in q]
+        g = gcd(denominator, *q)
+        held = {"numerators": tuple(v // g for v in q), "denominator": denominator // g}
+        self.__dict__.update(held, classes=classes, unique=unique, solve=solve)  # frozen: no setattr
+
+    @cached_property
+    def q(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.denominator) for v in self.numerators)
 
 
 def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
@@ -306,70 +324,59 @@ def closed_classes(mc: MarkovChain) -> ClassPartition:
     return ClassPartition(closed=closed, transient=tuple(np.flatnonzero(leaves[comp]).tolist()))
 
 
-_PANEL = 64  # columns per pivoting panel, and per diagonal block of the solves
-_LEAF = 8  # panel columns eliminated one at a time
-_ROWS = 256  # rows per chunk of the trailing update
 _MAX_FACTOR_BYTES = 2 << 30  # cap on the dense factor (n <= 16,384), checked first
 _MANTISSA = 52  # integer bits a float64 holds exactly, less one for rounding
 _INT64_ROW_LIMIT = 1 << 34  # int64 lifting below this sum of a row's |entries|, and |b_i|
+_LAPACK_NAMES = ("scipy_{}_64_", "scipy_{}_", "{}_")  # in numpy's own builds, ILP64 first
 
 
-def _unit_lower_inverse(block: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(np.tril(block, -1) + np.eye(len(block)))
+@cache
+def _lapack() -> tuple[ctypes._CFuncPtr, ctypes._CFuncPtr, type]:
+    """dgetrf and dgetrs from the LAPACK that numpy itself links, and the
+    C integer type they take (64 bits in an ILP64 build), bound on first use."""
+    from numpy.linalg import _umath_linalg
 
-
-def _factor_panel(a: np.ndarray, c0: int, c1: int, perm: list[int]) -> None:
-    """Recursive LU with partial pivoting of columns c0:c1 of ``a``, rows c0
-    on, swapping whole rows of ``a`` and the same entries of ``perm``."""
-    if c1 - c0 > _LEAF:
-        mid = (c0 + c1) // 2
-        _factor_panel(a, c0, mid, perm)
-        a[c0:mid, mid:c1] = _unit_lower_inverse(a[c0:mid, c0:mid]) @ a[c0:mid, mid:c1]
-        a[mid:, mid:c1] -= a[mid:, c0:mid] @ a[c0:mid, mid:c1]
-        _factor_panel(a, mid, c1, perm)
-        return
-    for j in range(c0, c1):
-        col = a[j:, j]
-        k = j + int(abs(col).argmax())
-        if a[k, j] == 0:
-            raise ChainError("singular system in double precision (a zero pivot)")
-        if k != j:
-            a[[j, k]], perm[j], perm[k] = a[[k, j]], perm[k], perm[j]
-        col[1:] /= col[0]
-        a[j + 1 :, j + 1 : c1] -= np.multiply.outer(col[1:], a[j, j + 1 : c1])
+    # a symbol lookup in this library also searches the OpenBLAS it links
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    index = ctypes.c_int64 if getattr(_umath_linalg, "_ilp64", False) else ctypes.c_int32
+    ref, ptr = ctypes.POINTER(index), ctypes.c_void_p
+    for name in _LAPACK_NAMES:
+        try:
+            getrf, getrs = getattr(lib, name.format("dgetrf")), getattr(lib, name.format("dgetrs"))
+        except AttributeError:
+            continue
+        getrf.argtypes = [ref, ref, ptr, ref, ptr, ref]
+        # dgetrs's last argument is the length of its one-character trans
+        getrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ptr, ref, ref, ctypes.c_size_t]
+        getrf.restype = getrs.restype = None
+        return getrf, getrs, index
+    tried = ", ".join(name.format("d*") for name in _LAPACK_NAMES)
+    raise ChainError(f"numpy's LAPACK exports no dgetrf and dgetrs as {tried}")
 
 
 class _FloatLU:
-    """PA = LU in float64, computed in place in ``a``, with the inverses of
-    the diagonal blocks of L and U for blocked triangular solves."""
+    """PA = LU in float64 by LAPACK's dgetrf, pivoting over rows, in place
+    in the Fortran-order array ``a``; ``solve`` runs dgetrs on it."""
 
     def __init__(self, a: np.ndarray):
-        n = len(a)
-        self.lu, self.linv, self.perm = a, [], list(range(n))
-        prod = np.empty(_ROWS * n)  # one chunk of the trailing update
-        for k0 in range(0, n, _PANEL):
-            k1 = min(k0 + _PANEL, n)
-            _factor_panel(a, k0, k1, self.perm)
-            self.linv.append(_unit_lower_inverse(a[k0:k1, k0:k1]))
-            u12 = a[k0:k1, k1:]
-            u12[:] = self.linv[-1] @ u12
-            for r0 in range(k1, n, _ROWS):
-                r1 = min(r0 + _ROWS, n)
-                out = prod[: (r1 - r0) * (n - k1)].reshape(r1 - r0, n - k1)
-                a[r0:r1, k1:] -= np.matmul(a[r0:r1, k0:k1], u12, out=out)
-        self.blocks = [(s, min(s + _PANEL, n)) for s in range(0, n, _PANEL)]
-        self.uinv = [np.linalg.inv(np.triu(a[s:e, s:e])) for s, e in self.blocks]
+        getrf, self._getrs, index = _lapack()
+        # LAPACK reads a's column stride as its leading dimension: a C-order
+        # array gives 1, which it refuses (info -4) instead of factoring A^T
+        n, lda, info = index(len(a)), index(a.strides[1] // a.itemsize), index()
+        self.lu, self.pivots, self._info = a, np.empty(len(a), dtype=index), info
+        getrf(n, n, a.ctypes.data, lda, self.pivots.ctypes.data, info)
+        if info.value > 0:
+            raise ChainError("singular system in double precision (a zero pivot)")
+        if info.value < 0:
+            raise ChainError(f"LAPACK's dgetrf refused its argument {-info.value}")
+        # dgetrs takes only arguments that dgetrf accepted, so its info stays 0
+        self._args = (n, index(1), a.ctypes.data, lda, self.pivots.ctypes.data)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The float x with A x = b."""
-        lu, y = self.lu, b[self.perm]
-        for (s, e), inv in zip(self.blocks, self.linv):
-            y[s:e] = inv @ y[s:e]
-            y[e:] -= lu[e:, s:e] @ y[s:e]
-        for (s, e), inv in zip(reversed(self.blocks), reversed(self.uinv)):
-            y[s:e] = inv @ y[s:e]
-            y[:s] -= lu[:s, s:e] @ y[s:e]
-        return y
+        x = np.array(b, dtype=np.float64)
+        self._getrs(b"N", *self._args, x.ctypes.data, self._args[0], self._info, 1)
+        return x
 
 
 def _reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
@@ -412,12 +419,12 @@ def _solve_exact(
     ``a`` gives the integer matrix A as CSR arrays (indptr, cols, vals): row
     i holds the nonzero entries ``indptr[i]:indptr[i + 1]``, in int64 or
     Python integers. Returns a common denominator d and the numerators of
-    the solution. A is factored once in float64, and the solution is lifted
-    numerically (Wan 2006): each lift rounds 2**K times the float solve y of
-    the residual r to integers x, K as large as keeps them below 2**52, and
-    updates the residual exactly to r' = 2**K r - A x. A solution is
-    returned only after A num = d b has been checked in exact integer
-    arithmetic for every row.
+    the solution. A is factored once in float64 by LAPACK's dgetrf
+    (``_FloatLU``), and the solution is lifted numerically (Wan 2006): each
+    lift rounds 2**K times the dgetrs solve y of the residual r to integers
+    x, K as large as keeps them below 2**52, and updates the residual
+    exactly to r' = 2**K r - A x. A solution is returned only after A num =
+    d b has been checked in exact integer arithmetic for every row.
 
     The residual is one numpy array updated with one ``np.add.reduceat`` per
     lift. Its dtype is int64 when every row of A has sum_j |a_ij| < 2**34
@@ -463,7 +470,7 @@ def _solve_exact(
     residual = np.array(b, dtype=dtype)
     # each row scaled by a power of two, to entries of magnitude at most 1
     scales = np.array([1 << v.bit_length() for v in row_max], dtype=dtype)
-    dense = np.zeros((n, n))
+    dense = np.zeros((n, n), order="F")  # LAPACK's column-major order
     dense[rows, cols] = vals / scales[rows]
     # a row's sum of squares can pass 2**63 while its sum stays below the limit
     square = np.int64 if widest * widest * (int(counts.max()) + 1) < 1 << 63 else object
@@ -770,25 +777,17 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     total = x[closed].sum()
     if total != d:
         raise ChainError(f"long-run mass sums to {Fraction(total, d)}, not 1")
-    q = [Fraction(0)] * mc.size
-    for s, v in zip(closed.tolist(), x[closed].tolist()):
-        q[s] = Fraction(v, d)
-    return StationaryDistribution(
-        q=tuple(q),
-        classes=classes,
-        unique=len(classes.closed) == 1,
-        solve=stats,
-    )
+    x[last < 0] = 0  # a transient state's expected visits are no mass
+    unique = len(classes.closed) == 1
+    return StationaryDistribution(x.tolist(), classes, unique, stats, denominator=d)
 
 
 def distortion_rate(mc: MarkovChain, sd: StationaryDistribution) -> Fraction:
     """The stationary expectation of the increment mass, as one integer dot
-    product over the common denominator of the law and the chain's scale."""
-    dq = lcm(*(x.denominator for x in sd.q))
-    dot = sum(
-        q.numerator * (dq // q.denominator) * a for q, a in zip(sd.q, mc.absorb_num.tolist()) if q
-    )
-    return Fraction(dot, dq * mc.scale)
+    product of the law's numerators with the chain's increment numerators,
+    over the law's denominator times the chain's scale."""
+    dot = sum(map(mul, sd.numerators, mc.absorb_num.tolist()))
+    return Fraction(dot, sd.denominator * mc.scale)
 
 
 def decimal_string(x: Fraction, places: int = 10) -> str:

@@ -274,7 +274,7 @@ class StationaryDistribution:
             q = [v.numerator * (denominator // v.denominator) for v in q]
         g = gcd(denominator, *q)
         held = {"numerators": tuple(v // g for v in q), "denominator": denominator // g}
-        self.__dict__.update(held, classes=classes, unique=unique, solve=solve)  # frozen: no setattr
+        self.__dict__.update(held, classes=classes, unique=unique, solve=solve)  # it is frozen
 
     @cached_property
     def q(self) -> tuple[Fraction, ...]:
@@ -369,7 +369,7 @@ class _FloatLU:
             raise ChainError("singular system in double precision (a zero pivot)")
         if info.value < 0:
             raise ChainError(f"LAPACK's dgetrf refused its argument {-info.value}")
-        # dgetrs takes only arguments that dgetrf accepted, so its info stays 0
+        # dgetrs's n, nrhs, a, lda and ipiv: only what dgetrf accepted, so its info stays 0
         self._args = (n, index(1), a.ctypes.data, lda, self.pivots.ctypes.data)
 
     def solve(self, b: np.ndarray) -> np.ndarray:

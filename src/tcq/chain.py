@@ -829,11 +829,16 @@ def analyze(
         rate = None
     rd_point = None
     if with_rd:
-        from .rd import blahut
+        from .rd import blahut, source_entropy
 
         if rate is None:
             raise SourceError("rate comparison requires uniform out-degree")
-        rd_point = blahut([float(p) for p in src.probabilities], rate.approx)
+        probs = [float(p) for p in src.probabilities]
+        h = source_entropy(probs)
+        if rate.approx > h:  # D(R) = 0 above the entropy, where blahut's range ends
+            rd_point = blahut(probs, h)._replace(rate=rate.approx)
+        else:
+            rd_point = blahut(probs, rate.approx)
     return AnalysisReport(
         distortion=d,
         distortion_decimal=decimal_string(d),

@@ -94,7 +94,7 @@ class NotLumpableError(Error):
 
 
 class ConvergenceError(Error):
-    """Iterative solver failed to reach its tolerance within the iteration cap."""
+    """The rate-distortion slope search could not bracket the requested rate."""
 
     stage = "rd"
 

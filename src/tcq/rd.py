@@ -1,16 +1,18 @@
 """Rate-distortion baseline for memoryless sources under Hamming distortion.
 
-The distortion-rate value D(R) is computed by an alternating-minimization
-inner loop at fixed slope with a certified stopping bound, wrapped in a
-bisection on the slope to hit the requested rate. A closed form for
-equiprobable sources serves as an independent check. D(R) is only a float
-lower bound on the exact D(G), so it runs at one fixed precision: the module
-constants below.
+The distortion-rate value D(R) is found by a bisection on the slope of the
+curve to hit the requested rate. At each slope the Blahut-Arimoto fixed point
+has a closed form (Erokhin 1958): with the source sorted in descending order,
+the reproduction is supported on its k most likely symbols, and the rate and
+distortion follow from two prefix sums. A closed form for equiprobable
+sources serves as an independent check. D(R) is only a float lower bound on
+the exact D(G), so it runs at one fixed precision: the module constants below.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -24,8 +26,7 @@ from .errors import (
 )
 
 _LN2 = math.log(2.0)
-_TOL = 1e-9  # certified rate gap of the inner loop, in bits
-_MAX_ITER = 200_000  # inner-loop iterations before ConvergenceError
+_TOL = 1e-9  # bound on the returned point's rate error, in bits
 _RATE_MATCH = 1e-12  # bisection stops once the rate is this close, in bits
 _BOUND_SLACK = 1e-9  # how far D(G) may fall below D(R) before it is a violation
 
@@ -33,13 +34,13 @@ _BOUND_SLACK = 1e-9  # how far D(G) may fall below D(R) before it is a violation
 class RDPoint(NamedTuple):
     rate: float  # bits per symbol
     distortion: float
-    tolerance: float  # certified rate gap of the inner loop, in bits
+    tolerance: float  # bound on this point's rate error, in bits
     slope: float  # the slope parameter that produced the point
 
 
 def source_entropy(probs: Sequence[float]) -> float:
     """Entropy in bits; zero-probability symbols contribute nothing."""
-    return float(-sum(p * math.log2(p) for p in probs if p > 0))
+    return 0.0 - math.fsum(p * math.log2(p) for p in probs if p > 0)  # not -0.0
 
 
 def _clean_probs(probs: Sequence[float]) -> np.ndarray:
@@ -56,30 +57,61 @@ def _clean_probs(probs: Sequence[float]) -> np.ndarray:
     return p / total
 
 
-def _slope_point(p: np.ndarray, lam: float) -> tuple[float, float]:
-    """(rate bits, distortion) on the Hamming rate-distortion curve at one slope.
+def _prefix_sums(x: np.ndarray) -> list[float]:
+    """Running sums of x, each within about one rounding of its exact value.
 
-    Iterates the reproduction distribution until the certified rate gap
-    ln(max_k c_k) drops below _TOL*ln(2), so the returned rate is within
-    _TOL bits of the true curve value at this slope.
+    np.cumsum adds in order, so each step's rounding error is recovered
+    exactly (Knuth's TwoSum) and the errors are summed back in. The rate at
+    full support then meets source_entropy's H to about 1e-15 bits, inside
+    the 1e-12 bits by which blahut's targets stay below H; a plain cumsum
+    misses by 2e-11 bits on the uniform 65,536-symbol source.
     """
-    m = p.size
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    z = s - prev
+    return (s + np.cumsum((prev - (s - z)) + (x - z))).tolist()
+
+
+class _SortedSource(NamedTuple):
+    """Prefix sums over the k largest symbols of a source, k = 1..m: their
+    mass P_k, their sum E_k of p ln p, and the slope ln t_k above which the
+    k-th largest symbol is in the support."""
+
+    mass: list[float]
+    plogp: list[float]
+    log_entry: list[float]
+
+
+def _sort_source(p: np.ndarray) -> _SortedSource:
+    """Sort once per curve, so that each slope costs a binary search.
+
+    With p sorted in descending order and a = e^-lam, symbol k is in the
+    support iff p_k (1 + a(k-1)) > a P_k, that is iff a t_k < 1 with
+    t_k = 1 + s_k / p_k and s_k = sum_{i<k} (p_i - p_k). From one k to the
+    next s grows by k (p_k - p_(k+1)) >= 0, so t_k is nondecreasing in
+    floating point too, and the support is always a prefix.
+    """
+    p = np.sort(p)[::-1]
+    s = np.concatenate(([0.0], np.cumsum(np.arange(1, p.size) * -np.diff(p))))
+    with np.errstate(over="ignore"):  # a subnormal p_k enters at lam = inf
+        log_entry = np.log1p(s / p)
+    return _SortedSource(_prefix_sums(p), _prefix_sums(p * np.log(p)), log_entry.tolist())
+
+
+def _slope_point(src: _SortedSource, lam: float) -> tuple[float, float]:
+    """(rate bits, distortion) on the Hamming rate-distortion curve at one
+    slope lam > 0: the exact Blahut-Arimoto fixed point.
+
+    With a = e^-lam and support size k, the fixed point has
+    mu = P_k / (1 + a(k-1)) = p_j / (a + (1-a) q_j) for each j in the
+    support, so D = 1 - mu and R = -lam mu a (k-1) - E_k + P_k ln mu nats.
+    """
+    k = bisect_left(src.log_entry, lam)  # entries below lam: the support size
     a = math.exp(-lam)
-    q = np.full(m, 1.0 / m)
-    for _ in range(_MAX_ITER):
-        denom = a * q.sum() + (1.0 - a) * q
-        ratio = p / denom
-        c = a * ratio.sum() + (1.0 - a) * ratio
-        q = q * c
-        q /= q.sum()
-        if math.log(float(c.max())) <= _TOL * _LN2:
-            denom = a * q.sum() + (1.0 - a) * q
-            d = 1.0 - float((p * q / denom).sum())
-            rate_nats = -lam * d - float((p * np.log(denom)).sum())
-            return max(rate_nats / _LN2, 0.0), d
-    raise ConvergenceError(
-        f"no convergence to gap {_TOL} bits within {_MAX_ITER} iterations"
-    )
+    mass = src.mass[k - 1]
+    mu = mass / (1.0 + a * (k - 1))
+    rate_nats = -lam * mu * a * (k - 1) - src.plogp[k - 1] + mass * math.log(mu)
+    return max(rate_nats / _LN2, 0.0), 1.0 - mu
 
 
 def blahut(probs: Sequence[float], target_rate: float) -> RDPoint:
@@ -100,22 +132,23 @@ def blahut(probs: Sequence[float], target_rate: float) -> RDPoint:
     if target_rate >= h - 1e-12:
         return RDPoint(rate=h, distortion=0.0, tolerance=_TOL, slope=math.inf)
 
+    src = _sort_source(p)
     lo, hi = 1.0, 1.0
-    r_lo, _ = _slope_point(p, lo)
+    r_lo, _ = _slope_point(src, lo)
     while r_lo > target_rate:
         lo /= 2.0
         if lo < 1e-12:
             raise ConvergenceError("failed to bracket the slope from below")
-        r_lo, _ = _slope_point(p, lo)
-    r_hi, _ = _slope_point(p, hi)
+        r_lo, _ = _slope_point(src, lo)
+    r_hi, _ = _slope_point(src, hi)
     while r_hi < target_rate:
         hi *= 2.0
         if hi > 1e6:
             raise ConvergenceError("failed to bracket the slope from above")
-        r_hi, _ = _slope_point(p, hi)
+        r_hi, _ = _slope_point(src, hi)
 
     mid = (lo + hi) / 2.0
-    r_mid, d_mid = _slope_point(p, mid)
+    r_mid, d_mid = _slope_point(src, mid)
     for _ in range(200):
         if abs(r_mid - target_rate) <= _RATE_MATCH:
             break
@@ -124,7 +157,7 @@ def blahut(probs: Sequence[float], target_rate: float) -> RDPoint:
         else:
             hi = mid
         mid = (lo + hi) / 2.0
-        r_mid, d_mid = _slope_point(p, mid)
+        r_mid, d_mid = _slope_point(src, mid)
     return RDPoint(rate=r_mid, distortion=d_mid, tolerance=_TOL, slope=mid)
 
 

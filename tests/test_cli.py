@@ -126,6 +126,17 @@ def test_analyze_with_rd(capsys):
     assert fields["bound_ok"] == "1"
 
 
+def test_analyze_with_rd_above_the_source_entropy(capsys):
+    # rate 1 exceeds H(1/4, 3/4) = 0.811 bits, where D(R) = 0
+    args = ("analyze", "--graph", "graphs/perfect2.g", "--source", "a:1/4,b:3/4", "--with-rd")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    assert out.endswith("D(R) at R = 1.0: 0.0\ngap: 0.0\nbound D(G) >= D(R): holds\n")
+    code, out, err = run_cli(capsys, *args, "--porcelain")
+    assert code == 0 and err == ""
+    assert out.endswith("rd_rate=1.0\nrd_distortion=0.0\ngap=0.0\nbound_ok=1\n")
+
+
 def test_outputs_are_byte_identical_across_runs(capsys):
     runs = [
         run_cli(capsys, "analyze", "--graph", DB8)[1],

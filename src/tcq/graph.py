@@ -31,15 +31,16 @@ class Edge(NamedTuple):
 
 
 class InEdgeArrays(NamedTuple):
-    """The in-edges of every vertex, destination by destination (edge order
-    within each): ``src`` holds their source vertices, ``starts`` the offset
-    of each vertex's first in-edge, ``cost[x]`` the Hamming cost of each
-    in-edge's label under symbol x, and ``sourceless`` the first vertex
-    without an in-edge (None when every vertex has one)."""
+    """The in-edges of every vertex, padded to the largest in-degree D:
+    column v of ``src`` holds the source vertices of v's in-edges in edge
+    order, and ``cost[x]`` the Hamming cost of each one's label under
+    symbol x. A vertex with fewer than D in-edges repeats its last one,
+    which cannot change a minimum. ``sourceless`` is the first vertex
+    without an in-edge (None when every vertex has one); its column is
+    filler, and ``viterbi.advance`` refuses such a graph."""
 
-    src: np.ndarray  # intp, one per in-edge
-    starts: np.ndarray  # intp, one per vertex
-    cost: np.ndarray  # uint8, (symbols, in-edges)
+    src: np.ndarray  # intp, (D, vertices)
+    cost: np.ndarray  # uint8, (symbols, D, vertices)
     sourceless: int | None
 
 
@@ -100,18 +101,18 @@ class LabeledGraph:
 
     @cached_property
     def in_edge_arrays(self) -> InEdgeArrays:
-        """``incoming_edges`` flattened in vertex order, as the arrays of the
-        vectorised cost update in ``viterbi``."""
-        flat = [pair for pairs in self.incoming_edges for pair in pairs]
-        sizes = [len(pairs) for pairs in self.incoming_edges]
-        labels = [self.edges[ei].label for _, ei in flat]
+        """``incoming_edges`` as the padded arrays of the vectorised cost
+        update in ``viterbi``."""
+        pairs = self.incoming_edges
+        depth = max(map(len, pairs))  # every vertex has an out-edge, so D >= 1
+        cols = [p or ((0, 0),) for p in pairs]  # filler for a sourceless vertex
+        rows = list(zip(*(p + p[-1:] * (depth - len(p)) for p in cols)))
+        sym = self.symbol_index
+        labels = np.array([[sym[self.edges[ei].label] for _, ei in r] for r in rows])
         return InEdgeArrays(
-            src=np.array([u for u, _ in flat], dtype=np.intp),
-            starts=np.cumsum([0] + sizes[:-1], dtype=np.intp),
-            cost=np.array(
-                [[lab != x for lab in labels] for x in self.alphabet], dtype=np.uint8
-            ),
-            sourceless=sizes.index(0) if 0 in sizes else None,
+            src=np.array([[u for u, _ in r] for r in rows], dtype=np.intp),
+            cost=(labels != np.arange(len(self.alphabet))[:, None, None]).astype(np.uint8),
+            sourceless=next((v for v, p in enumerate(pairs) if not p), None),
         )
 
     @cached_property

@@ -3,13 +3,15 @@
 Enumeration is a breadth-first closure from the zero vector: it advances the
 BFS queue a block of states at a time through ``viterbi.advance`` (every
 state of the block under every symbol in one numpy call) and interns the
-successors in (state, symbol) order, so the discovery order and the arc
-table are those of a one-arc-at-a-time search. The closure is
-finite: every component of every reachable reduced vector is bounded by the
-graph's exact-path constant k. The arc table is kept as two arrays,
-``StateSpace.succ`` (successor indices) and ``StateSpace.inc``
-(increments), of one row per state and one column per symbol;
-``StateSpace.arcs`` is the same table as tuples, built only when read.
+successors in (state, symbol) order, each by the bytes of its array row, so
+the discovery order and the arc table are those of a one-arc-at-a-time
+search. The closure is finite: every component of every reachable reduced
+vector is bounded by the graph's exact-path constant k. The space is kept as
+three arrays with one row per state: ``StateSpace.vectors`` (the queue
+itself), ``StateSpace.succ`` (successor indices) and ``StateSpace.inc``
+(increments), one column per symbol in the last two. ``StateSpace.states``,
+``index`` and ``arcs`` are the same as tuples and a dict, built only when
+read; the chain and its solve never read them.
 
 ``Explorer`` interns reduced vectors lazily, in the order a walk first takes
 them; Monte Carlo drives it along the sampled walk. A state's first miss
@@ -98,22 +100,46 @@ class Explorer:
         return entry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
-    """The enumerated space as arrays: ``succ[i, x]`` is the successor of
-    state i under symbol index x and ``inc[i, x]`` the increment of that arc.
-    ``arcs`` is the same table as tuples, built on first access."""
+    """The enumerated space as arrays: row i of ``vectors`` is state i, in
+    discovery order with the zero vector first; ``succ[i, x]`` is the
+    successor of state i under symbol index x and ``inc[i, x]`` the
+    increment of that arc. ``states``, ``index`` and ``arcs`` are the same
+    as tuples and a dict, built on first access.
+
+    Two spaces are equal when they have the same graph and k and the same
+    vectors and arc table, element by element."""
 
     graph: LabeledGraph
     k: int
-    states: tuple[StateVector, ...]  # discovery order, zero vector first
-    succ: np.ndarray = field(compare=False, repr=False)  # intp, (states, symbols)
-    inc: np.ndarray = field(compare=False, repr=False)  # uint8, (states, symbols)
-    # state vector -> its position in ``states``
-    index: dict[StateVector, int] = field(compare=False, repr=False)
+    vectors: np.ndarray = field(repr=False)  # (states, vertices), a dtype holding k + 1
+    succ: np.ndarray = field(repr=False)  # intp, (states, symbols)
+    inc: np.ndarray = field(repr=False)  # uint8, (states, symbols)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.vectors)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StateSpace):
+            return NotImplemented
+        return (self.graph, self.k) == (other.graph, other.k) and all(
+            np.array_equal(a, b)
+            for a, b in zip((self.vectors, self.succ, self.inc), (other.vectors, other.succ, other.inc))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.k, len(self)))
+
+    @cached_property
+    def states(self) -> tuple[StateVector, ...]:
+        """The state vectors as tuples of ints, in discovery order."""
+        return tuple(map(tuple, self.vectors.tolist()))
+
+    @cached_property
+    def index(self) -> dict[StateVector, int]:
+        """State vector -> its position in ``states``."""
+        return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
     def arcs(self) -> tuple[tuple[Arc, ...], ...]:
@@ -128,6 +154,11 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
     graph is not strongly connected and aperiodic, if the space exceeds
     ``max_states``, or if any component exceeds the exact-path constant
     (the latter signals a bug, not bad input).
+
+    Each kernel call advances F queued states, with F·D·V at most
+    ``_BLOCK``·E for V vertices, E edges and largest in-degree D, so its
+    (F, symbols, D, V) intermediate is never larger than ``_BLOCK`` states'
+    (symbols, E) path costs; F is ``_BLOCK`` when every in-degree is equal.
     """
     report = validate(g)
     if not (report.strongly_connected and report.aperiodic):
@@ -139,34 +170,37 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
     k = exact_path_constant(g)
 
     n_sym = len(g.alphabet)
-    zero = viterbi.zero_state(g)
-    states: list[StateVector] = [zero]  # discovery order is the BFS queue order
-    index: dict[StateVector, int] = {zero: 0}
+    n_vert = g.num_vertices
+    block = max(1, _BLOCK * len(g.edges) // g.in_edge_arrays.src.size)
+    # The queue's vectors as array rows in discovery order, in a dtype that
+    # holds k + 1 (an integer one: k <= (V - 1)^2 + 1), interned by the bytes
+    # of their rows.
+    queue = np.zeros((1, n_vert), dtype=viterbi.holding(0, k + 1))
+    key_type = np.dtype((np.void, n_vert * queue.itemsize))
+    index: dict[bytes, int] = {queue[0].tobytes(): 0}
     succ_all: list[int] = []  # successor indices in (state, symbol) order
     inc_blocks: list[np.ndarray] = []
-    # the queue's vectors as array rows, in a dtype that holds k + 1
-    queue = np.zeros((1, g.num_vertices), dtype=viterbi.holding(0, k + 1))
     lo = 0
-    while lo < len(states):
-        hi = min(lo + _BLOCK, len(states))
+    while lo < len(index):
+        hi = min(lo + block, len(index))
         t, inc = viterbi.advance(g, queue[lo:hi])
-        rows = t.reshape(-1, g.num_vertices)
+        rows = t.reshape(-1, n_vert)
         over_k = rows.max() > k
-        keys = list(map(tuple, rows.tolist()))  # (state, symbol) order
+        keys = rows.view(key_type).ravel().tolist()  # (state, symbol) order
         succ = list(map(index.get, keys))  # the misses are interned below, in order
         fresh = []  # positions in rows of the states this block discovers
         for pos in [pos for pos, ti in enumerate(succ) if ti is None]:
             key = keys[pos]
             ti = index.get(key)  # interned earlier in this block
             if ti is None:
-                ti = len(states)
+                ti = len(index)
                 index[key] = ti
-                states.append(key)
                 fresh.append(pos)
-                if over_k and max(key) > k:
+                if over_k and rows[pos].max() > k:
                     si, xi = divmod(pos, n_sym)
                     raise ComponentBoundError(
-                        f"state {key} from ({states[lo + si]}, {g.alphabet[xi]!r})"
+                        f"state {tuple(rows[pos].tolist())} from"
+                        f" ({tuple(queue[lo + si].tolist())}, {g.alphabet[xi]!r})"
                         f" exceeds the bound k={k}"
                     )
                 if ti >= max_states:
@@ -176,20 +210,20 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
             succ[pos] = ti
         succ_all += succ
         inc_blocks.append(inc)
-        if len(states) > len(queue):
-            grown = np.empty((2 * len(states), g.num_vertices), queue.dtype)
+        n = len(index)
+        if n > len(queue):
+            grown = np.empty((2 * n, n_vert), queue.dtype)
             grown[: len(queue)] = queue
             queue = grown
-        queue[len(states) - len(fresh) : len(states)] = rows[fresh]
+        queue[n - len(fresh) : n] = rows[fresh]
         lo = hi
 
     return StateSpace(
         graph=g,
         k=k,
-        states=tuple(states),
+        vectors=queue[: len(index)],
         succ=np.array(succ_all, dtype=np.intp).reshape(-1, n_sym),
         inc=np.concatenate(inc_blocks).astype(np.uint8),
-        index=index,
     )
 
 
@@ -202,9 +236,9 @@ def format_statespace(ss: StateSpace) -> str:
         f"vertices: {ss.graph.num_vertices}",
         "alphabet: " + " ".join(ss.graph.alphabet),
         f"k: {ss.k}",
-        f"states: {len(ss.states)}",
+        f"states: {len(ss)}",
     ]
-    lines.extend(" ".join(str(c) for c in s) for s in ss.states)
+    lines.extend(" ".join(map(str, s)) for s in ss.vectors.tolist())
     lines.append("arcs:")
     symbols = ss.graph.alphabet
     arcs = zip(ss.succ.ravel().tolist(), ss.inc.ravel().tolist())

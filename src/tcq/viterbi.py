@@ -1,14 +1,15 @@
 """Hamming distortion, per-symbol best-path cost updates, and a full encoder.
 
 The core object is the vector of minimum accumulated distortions into each
-vertex. ``advance`` is the one cost-update kernel: for a stack of such
-vectors it takes, for every vertex and symbol at once, the minimum over the
-vertex's in-edges of source cost plus label cost (one numpy
-``minimum.reduceat`` over the graph's ``in_edge_arrays``), then subtracts
-each new vector's minimum component. That keeps the vectors bounded and
-returns the subtracted amount as the per-step distortion increment (always
-0 or 1 for Hamming distortion). State enumeration runs it on blocks of its
-BFS queue; ``reduced_transition`` runs it on one vector.
+vertex. ``advance`` is the one cost-update kernel, the add-compare-select
+step of a trellis decoder: for a stack of such vectors it takes, for every
+vertex and symbol at once, the minimum over the vertex's in-edges of source
+cost plus label cost (one numpy ``minimum.reduce`` over the in-edge axis of
+the graph's ``in_edge_arrays``, padded to the largest in-degree), then
+subtracts each new vector's minimum component. That keeps the vectors
+bounded and returns the subtracted amount as the per-step distortion
+increment (always 0 or 1 for Hamming distortion). State enumeration runs it
+on blocks of its BFS queue; ``reduced_transition`` runs it on one vector.
 """
 
 from __future__ import annotations
@@ -61,11 +62,10 @@ def advance(
             f"vertex {g.vertices[tab.sourceless]!r} has no incoming edge; "
             "cost updates need one per vertex"
         )
-    cost = tab.cost if xi is None else tab.cost[xi]
-    paths = states[..., tab.src]  # the source cost of every in-edge
-    if xi is None:
-        paths = paths[..., None, :]
-    t = np.minimum.reduceat(paths + cost, tab.starts, axis=-1)
+    if xi is None:  # (..., symbols, D, V): every in-edge's path cost
+        t = np.minimum.reduce(states[..., None, tab.src] + tab.cost, axis=-2)
+    else:
+        t = np.minimum.reduce(states[..., tab.src] + tab.cost[xi], axis=-2)
     inc = np.minimum.reduce(t, axis=-1, keepdims=True)
     t -= inc
     return t, inc[..., 0]

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +15,14 @@ from oracles import check_component_bound, enumerate_arcs, membership_increment
 from tcq import (
     ComponentBoundError,
     GraphStructureError,
+    SourceModel,
     StateSpaceLimitError,
+    build_chain,
+    chain,
+    closed_classes,
     de_bruijn,
     enumerate_states,
+    graph_from_edges,
     parse_graph,
     reduced_transition,
     statespace,
@@ -179,3 +187,105 @@ def test_component_above_k_raises(monkeypatch, g3):
     message = r"state \(3, 0\) from \(\(0, 0\), 'b'\) exceeds the bound k=1"
     with pytest.raises(ComponentBoundError, match=message):
         enumerate_states(g3)
+
+
+def _hub_graph(seed: int, spokes: int = 64):
+    """An order-3 de Bruijn core over three symbols and a hub with one
+    in-edge from each of ``spokes`` spoke vertices; a random core vertex
+    feeds each spoke, and the hub feeds one core vertex back."""
+    rng = random.Random(seed)
+    core = de_bruijn(3, tuple(rng.choice("abc") for _ in range(16)))
+    edges = list(core.edges)
+    for i in range(spokes):
+        edges.append((rng.choice(core.vertices), f"s{i}", rng.choice("abc")))
+        edges.append((f"s{i}", "hub", rng.choice("abc")))
+    edges.append(("hub", rng.choice(core.vertices), rng.choice("abc")))
+    return graph_from_edges(edges, alphabet=("a", "b", "c"))
+
+
+# 73 vertices, 145 edges, in-degree 64 at the hub: 1,070 states
+HUB = _hub_graph(0)
+
+
+def _kernel_calls(monkeypatch) -> list[int]:
+    """Records the number of vectors of every ``viterbi.advance`` call."""
+    calls = []
+    advance = statespace.viterbi.advance
+
+    def recording(g, states, xi=None):
+        calls.append(len(states))
+        return advance(g, states, xi)
+
+    monkeypatch.setattr(statespace.viterbi, "advance", recording)
+    return calls
+
+
+def test_hub_graph_blocks_bound_the_padded_intermediate(monkeypatch):
+    """The padded table holds D x V in-edges, 4,672 here against 145 edges;
+    each block is cut so that its (F, symbols, D, V) intermediate is no
+    larger than that of ``_BLOCK`` states over the E edges."""
+    depth, n_vert = HUB.in_edge_arrays.src.shape
+    n_sym, n_edges = len(HUB.alphabet), len(HUB.edges)
+    assert depth >= 64
+    calls = _kernel_calls(monkeypatch)
+    ss = enumerate_states(HUB)
+    assert (ss.states, ss.arcs) == enumerate_arcs(HUB)
+    assert max(calls) * n_sym * depth * n_vert <= statespace._BLOCK * n_sym * n_edges
+    assert max(calls) == statespace._BLOCK * n_edges // (depth * n_vert) < len(ss)
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_uniform_in_degree_keeps_the_block(monkeypatch, block):
+    """With every in-degree equal, D x V = E and each call advances up to
+    ``_BLOCK`` states, as an unpadded kernel's would."""
+    monkeypatch.setattr(statespace, "_BLOCK", block)
+    calls = _kernel_calls(monkeypatch)
+    ss = enumerate_states(DIFFERENTIAL_CORPUS[-2])  # order-4 binary, 16 vertices
+    assert max(calls) == block and sum(calls) == len(ss)
+
+
+def test_analysis_path_builds_no_tuple_views(monkeypatch, debruijn8):
+    """``analyze``, and enumeration, chain and class split, read only the
+    arrays: ``states``, ``index`` and ``arcs`` are built only when read."""
+    spaces = []
+
+    def recording(g, max_states=10**6):
+        spaces.append(enumerate_states(g, max_states))
+        return spaces[-1]
+
+    monkeypatch.setattr(chain, "enumerate_states", recording)
+    assert chain.analyze(debruijn8).distortion == Fraction(452, 1809)
+    ss = enumerate_states(debruijn8)
+    closed_classes(build_chain(ss, SourceModel.uniform(debruijn8.alphabet)))
+    format_statespace(ss)
+    for space in (*spaces, ss):
+        assert not {"states", "index", "arcs"} & vars(space).keys()
+    assert ss.states[1] in ss.index  # and built once read
+    assert {"states", "index"} <= vars(ss).keys()
+
+
+def test_state_space_equality(g3, debruijn8):
+    """Spaces are equal when graph, k, vectors and arc table agree element by
+    element; comparing them builds no view."""
+    a, b = enumerate_states(debruijn8), enumerate_states(debruijn8)
+    assert a == b and hash(a) == hash(b)
+    assert not {"states", "index", "arcs"} & vars(a).keys()
+    assert a == dataclasses.replace(a, vectors=a.vectors.astype(np.int64))
+    assert a != enumerate_states(g3)
+    assert a != dataclasses.replace(a, k=a.k + 1)
+    assert a != dataclasses.replace(a, vectors=a.vectors[::-1])
+    succ, inc = a.succ.copy(), a.inc.copy()
+    succ[5, 1] = (succ[5, 1] + 1) % len(a)
+    inc[0, 0] ^= 1
+    assert a != dataclasses.replace(a, succ=succ)
+    assert a != dataclasses.replace(a, inc=inc)
+    # the same arrays over a renamed alphabet: a different graph
+    renamed = enumerate_states(
+        graph_from_edges(
+            [(e.src, e.dst, e.label.upper()) for e in debruijn8.edges],
+            alphabet=tuple(x.upper() for x in debruijn8.alphabet),
+        )
+    )
+    assert (renamed.vectors.tolist(), renamed.succ.tolist()) == (a.vectors.tolist(), a.succ.tolist())
+    assert a != renamed
+    assert a != a.states

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from tcq import (
     simulate,
     zero_state,
 )
+from tcq.viterbi import advance, holding
 
 
 def test_zero_state(g3):
@@ -174,6 +176,57 @@ def test_transitions_match_scalar_oracle(top):
         s = tuple(s)
         for x in g.alphabet:
             assert reduced_transition(g, s, x) == oracles.reduced_transition(g, s, x)
+
+
+def _skewed_graph(rng: random.Random):
+    """A ring through 3-8 vertices, 8-12 more in-edges into one hub from
+    random sources (so parallel edges and the hub's own self-loop can occur),
+    a self-loop and a doubled ring edge, all shuffled: the hub has 9 or
+    more in-edges and most vertices one, so the kernel pads most columns."""
+    n = rng.randint(3, 8)
+    syms = "abcd"[: rng.randint(2, 4)]
+    edges = [(f"v{i}", f"v{(i + 1) % n}", rng.choice(syms)) for i in range(n)]
+    hub = f"v{rng.randrange(n)}"
+    edges += [(f"v{rng.randrange(n)}", hub, rng.choice(syms)) for _ in range(rng.randint(8, 12))]
+    u = rng.randrange(n)
+    edges += [(f"v{u}", f"v{u}", rng.choice(syms)), (f"v{u}", f"v{(u + 1) % n}", rng.choice(syms))]
+    rng.shuffle(edges)
+    return graph_from_edges(edges, alphabet=tuple(syms))
+
+
+@pytest.mark.parametrize("count", [1, 3, 64])
+@pytest.mark.parametrize("top", [1, 255, 256, 2**64, 2**70])
+def test_batch_kernel_matches_scalar_oracle(top, count):
+    """``advance`` on a stack of ``count`` vectors, for every symbol at once
+    and for each symbol alone, against the per-arc oracle: components up to
+    ``top`` in the dtype ``holding`` gives (uint16 at 255 and 256, Python
+    ints in an ``object`` array past 64 bits), which the result keeps."""
+    rng = random.Random(f"{top}:{count}")
+    for _ in range(8):
+        g = _skewed_graph(rng)
+        n = g.num_vertices
+        assert max(map(len, g.incoming_edges)) >= 9
+        vectors = []
+        for _ in range(count):
+            s = [rng.randint(0, top) for _ in range(n)]
+            s[rng.randrange(n)] = top
+            s[rng.randrange(n)] = 0
+            vectors.append(tuple(s))
+        stack = np.array(vectors, dtype=holding(0, top + 1))
+        expected = [[oracles.reduced_transition(g, s, x) for x in g.alphabet] for s in vectors]
+
+        t, inc = advance(g, stack)
+        assert t.shape == (count, len(g.alphabet), n) and inc.shape == (count, len(g.alphabet))
+        assert t.dtype == inc.dtype == stack.dtype
+        got = [list(zip(map(tuple, tf), incf)) for tf, incf in zip(t.tolist(), inc.tolist())]
+        assert got == expected
+        t0, inc0 = advance(g, stack[0])  # one vector, every symbol
+        assert (t0.tolist(), inc0.tolist()) == (t[0].tolist(), inc[0].tolist())
+
+        for xi in range(len(g.alphabet)):
+            t, inc = advance(g, stack, xi)
+            assert t.shape == (count, n) and inc.shape == (count,) and t.dtype == stack.dtype
+            assert list(zip(map(tuple, t.tolist()), inc.tolist())) == [e[xi] for e in expected]
 
 
 @pytest.mark.parametrize(

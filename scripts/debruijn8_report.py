@@ -49,15 +49,13 @@ def main() -> None:
     reps = fiber_representatives(ss, fp)
     print(f"\ntranslation quotient: {qr.fiber_count} fibers, D = {qr.distortion}")
     print(f"{'rep':>10} {'size':>4} {'mass*1809':>9} {'inc':>4}")
-    order = sorted(range(len(fp)), key=lambda fi: -qr.q[fi])
-    for fi in order:
-        rep = "".join(str(c) for c in ss.states[reps[fi]])
-        mass = qr.q[fi] * 1809
-        assert mass.denominator == 1
-        print(
-            f"{rep:>10} {len(fp.fibers[fi]):>4} {mass.numerator:>9}"
-            f" {str(qc.chain.absorb[fi]):>4}"
-        )
+    sd, mc = qr.stationary, qc.chain
+    assert sd.denominator == 1809
+    vectors = ss.vectors.tolist()
+    for fi in sorted(range(len(fp)), key=lambda fi: -sd.numerators[fi]):
+        rep = "".join(map(str, vectors[reps[fi]]))
+        inc = Fraction(int(mc.absorb_num[fi]), mc.scale)
+        print(f"{rep:>10} {len(fp.fibers[fi]):>4} {sd.numerators[fi]:>9} {str(inc):>4}")
 
     rate = report.rate.rate
     point = report.rd_point if report.rd_point is not None else blahut(

@@ -67,7 +67,6 @@ from .symmetry import (
     PermutationGroup,
     QuotientChain,
     QuotientReport,
-    apply_to_state,
     fiber_representatives,
     induced_fibers,
     parse_permutations,

@@ -56,7 +56,7 @@ from functools import cache, cached_property
 from itertools import pairwise
 from math import frexp, gcd, isfinite, isqrt, lcm, log10
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -140,46 +140,19 @@ class MarkovChain:
 
     ``rows[i]`` (successor index to probability) and ``absorb[i]`` give the
     same chain as Fractions, one shared Fraction per distinct numerator; they
-    are built on first access. ``MarkovChain(size, rows, absorb)`` builds the
-    table from such rows and masses, over the lcm of their denominators.
+    are built on first access for readers outside the package, and nothing
+    in it reads them.
     """
 
     def __init__(
-        self, size: int, rows: Sequence[dict[int, Fraction]], absorb: Sequence[Fraction]
-    ):
-        if not len(rows) == len(absorb) == size:
-            raise ChainError("need one row and one increment mass per state")
-        entries = [sorted(row.items()) for row in rows]
-        denominators = {f.denominator for row in rows for f in row.values()}
-        scale = lcm(*denominators, *(a.denominator for a in absorb))
-        num = [f.numerator * (scale // f.denominator) for row in entries for _, f in row]
-        absorb_num = [a.numerator * (scale // a.denominator) for a in absorb]
-        widest = max(max(map(len, rows), default=0), 1) * max(map(abs, [scale, *num, *absorb_num]))
-        self._set_table(
-            size,
-            scale,
-            np.cumsum([0, *map(len, rows)]),
-            np.array([t for row in entries for t, _ in row], dtype=np.intp),
-            _numerators(num, widest),
-            _numerators(absorb_num, widest),
-        )
-
-    @classmethod
-    def from_table(
-        cls,
+        self,
         size: int,
         scale: int,
         indptr: np.ndarray,
         succ: np.ndarray,
         num: np.ndarray,
         absorb_num: np.ndarray,
-    ) -> MarkovChain:
-        """The chain of an integer CSR table, checked as ``MarkovChain`` checks it."""
-        mc = cls.__new__(cls)
-        mc._set_table(size, scale, indptr, succ, num, absorb_num)
-        return mc
-
-    def _set_table(self, size, scale, indptr, succ, num, absorb_num) -> None:
+    ):
         if size < 1:
             raise ChainError("a chain needs at least one state")
         if not len(indptr) == len(absorb_num) + 1 == size + 1:
@@ -250,16 +223,16 @@ class SolveStats:
     residual: str
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class StationaryDistribution:
     """Long-run occupation law of the chain started at state 0.
 
     With a single closed class this is the unique stationary distribution.
     Otherwise it is the Cesaro limit from state 0: the mixture of per-class
     stationary laws weighted by the probability of entering each class.
-    It is held as integer ``numerators`` over one ``denominator``, in lowest
-    terms, which ``q`` gives as Fractions, built on first read; the
-    constructor takes either form. ``solve`` describes the exact solve.
+    It is held as integer ``numerators`` over one ``denominator``, reduced
+    to lowest terms on construction; ``q`` gives it as Fractions, built on
+    first read. ``solve`` describes the exact solve.
     """
 
     numerators: tuple[int, ...]
@@ -268,13 +241,12 @@ class StationaryDistribution:
     unique: bool
     solve: SolveStats | None = field(default=None, compare=False, repr=False)
 
-    def __init__(self, q, classes, unique, solve=None, *, denominator: int | None = None):
-        if denominator is None:  # Fractions, over the lcm of their denominators
-            denominator = lcm(*(v.denominator for v in q))
-            q = [v.numerator * (denominator // v.denominator) for v in q]
-        g = gcd(denominator, *q)
-        held = {"numerators": tuple(v // g for v in q), "denominator": denominator // g}
-        self.__dict__.update(held, classes=classes, unique=unique, solve=solve)  # it is frozen
+    def __post_init__(self) -> None:
+        g = gcd(self.denominator, *self.numerators)
+        # it is frozen
+        self.__dict__.update(
+            numerators=tuple(v // g for v in self.numerators), denominator=self.denominator // g
+        )
 
     @cached_property
     def q(self) -> tuple[Fraction, ...]:
@@ -306,7 +278,7 @@ def build_chain(ss: StateSpace, src: SourceModel) -> MarkovChain:
     indptr = np.zeros(len(ss) + 1, dtype=np.intp)
     np.cumsum(first.sum(axis=1), out=indptr[1:])
     absorb_num = (ss.inc[:, support].astype(weights.dtype) * weights).sum(axis=1)
-    return MarkovChain.from_table(len(ss), scale, indptr, succ.ravel()[starts], num, absorb_num)
+    return MarkovChain(len(ss), scale, indptr, succ.ravel()[starts], num, absorb_num)
 
 
 def closed_classes(mc: MarkovChain) -> ClassPartition:
@@ -779,7 +751,7 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
         raise ChainError(f"long-run mass sums to {Fraction(total, d)}, not 1")
     x[last < 0] = 0  # a transient state's expected visits are no mass
     unique = len(classes.closed) == 1
-    return StationaryDistribution(x.tolist(), classes, unique, stats, denominator=d)
+    return StationaryDistribution(x.tolist(), d, classes, unique, stats)
 
 
 def distortion_rate(mc: MarkovChain, sd: StationaryDistribution) -> Fraction:

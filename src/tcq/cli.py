@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from . import sim
 from .chain import SourceModel, analyze, decimal_string
@@ -196,6 +197,9 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     qc = quotient(ss, src, fp)
     qr = quotient_analyze(qc)
     reps = fiber_representatives(ss, fp)
+    vectors = ss.vectors.tolist()
+    mass = [Fraction(v, qr.stationary.denominator) for v in qr.stationary.numerators]
+    inc = [Fraction(v, qc.chain.scale) for v in qc.chain.absorb_num.tolist()]
     if args.porcelain:
         lines = [
             f"group_order={len(group)}",
@@ -206,10 +210,9 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
             f"distortion_decimal={qr.distortion_decimal}",
         ]
         for fi, fiber in enumerate(fp.fibers):
-            rep = ",".join(str(c) for c in ss.states[reps[fi]])
+            rep = ",".join(map(str, vectors[reps[fi]]))
             lines.append(
-                f"fiber{fi}=size:{len(fiber)};rep:{rep};"
-                f"mass:{qr.q[fi]};inc_mass:{qc.chain.absorb[fi]}"
+                f"fiber{fi}=size:{len(fiber)};rep:{rep};mass:{mass[fi]};inc_mass:{inc[fi]}"
             )
     else:
         lines = [
@@ -222,10 +225,9 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
             "fiber table (index, size, representative, stationary mass, increment mass):",
         ]
         for fi, fiber in enumerate(fp.fibers):
-            rep = " ".join(str(c) for c in ss.states[reps[fi]])
+            rep = " ".join(map(str, vectors[reps[fi]]))
             lines.append(
-                f"  {fi}: size {len(fiber)} rep ({rep})"
-                f" mass {qr.q[fi]} inc-mass {qc.chain.absorb[fi]}"
+                f"  {fi}: size {len(fiber)} rep ({rep}) mass {mass[fi]} inc-mass {inc[fi]}"
             )
     _emit(lines)
     return 0

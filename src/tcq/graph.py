@@ -65,6 +65,13 @@ class LabeledGraph:
             raise GraphStructureError("duplicate vertex id")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise GraphStructureError("duplicate alphabet symbol")
+        for kind, names in (("vertex", self.vertices), ("symbol", self.alphabet)):
+            bad = [s for s in names if not s or "#" in s or any(map(str.isspace, s))]
+            if bad:
+                raise GraphStructureError(
+                    f"{kind} {bad[0]!r} is not one token of the graph format:"
+                    " names must be non-empty, without whitespace or '#'"
+                )
         symbols = set(self.alphabet)
         names = set(self.vertices)
         has_out = set()
@@ -349,8 +356,9 @@ def de_bruijn(order: int, labels: Sequence[str]) -> LabeledGraph:
     """
     if order < 1:
         raise GraphStructureError("order must be >= 1")
-    want = 2 ** (order + 1)
-    if len(labels) != want:
+    # the bit length first: 2^(order + 1) would not fit in memory for a large order
+    if order >= len(labels).bit_length() or 2 ** (order + 1) != len(labels):
+        want = 2 ** (order + 1) if order < 64 else f"2^{order + 1}"
         raise GraphStructureError(
             f"expected {want} labels for order {order}, got {len(labels)}"
         )

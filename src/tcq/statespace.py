@@ -9,9 +9,9 @@ search. The closure is finite: every component of every reachable reduced
 vector is bounded by the graph's exact-path constant k. The space is kept as
 three arrays with one row per state: ``StateSpace.vectors`` (the queue
 itself), ``StateSpace.succ`` (successor indices) and ``StateSpace.inc``
-(increments), one column per symbol in the last two. ``StateSpace.states``,
-``index`` and ``arcs`` are the same as tuples and a dict, built only when
-read; the chain and its solve never read them.
+(increments), one column per symbol in the last two. Nothing else is kept:
+a state's vector is its row, and a vector's index is found by the bytes of
+its row, as enumeration interns it.
 
 ``Explorer`` interns reduced vectors lazily, in the order a walk first takes
 them; Monte Carlo drives it along the sampled walk. A state's first miss
@@ -25,7 +25,6 @@ only the states it visits and a block costs symbols x (vertices + 1) bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -105,8 +104,7 @@ class StateSpace:
     """The enumerated space as arrays: row i of ``vectors`` is state i, in
     discovery order with the zero vector first; ``succ[i, x]`` is the
     successor of state i under symbol index x and ``inc[i, x]`` the
-    increment of that arc. ``states``, ``index`` and ``arcs`` are the same
-    as tuples and a dict, built on first access.
+    increment of that arc.
 
     Two spaces are equal when they have the same graph and k and the same
     vectors and arc table, element by element."""
@@ -131,20 +129,12 @@ class StateSpace:
     def __hash__(self) -> int:
         return hash((self.graph, self.k, len(self)))
 
-    @cached_property
-    def states(self) -> tuple[StateVector, ...]:
-        """The state vectors as tuples of ints, in discovery order."""
-        return tuple(map(tuple, self.vectors.tolist()))
 
-    @cached_property
-    def index(self) -> dict[StateVector, int]:
-        """State vector -> its position in ``states``."""
-        return {s: i for i, s in enumerate(self.states)}
-
-    @cached_property
-    def arcs(self) -> tuple[tuple[Arc, ...], ...]:
-        """arcs[state][symbol index] = (successor state index, increment)."""
-        return tuple(map(tuple, map(zip, self.succ.tolist(), self.inc.tolist())))
+def row_keys(a: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array: the keys that enumeration interns
+    state vectors by, so that two rows of one dtype match when they are equal."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
 
 
 def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
@@ -176,7 +166,6 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
     # holds k + 1 (an integer one: k <= (V - 1)^2 + 1), interned by the bytes
     # of their rows.
     queue = np.zeros((1, n_vert), dtype=viterbi.holding(0, k + 1))
-    key_type = np.dtype((np.void, n_vert * queue.itemsize))
     index: dict[bytes, int] = {queue[0].tobytes(): 0}
     succ_all: list[int] = []  # successor indices in (state, symbol) order
     inc_blocks: list[np.ndarray] = []
@@ -186,7 +175,7 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
         t, inc = viterbi.advance(g, queue[lo:hi])
         rows = t.reshape(-1, n_vert)
         over_k = rows.max() > k
-        keys = rows.view(key_type).ravel().tolist()  # (state, symbol) order
+        keys = row_keys(rows)  # (state, symbol) order
         succ = list(map(index.get, keys))  # the misses are interned below, in order
         fresh = []  # positions in rows of the states this block discovers
         for pos in [pos for pos, ti in enumerate(succ) if ti is None]:

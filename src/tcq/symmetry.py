@@ -12,6 +12,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
+
+import numpy as np
 
 from .chain import (
     MarkovChain,
@@ -28,8 +31,7 @@ from .errors import (
     NotLumpableError,
     PartitionError,
 )
-from .statespace import StateSpace
-from .viterbi import StateVector
+from .statespace import StateSpace, row_keys
 
 Permutation = tuple[int, ...]
 
@@ -122,11 +124,6 @@ def xor_translation_group(bits: int) -> PermutationGroup:
     return PermutationGroup(degree=n, elements=elements)
 
 
-def apply_to_state(p: Permutation, s: StateVector) -> StateVector:
-    """Relabelled state: component v reads the score of vertex p(v)."""
-    return tuple(s[p[v]] for v in range(len(s)))
-
-
 @dataclass(frozen=True)
 class FiberPartition:
     """Partition of the state indices, fibers ordered by smallest member."""
@@ -148,46 +145,54 @@ class FiberPartition:
 
 def fiber_representatives(ss: StateSpace, fp: FiberPartition) -> tuple[int, ...]:
     """Canonical representative per fiber: lexicographically least state vector."""
-    return tuple(min(fiber, key=lambda i: ss.states[i]) for fiber in fp.fibers)
+    vectors = ss.vectors.tolist()
+    return tuple(min(fiber, key=vectors.__getitem__) for fiber in fp.fibers)
 
 
 def induced_fibers(ss: StateSpace, group: PermutationGroup) -> FiberPartition:
     """Orbit partition of the state space under the group action.
 
-    Raises NotInvariantError if some element maps a reachable state to a
-    vector outside the space.
+    The state s maps under p to the vector whose component v is s(p(v)),
+    one column gather ``vectors[:, p]`` per element, looked up by the bytes
+    of its rows. Raises NotInvariantError if some element maps a reachable
+    state to a vector outside the space.
     """
     if group.degree != ss.graph.num_vertices:
         raise NotInvariantError(
             f"permutations act on {group.degree} points,"
             f" graph has {ss.graph.num_vertices} vertices"
         )
-    n = len(ss)
-    fiber_of = [-1] * n
+    index = {key: i for i, key in enumerate(row_keys(ss.vectors))}
+    # images[e, i]: the index of state i under element e, -1 outside the space
+    images = np.array(
+        [[index.get(key, -1) for key in row_keys(ss.vectors[:, p])] for p in group.elements],
+        dtype=np.intp,
+    ).reshape(len(group), len(ss))
+    fiber_of = np.full(len(ss), -1, dtype=np.intp)
     fibers: list[tuple[int, ...]] = []
-    for i in range(n):
+    for i in range(len(ss)):
         if fiber_of[i] != -1:
             continue
-        orbit: set[int] = set()
-        for p in group.elements:
-            image = apply_to_state(p, ss.states[i])
-            j = ss.index.get(image)
-            if j is None:
-                raise NotInvariantError(
-                    f"permutation {p} maps state {ss.states[i]} to {image},"
-                    " which is outside the state space"
-                )
-            orbit.add(j)
+        column = images[:, i]
+        if (column < 0).any():
+            p = group.elements[int(np.argmax(column < 0))]
+            raise NotInvariantError(
+                f"permutation {p} maps state {tuple(ss.vectors[i].tolist())}"
+                f" to {tuple(ss.vectors[i, list(p)].tolist())},"
+                " which is outside the state space"
+            )
+        orbit = np.unique(column)
         fi = len(fibers)
-        fibers.append(tuple(sorted(orbit)))
-        for j in orbit:
-            if fiber_of[j] != -1:
-                raise PartitionError(
-                    f"state {j} lies in orbits {fiber_of[j]} and {fi};"
-                    " the permutations do not form a group"
-                )
-            fiber_of[j] = fi
-    return FiberPartition(fibers=tuple(fibers), fiber_of=tuple(fiber_of))
+        taken = orbit[fiber_of[orbit] != -1]
+        if taken.size:
+            j = int(taken[0])
+            raise PartitionError(
+                f"state {j} lies in orbits {int(fiber_of[j])} and {fi};"
+                " the permutations do not form a group"
+            )
+        fibers.append(tuple(orbit.tolist()))
+        fiber_of[orbit] = fi
+    return FiberPartition(fibers=tuple(fibers), fiber_of=tuple(fiber_of.tolist()))
 
 
 @dataclass(frozen=True)
@@ -203,44 +208,64 @@ class QuotientChain:
 def quotient(ss: StateSpace, src: SourceModel, fp: FiberPartition) -> QuotientChain:
     """Quotient chain over the fibers, after an exact lumpability check.
 
-    Every member of a fiber must put the same total mass on each target
-    fiber and the same mass on incrementing arcs; any disagreement raises
-    NotLumpableError naming the fiber and a witness pair. The masses are
-    the rows of ``build_chain(ss, src)`` summed over each target fiber.
+    A state's masses are its entries in ``build_chain(ss, src)`` summed per
+    target fiber, integers over the chain's scale. Every member of a fiber
+    must have the masses and the increment mass of the fiber's first member,
+    whose row the quotient takes. Otherwise NotLumpableError names the first
+    fiber, in order, with a member that differs, its first such member, and
+    the masses that differ, target-fiber masses before increment masses.
     """
     full = build_chain(ss, src)
-
-    def profile(i: int) -> tuple[dict[int, Fraction], Fraction]:
-        mass: dict[int, Fraction] = {}
-        for ti, p in full.rows[i].items():
-            tf = fp.fiber_of[ti]
-            mass[tf] = mass.get(tf, Fraction(0)) + p
-        return mass, full.absorb[i]
-
-    rows: list[dict[int, Fraction]] = []
-    absorb: list[Fraction] = []
-    for fi, fiber in enumerate(fp.fibers):
-        ref_mass, ref_absorb = profile(fiber[0])
-        for member in fiber[1:]:
-            mass, a = profile(member)
-            if mass != ref_mass:
-                raise NotLumpableError(
-                    fi,
-                    fiber[0],
-                    member,
-                    f"target-fiber masses differ: {ref_mass} vs {mass}",
-                )
-            if a != ref_absorb:
-                raise NotLumpableError(
-                    fi,
-                    fiber[0],
-                    member,
-                    f"increment masses differ: {ref_absorb} vs {a}",
-                )
-        rows.append(ref_mass)
-        absorb.append(ref_absorb)
-    mc = MarkovChain(size=len(fp), rows=tuple(rows), absorb=tuple(absorb))
+    n, m = full.size, len(fp)
+    fiber_of = np.array(fp.fiber_of, dtype=np.intp)
+    firsts = np.array([fiber[0] for fiber in fp.fibers], dtype=np.intp)
+    ref = firsts[fiber_of]  # each state's fiber's first member
+    # each state's mass per target fiber, one entry per key state * m + target fiber, sorted
+    key = np.repeat(np.arange(n), np.diff(full.indptr)) * m + fiber_of[full.succ]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    key, mass = key[starts], np.add.reduceat(full.num[order], starts)
+    state, target = np.divmod(key, m)
+    counts = np.bincount(state, minlength=n)
+    # a member differs from its reference when their entry counts differ, or
+    # when the reference has no equal entry for one of the member's target fibers
+    wanted = ref[state] * m + target
+    at = np.minimum(np.searchsorted(key, wanted), len(key) - 1)
+    unequal = (key[at] != wanted) | (mass[at] != mass)
+    bad = (counts != counts[ref]) | (full.absorb_num != full.absorb_num[ref])
+    bad[state[unequal]] = True
+    members = np.concatenate(fp.fibers)
+    witness = members[bad[members]]
+    if witness.size:
+        _refuse(full, fp, int(witness[0]))
+    rows = np.flatnonzero(ref[state] == state)  # the first members' entries, by fiber
+    rows = rows[np.argsort(fiber_of[state[rows]], kind="stable")]
+    indptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(counts[firsts], out=indptr[1:])
+    mc = MarkovChain(m, full.scale, indptr, target[rows], mass[rows], full.absorb_num[firsts])
     return QuotientChain(statespace=ss, partition=fp, chain=mc)
+
+
+def _refuse(full: MarkovChain, fp: FiberPartition, member: int) -> NoReturn:
+    """NotLumpableError for ``member`` against its fiber's first member."""
+    fi = fp.fiber_of[member]
+    first = fp.fibers[fi][0]
+
+    def masses(i: int) -> dict[int, Fraction]:  # by target fiber, in successor order
+        out: dict[int, Fraction] = {}
+        for e in range(full.indptr[i], full.indptr[i + 1]):
+            tf = fp.fiber_of[full.succ[e]]
+            out[tf] = out.get(tf, Fraction(0)) + Fraction(int(full.num[e]), full.scale)
+        return out
+
+    ref_mass, mass = masses(first), masses(member)
+    if mass != ref_mass:
+        raise NotLumpableError(
+            fi, first, member, f"target-fiber masses differ: {ref_mass} vs {mass}"
+        )
+    ref_inc, inc = (Fraction(int(full.absorb_num[i]), full.scale) for i in (first, member))
+    raise NotLumpableError(fi, first, member, f"increment masses differ: {ref_inc} vs {inc}")
 
 
 @dataclass(frozen=True)
@@ -248,8 +273,11 @@ class QuotientReport:
     distortion: Fraction
     distortion_decimal: str
     fiber_count: int
-    q: tuple[Fraction, ...]
     stationary: StationaryDistribution
+
+    @property
+    def q(self) -> tuple[Fraction, ...]:  # the Fraction view of ``stationary``
+        return self.stationary.q
 
 
 def quotient_analyze(qc: QuotientChain) -> QuotientReport:
@@ -259,6 +287,5 @@ def quotient_analyze(qc: QuotientChain) -> QuotientReport:
         distortion=d,
         distortion_decimal=decimal_string(d),
         fiber_count=len(qc.partition),
-        q=sd.q,
         stationary=sd,
     )

@@ -1,10 +1,12 @@
 """Independent checks used only by tests: a per-arc scalar transition and
 breadth-first enumeration, the tuple, dict and Tarjan forms of the
 enumeration, the chain and the class split that the integer tables replaced,
-checks of the enumerated state space, a dense fraction-free (Bareiss) solve
-of the chain's linear systems, a modular p-adic (Dixon) solver with the
-contract of the production exact solver, and the Blahut-Arimoto iteration
-whose fixed point the rate-distortion module computes in closed form."""
+tuple views of a state space and a chain built from Fraction rows, the orbit
+loop and Fraction-dict lumping that the symmetry quotient replaced, checks of
+the enumerated state space, a dense fraction-free (Bareiss) solve of the
+chain's linear systems, a modular p-adic (Dixon) solver with the contract of
+the production exact solver, and the Blahut-Arimoto iteration whose fixed
+point the rate-distortion module computes in closed form."""
 
 from __future__ import annotations
 
@@ -16,10 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from tcq.chain import ClassPartition, MarkovChain, SourceModel
-from tcq.errors import ChainError
+from tcq.chain import ClassPartition, MarkovChain, SourceModel, _numerators
+from tcq.errors import ChainError, NotInvariantError, NotLumpableError, PartitionError
 from tcq.graph import LabeledGraph
 from tcq.statespace import StateSpace
+from tcq.symmetry import FiberPartition, Permutation, PermutationGroup
 from tcq.viterbi import StateVector, advance
 
 
@@ -103,6 +106,110 @@ def chain_dicts(arcs, src: SourceModel):
     return tuple(rows), tuple(absorb)
 
 
+def tuple_states(ss: StateSpace) -> tuple[StateVector, ...]:
+    """The state vectors as tuples of ints, in discovery order."""
+    return tuple(map(tuple, ss.vectors.tolist()))
+
+
+def state_index(ss: StateSpace) -> dict[StateVector, int]:
+    """State vector -> its index."""
+    return {s: i for i, s in enumerate(tuple_states(ss))}
+
+
+def tuple_arcs(ss: StateSpace) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """arcs[state][symbol index] = (successor state index, increment)."""
+    return tuple(map(tuple, map(zip, ss.succ.tolist(), ss.inc.tolist())))
+
+
+def chain_from_rows(rows, absorb) -> MarkovChain:
+    """The chain of {successor: Fraction} rows and increment masses, one of
+    each per state, as the integer table over the lcm of their denominators."""
+    entries = [sorted(row.items()) for row in rows]
+    denominators = {f.denominator for row in rows for f in row.values()}
+    scale = lcm(*denominators, *(a.denominator for a in absorb))
+    num = [f.numerator * (scale // f.denominator) for row in entries for _, f in row]
+    absorb_num = [a.numerator * (scale // a.denominator) for a in absorb]
+    widest = max(max(map(len, rows), default=0), 1) * max(map(abs, [scale, *num, *absorb_num]))
+    return MarkovChain(
+        len(rows),
+        scale,
+        np.cumsum([0, *map(len, rows)]),
+        np.array([t for row in entries for t, _ in row], dtype=np.intp),
+        _numerators(num, widest),
+        _numerators(absorb_num, widest),
+    )
+
+
+def apply_to_state(p: Permutation, s: StateVector) -> StateVector:
+    """Relabelled state: component v reads the score of vertex p(v)."""
+    return tuple(s[p[v]] for v in range(len(s)))
+
+
+def orbit_fibers(ss: StateSpace, group: PermutationGroup) -> FiberPartition:
+    """Orbit partition of the tuple states, one state and element at a time,
+    with the errors of ``symmetry.induced_fibers``."""
+    if group.degree != ss.graph.num_vertices:
+        raise NotInvariantError(
+            f"permutations act on {group.degree} points,"
+            f" graph has {ss.graph.num_vertices} vertices"
+        )
+    states, index = tuple_states(ss), state_index(ss)
+    fiber_of = [-1] * len(states)
+    fibers: list[tuple[int, ...]] = []
+    for i, s in enumerate(states):
+        if fiber_of[i] != -1:
+            continue
+        orbit: set[int] = set()
+        for p in group.elements:
+            image = apply_to_state(p, s)
+            if image not in index:
+                raise NotInvariantError(
+                    f"permutation {p} maps state {s} to {image}, which is outside the state space"
+                )
+            orbit.add(index[image])
+        fi = len(fibers)
+        fibers.append(tuple(sorted(orbit)))
+        for j in sorted(orbit):
+            if fiber_of[j] != -1:
+                raise PartitionError(
+                    f"state {j} lies in orbits {fiber_of[j]} and {fi};"
+                    " the permutations do not form a group"
+                )
+            fiber_of[j] = fi
+    return FiberPartition(fibers=tuple(fibers), fiber_of=tuple(fiber_of))
+
+
+def lumped_dicts(ss: StateSpace, src: SourceModel, fp: FiberPartition):
+    """The quotient over the fibers as {target fiber: Fraction} rows and
+    increment masses, from ``chain_dicts`` one member at a time, or the
+    ``NotLumpableError`` of ``symmetry.quotient``."""
+    rows, absorb = chain_dicts(tuple_arcs(ss), src)
+
+    def profile(i: int) -> tuple[dict[int, Fraction], Fraction]:
+        mass: dict[int, Fraction] = {}
+        for ti, p in sorted(rows[i].items()):
+            tf = fp.fiber_of[ti]
+            mass[tf] = mass.get(tf, Fraction(0)) + p
+        return mass, absorb[i]
+
+    quotient_rows, quotient_absorb = [], []
+    for fi, fiber in enumerate(fp.fibers):
+        ref_mass, ref_absorb = profile(fiber[0])
+        for member in fiber[1:]:
+            mass, a = profile(member)
+            if mass != ref_mass:
+                raise NotLumpableError(
+                    fi, fiber[0], member, f"target-fiber masses differ: {ref_mass} vs {mass}"
+                )
+            if a != ref_absorb:
+                raise NotLumpableError(
+                    fi, fiber[0], member, f"increment masses differ: {ref_absorb} vs {a}"
+                )
+        quotient_rows.append(ref_mass)
+        quotient_absorb.append(ref_absorb)
+    return tuple(quotient_rows), tuple(quotient_absorb)
+
+
 def tarjan_components(n: int, adj) -> list[list[int]]:
     """Iterative Tarjan; components are returned in reverse topological order."""
     index_of = [-1] * n
@@ -168,7 +275,7 @@ class MembershipResult(NamedTuple):
 
 def check_component_bound(ss: StateSpace) -> bool:
     """True iff every component of every state is at most k."""
-    return all(max(s) <= ss.k for s in ss.states)
+    return all(max(s) <= ss.k for s in tuple_states(ss))
 
 
 def membership_increment(ss: StateSpace, s: StateVector, x: str) -> MembershipResult:
@@ -178,12 +285,13 @@ def membership_increment(ss: StateSpace, s: StateVector, x: str) -> MembershipRe
     successor has minimum component > 0 iff the arc's increment is 1.
     Both facts are recomputed here and asserted to agree.
     """
-    si = ss.index.get(s)
+    index = state_index(ss)
+    si = index.get(s)
     if si is None:
         raise KeyError(f"state {s} is not in the enumerated space")
-    _, inc = ss.arcs[si][ss.graph.symbol_index[x]]
+    inc = int(ss.inc[si, ss.graph.symbol_index[x]])
     unreduced = transition(ss.graph, s, x)
-    in_space = unreduced in ss.index
+    in_space = unreduced in index
     assert (inc == 1) == (min(unreduced) > 0) == (not in_space), (
         "membership/increment equivalence violated"
     )

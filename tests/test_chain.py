@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, random_code_graph
+from oracles import chain_from_rows, tuple_arcs
 from tcq import (
     ChainError,
     MarkovChain,
@@ -102,11 +103,7 @@ def test_closed_classes_g3(g3):
 
 
 def test_closed_classes_disconnected_identity():
-    mc = MarkovChain(
-        size=2,
-        rows=({0: Fraction(1)}, {1: Fraction(1)}),
-        absorb=(Fraction(0), Fraction(1)),
-    )
+    mc = chain_from_rows(({0: Fraction(1)}, {1: Fraction(1)}), (Fraction(0), Fraction(1)))
     part = closed_classes(mc)
     assert sorted(part.closed) == [(0,), (1,)]
     assert part.transient == ()
@@ -119,10 +116,9 @@ def test_closed_classes_disconnected_identity():
 
 def test_multiple_closed_classes_mixture():
     # state 0 transient, absorbed into {1} w.p. 1/3 and {2} w.p. 2/3
-    mc = MarkovChain(
-        size=3,
-        rows=({1: Fraction(1, 3), 2: Fraction(2, 3)}, {1: Fraction(1)}, {2: Fraction(1)}),
-        absorb=(Fraction(0), Fraction(0), Fraction(1)),
+    mc = chain_from_rows(
+        ({1: Fraction(1, 3), 2: Fraction(2, 3)}, {1: Fraction(1)}, {2: Fraction(1)}),
+        (Fraction(0), Fraction(0), Fraction(1)),
     )
     sd = stationary(mc)
     assert sd.q == (Fraction(0), Fraction(1, 3), Fraction(2, 3))
@@ -133,15 +129,9 @@ def test_multiple_closed_classes_mixture():
 
 def test_two_step_absorption():
     # 0 -> 1 -> {2 or 3}; absorption probabilities pass through transient 1
-    mc = MarkovChain(
-        size=4,
-        rows=(
-            {1: Fraction(1)},
-            {2: HALF, 3: HALF},
-            {2: Fraction(1)},
-            {3: Fraction(1)},
-        ),
-        absorb=(Fraction(0),) * 3 + (Fraction(1),),
+    mc = chain_from_rows(
+        ({1: Fraction(1)}, {2: HALF, 3: HALF}, {2: Fraction(1)}, {3: Fraction(1)}),
+        (Fraction(0),) * 3 + (Fraction(1),),
     )
     sd = stationary(mc)
     assert sd.q == (0, 0, HALF, HALF)
@@ -285,24 +275,25 @@ def test_analyze_with_rd(g3):
 
 
 def test_chain_invariants_raise():
+    """The table's checks, on chains built from Fraction rows."""
     with pytest.raises(ChainError, match="row 0 is not positive entries summing to 1"):
-        MarkovChain(size=1, rows=({0: HALF},), absorb=(Fraction(0),))
+        chain_from_rows(({0: HALF},), (Fraction(0),))
     with pytest.raises(ChainError, match="row 0 is not positive"):
-        MarkovChain(size=1, rows=({0: Fraction(2), 1: Fraction(-1)},), absorb=(HALF,))
+        chain_from_rows(({0: Fraction(2), 1: Fraction(-1)},), (HALF,))
     with pytest.raises(ChainError, match="one row and one increment mass"):
-        MarkovChain(size=2, rows=({0: Fraction(1)},), absorb=(Fraction(0),))
+        chain_from_rows(({0: Fraction(1)},), (Fraction(0),) * 2)
     # successors outside the states: -1 would index the last state from the end
     with pytest.raises(ChainError, match="row 0 names state -1, outside the 1 states"):
-        MarkovChain(size=1, rows=({-1: Fraction(1)},), absorb=(Fraction(0),))
+        chain_from_rows(({-1: Fraction(1)},), (Fraction(0),))
     with pytest.raises(ChainError, match="row 1 names state 5, outside the 2 states"):
-        MarkovChain(size=2, rows=({0: Fraction(1)}, {5: Fraction(1)}), absorb=(Fraction(0),) * 2)
+        chain_from_rows(({0: Fraction(1)}, {5: Fraction(1)}), (Fraction(0),) * 2)
     with pytest.raises(ChainError, match="a chain needs at least one state"):
-        MarkovChain(size=0, rows=(), absorb=())
+        chain_from_rows((), ())
 
 
 def _table(size, succ, num, absorb_num=None, indptr=None):
-    """``MarkovChain.from_table`` over scale 1, one entry per row by default."""
-    return MarkovChain.from_table(
+    """``MarkovChain`` over scale 1, one entry per row by default."""
+    return MarkovChain(
         size,
         1,
         np.arange(len(succ) + 1) if indptr is None else np.array(indptr),
@@ -337,8 +328,8 @@ def test_row_check_is_exact_on_shared_entries():
     tiny = Fraction(1, 10**40)
     for bad in ({0: third, 1: 2 * third + tiny}, {0: third, 1: good[1], 2: Fraction(0)}):
         with pytest.raises(ChainError, match="row 2 is not positive"):
-            MarkovChain(size=3, rows=(good, dict(good), bad), absorb=(third,) * 3)
-    MarkovChain(size=3, rows=(good, dict(good), {2: Fraction(1)}), absorb=(third,) * 3)
+            chain_from_rows((good, dict(good), bad), (third,) * 3)
+    chain_from_rows((good, dict(good), {2: Fraction(1)}), (third,) * 3)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -351,7 +342,7 @@ def test_build_chain_matches_arc_by_arc_sums(seed):
     src = SourceModel(g.alphabet, tuple(Fraction(w, sum(weights)) for w in weights))
     ss = enumerate_states(g)
     rows, absorb = [], []
-    for arc_row in ss.arcs:
+    for arc_row in tuple_arcs(ss):
         row, mass = {}, Fraction(0)
         for (ti, inc), p in zip(arc_row, src.probabilities):
             if p:
@@ -365,21 +356,17 @@ def test_build_chain_matches_arc_by_arc_sums(seed):
 
 
 def test_chain_invariants_survive_optimized_mode():
-    """The chain checks are raises, not asserts: they hold under python -O,
-    on both construction paths."""
+    """The chain checks are raises, not asserts: they hold under python -O."""
     code = (
-        "from fractions import Fraction\n"
         "import numpy as np\n"
         "from tcq import ChainError, MarkovChain\n"
-        "zero, ints = (Fraction(0),), lambda *v: np.array(v, dtype=np.int64)\n"
+        "ints = lambda *v: np.array(v, dtype=np.int64)\n"
         "for make in (\n"
-        "    lambda: MarkovChain(size=1, rows=({0: Fraction(1, 2)},), absorb=zero),\n"
-        "    lambda: MarkovChain(size=1, rows=({-1: Fraction(1)},), absorb=zero),\n"
-        "    lambda: MarkovChain(size=1, rows=({5: Fraction(1)},), absorb=zero),\n"
-        "    lambda: MarkovChain(size=0, rows=(), absorb=()),\n"
-        "    lambda: MarkovChain.from_table(1, 1, ints(0, 1), ints(-1), ints(1), ints(0)),\n"
-        "    lambda: MarkovChain.from_table(1, 1, ints(0, 1), ints(5), ints(1), ints(0)),\n"
-        "    lambda: MarkovChain.from_table(0, 1, ints(0), ints(), ints(), ints()),\n"
+        "    lambda: MarkovChain(1, 2, ints(0, 1), ints(0), ints(1), ints(0)),\n"
+        "    lambda: MarkovChain(1, 1, ints(0, 1), ints(-1), ints(1), ints(0)),\n"
+        "    lambda: MarkovChain(1, 1, ints(0, 1), ints(5), ints(1), ints(0)),\n"
+        "    lambda: MarkovChain(0, 1, ints(0), ints(), ints(), ints()),\n"
+        "    lambda: MarkovChain(2, 1, ints(0, 1, 2), ints(0, 0), ints(1, 1), ints(0)),\n"
         "):\n"
         "    try:\n"
         "        make()\n"
@@ -399,7 +386,5 @@ def test_chain_invariants_survive_optimized_mode():
         "chain row 0 names state -1, outside the 1 states",
         "chain row 0 names state 5, outside the 1 states",
         "chain a chain needs at least one state",
-        "chain row 0 names state -1, outside the 1 states",
-        "chain row 0 names state 5, outside the 1 states",
-        "chain a chain needs at least one state",
+        "chain need one row and one increment mass per state",
     ]

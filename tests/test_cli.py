@@ -279,6 +279,37 @@ def test_gen_debruijn_bad_label_count(capsys):
     assert "expected 16 labels" in err
 
 
+@pytest.mark.parametrize("order", ["100000000000", "1000000000"])
+def test_gen_debruijn_huge_order_fails_fast(capsys, order):
+    """An order whose 2^(order + 1) labels could not be counted, let alone
+    given, is refused without computing that number."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gen-debruijn", "--order", order, "--labels", "a,b")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == f"error (graph): expected 2^{int(order) + 1} labels for order {order}, got 2\n"
+
+
+@pytest.mark.parametrize(
+    "labels,name",
+    [
+        ("a b,c,a b,c", "'a b'"),
+        ("a,b,a,", "''"),
+        ("a,b#,a,b#", "'b#'"),
+        ("a,b\tc,a,b\tc", "'b\\tc'"),
+    ],
+)
+def test_gen_debruijn_refuses_labels_the_format_cannot_hold(capsys, tmp_path, labels, name):
+    """A label that the graph format would not read back as one token is
+    refused, and no file is written."""
+    out_file = tmp_path / "g.g"
+    argv = ("gen-debruijn", "--order", "1", "--labels", labels, "--out", str(out_file))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error (graph): symbol {name} is not one token of the graph format")
+    assert not out_file.exists()
+
+
 def test_gen_debruijn_usage_errors(capsys):
     code, _, err = run_cli(capsys, "gen-debruijn", "--builtin", "nope")
     assert code == 2 and "usage error" in err
@@ -475,3 +506,45 @@ def test_module_invocation_matches_script():
     )
     assert proc.returncode == 0
     assert "D(R) = " in proc.stdout
+
+
+# scripts/debruijn8_report.py's stdout without Monte Carlo
+REPORT_LINES = [
+    "states: 107  (exact-path constant 3)",
+    "D(G) = 452/1809 = 0.2498618021",
+    "",
+    "translation quotient: 16 fibers, D = 452/1809",
+    "       rep size mass*1809  inc",
+    "  01112211    8       268  1/2",
+    "  01101111    4       212    0",
+    "  00000011    4       198    0",
+    "  01212222    8       194  1/2",
+    "  01213322    8       194  1/2",
+    "  00111101    8       194    0",
+    "  01111111    8       128  1/2",
+    "  01101122    8       112    0",
+    "  00001111    2        99    0",
+    "  01112222    8        64  1/2",
+    "  01212211    8        56  1/2",
+    "  00110110    8        32    0",
+    "  00011100    8        28    0",
+    "  00012211    8        16    0",
+    "  00011111    8        14    0",
+    "  00000000    1         0    0",
+    "",
+    "D(R=1) baseline: 0.189289624915",
+    "gap D(G) - D(R): 0.060572177185  (bound holds)",
+]
+
+
+def test_debruijn8_report_script():
+    path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "debruijn8_report.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == REPORT_LINES

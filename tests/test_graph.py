@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import accumulate
 
 import networkx as nx
@@ -99,6 +100,32 @@ def test_roundtrip_shipped_example():
 @given(st.integers(0, 10**9))
 def test_roundtrip_random_graphs(seed):
     g = random_code_graph(random.Random(seed))
+    assert parse_graph(serialize_graph(g)) == g
+
+
+@pytest.mark.parametrize("bad", ["", "v w", "v\tw", "v\u2028w", "#", "v#1"])
+def test_names_the_format_cannot_hold_are_refused(bad):
+    with pytest.raises(GraphStructureError, match=re.escape(f"vertex {bad!r} is not one token")):
+        LabeledGraph((bad,), (Edge(bad, bad, "a"),), ("a",))
+    with pytest.raises(GraphStructureError, match=re.escape(f"symbol {bad!r} is not one token")):
+        LabeledGraph(("v",), (Edge("v", "v", bad),), (bad,))
+
+
+@given(
+    st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True),
+    st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True),
+)
+def test_roundtrip_holds_for_every_accepted_name(vertices, symbols):
+    """A graph that LabeledGraph accepts, whatever its names, reads back
+    from its serialized form as itself."""
+    # a ring through the vertices in order, so that parsing keeps that order
+    ring = zip(vertices, vertices[1:] + vertices[:1])
+    edges = tuple(Edge(v, w, symbols[i % len(symbols)]) for i, (v, w) in enumerate(ring))
+    try:
+        g = LabeledGraph(tuple(vertices), edges, tuple(symbols))
+    except GraphStructureError:
+        assert any(not s or "#" in s or any(c.isspace() for c in s) for s in vertices + symbols)
+        return
     assert parse_graph(serialize_graph(g)) == g
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import state_index, tuple_arcs
 from tcq import (
     SourceError,
     SourceModel,
@@ -272,18 +273,19 @@ def test_walk_arcs_match_the_enumerated_table(monkeypatch, name):
     at most once per step and twice per state the walk interns."""
     g = _walk_graph(name)
     ss = enumerate_states(g)
+    index, arcs = state_index(ss), tuple_arcs(ss)
     src = SourceModel.uniform(g.alphabet)
     bounds, support = source_thresholds(src)
     for workers in (1, 2):
         r, explorer, calls = _walk(monkeypatch, g, 100_000, seed=3, workers=workers)
         assert sum(calls) <= min(r.n, 2 * len(explorer.states))
-        where = [ss.index[s] for s in explorer.states]
+        where = [index[s] for s in explorer.states]
         memoized = 0
         for si, row in enumerate(explorer.rows):
             for xi, step in enumerate(row):
                 if step is not None:
                     ti, inc = step
-                    assert ss.arcs[where[si]][xi] == (where[ti], inc)
+                    assert arcs[where[si]][xi] == (where[ti], inc)
                     memoized += 1
         assert memoized > len(explorer.states)
         assert all(None in explorer.rows[si] for si in explorer.blocks)
@@ -293,7 +295,7 @@ def test_walk_arcs_match_the_enumerated_table(monkeypatch, name):
             state = 0
             xs = symbol_indices(3, start, stop, bounds, support).tolist()
             for pos, xi in enumerate(xs, start):
-                state, expected[pos] = ss.arcs[state][xi]
+                state, expected[pos] = arcs[state][xi]
         assert r.increments.dtype == np.uint8
         assert (r.increments == expected).all()
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, random_code_graph
-from oracles import bareiss_stationary, dixon_solve, solve_integer
+from oracles import bareiss_stationary, chain_from_rows, dixon_solve, solve_integer
 from tcq import (
     ChainError,
     MarkovChain,
@@ -59,7 +59,7 @@ def _random_multiclass_chain(rng: random.Random) -> MarkovChain:
             ring = start + (k + 1) % size  # keeps the class irreducible
             rows.append(law([ring] + [start + rng.randrange(size) for _ in range(2)]))
     absorb = tuple(Fraction(rng.randint(0, 3), 3) for _ in range(n))
-    return MarkovChain(size=n, rows=tuple(rows), absorb=absorb)
+    return chain_from_rows(tuple(rows), absorb)
 
 
 def _recurrent_start_chain() -> MarkovChain:
@@ -74,7 +74,7 @@ def _recurrent_start_chain() -> MarkovChain:
         {2: Fraction(1)},
     )
     absorb = tuple(Fraction(k, 6) for k in (0, 3, 6, 2, 0, 4))
-    return MarkovChain(size=6, rows=rows, absorb=absorb)
+    return chain_from_rows(rows, absorb)
 
 
 def _partly_reached_chain() -> MarkovChain:
@@ -92,7 +92,7 @@ def _partly_reached_chain() -> MarkovChain:
         {6: Fraction(1)},
     )
     absorb = tuple(Fraction(k, 4) for k in (1, 0, 2, 3, 4, 1, 2, 0))
-    return MarkovChain(size=8, rows=rows, absorb=absorb)
+    return chain_from_rows(rows, absorb)
 
 
 def _uniform_chain(g) -> MarkovChain:
@@ -223,7 +223,7 @@ def test_solve_stats_describe_each_solve(debruijn8):
     assert stats.nnz == len(entries | {(j, j) for j in range(last)}) + len(members)
     assert stats.residual == "int64"
     # the stats ride along without taking part in equality
-    assert sd == chain.StationaryDistribution(q=sd.q, classes=sd.classes, unique=sd.unique)
+    assert sd == chain.StationaryDistribution(sd.numerators, sd.denominator, sd.classes, sd.unique)
     assert stats.unreduced_dim == stats.dim  # no state has a single predecessor
     # from a transient state 0 that reaches several closed classes: one solve
     # over the transient visits and class balances and masses of what 0
@@ -291,7 +291,7 @@ def _weighted_chain(rows: list[dict[int, int]]) -> MarkovChain:
     """The chain whose row i sends weight w to state j, over the row's sum."""
     rows = tuple({j: Fraction(w, sum(row.values())) for j, w in row.items()} for row in rows)
     absorb = tuple(Fraction(s % 2) for s in range(len(rows)))
-    return MarkovChain(size=len(rows), rows=rows, absorb=absorb)
+    return chain_from_rows(rows, absorb)
 
 
 def _tailed_chain(rng: random.Random, hubs: int) -> MarkovChain:
@@ -401,7 +401,7 @@ def test_probability_one_arcs_add_no_power():
     big = 2**64 + 13
     p, n = Fraction(big // 3, big), 2000
     rows = [{0: p, 1: 1 - p}] + [{k + 1: Fraction(1)} for k in range(1, n - 1)] + [{0: Fraction(1)}]
-    mc = MarkovChain(size=n, rows=tuple(rows), absorb=(Fraction(0),) * n)
+    mc = chain_from_rows(tuple(rows), (Fraction(0),) * n)
     sd, (root, coef, power) = _censoring(mc)
     assert (sd.solve.unreduced_dim, sd.solve.dim) == (n, 1)
     assert int(power.max()) == 1
@@ -431,6 +431,7 @@ def test_a_corrupted_back_substituted_share_raises_in_optimized_mode():
     first that of state 0, which 3 feeds."""
     code = (
         "from fractions import Fraction\n"
+        "import numpy as np\n"
         "from tcq import ChainError, MarkovChain, stationary\n"
         "from tcq import chain\n"
         "real = chain._back_substitute\n"
@@ -438,9 +439,10 @@ def test_a_corrupted_back_substituted_share_raises_in_optimized_mode():
         "    x, d = real(*args)\n"
         "    x[3] += 1\n"
         "    return x, d\n"
-        "h, one = Fraction(1, 2), Fraction(1)\n"
-        "rows = ({0: h, 1: h}, {2: one}, {3: one}, {0: one})\n"
-        "mc = MarkovChain(size=4, rows=rows, absorb=(Fraction(0),) * 4)\n"
+        "ints = lambda *v: np.array(v, dtype=np.int64)\n"
+        "# 0 -> {0, 1} with 1/2 each, then 1 -> 2 -> 3 -> 0, over scale 2\n"
+        "indptr, succ = ints(0, 2, 3, 4, 5), ints(0, 1, 2, 3, 0)\n"
+        "mc = MarkovChain(4, 2, indptr, succ, ints(1, 1, 2, 2, 2), ints(0, 0, 0, 0))\n"
         "print(stationary(mc).q == (Fraction(2, 5),) + (Fraction(1, 5),) * 3)\n"
         "chain._back_substitute = corrupt\n"
         "try:\n"
@@ -503,7 +505,7 @@ def test_states_that_state_0_cannot_reach_stay_out_of_the_solve():
     the dense factor's cap of 16,384."""
     half = Fraction(1, 2)
     rows = ({0: Fraction(1)}, {1: Fraction(1)}) + ({0: half, 1: half},) * 20_000
-    mc = MarkovChain(size=len(rows), rows=rows, absorb=(Fraction(0),) * len(rows))
+    mc = chain_from_rows(rows, (Fraction(0),) * len(rows))
     sd = stationary(mc)
     assert sd.solve.dim == 1 and not sd.unique
     assert sd.q[0] == 1 and not any(sd.q[1:])
@@ -554,7 +556,7 @@ def _nearly_decomposable(eps: Fraction, lazy: bool = False) -> MarkovChain:
         {3: 1 - stay, 5: stay},
     )
     rows = tuple({j: p for j, p in row.items() if p} for row in rows)
-    return MarkovChain(size=6, rows=rows, absorb=(Fraction(0), h, Fraction(1)) * 2)
+    return chain_from_rows(rows, (Fraction(0), h, Fraction(1)) * 2)
 
 
 def _coupled_cycles(length: int, eps: Fraction) -> MarkovChain:
@@ -568,7 +570,7 @@ def _coupled_cycles(length: int, eps: Fraction) -> MarkovChain:
         rows += [{i: h, i + 1: h} for i in range(start + 1, start + length - 1)]
         rows.append({start + length - 1: h, start: h})
     absorb = tuple(Fraction(i % 2) for i in range(2 * length))
-    return MarkovChain(size=2 * length, rows=tuple(rows), absorb=absorb)
+    return chain_from_rows(tuple(rows), absorb)
 
 
 @pytest.mark.parametrize(
@@ -876,8 +878,10 @@ def test_analyze_takes_d_from_the_integer_law(monkeypatch, debruijn8):
     assert gcd(sd.denominator, *sd.numerators) == 1  # lowest terms
     assert sd.denominator == lcm(*(x.denominator for x in sd.q))
     assert sd.numerators == tuple(x * sd.denominator for x in sd.q)
-    # the same law from its Fractions: same fields, same D(G)
-    again = chain.StationaryDistribution(q=sd.q, classes=sd.classes, unique=sd.unique)
+    # the same law over a multiple of its denominator: reduced on construction
+    again = chain.StationaryDistribution(
+        [3 * v for v in sd.numerators], 3 * sd.denominator, sd.classes, sd.unique
+    )
     assert (again.numerators, again.denominator) == (sd.numerators, sd.denominator)
 
 

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_code_graph, random_sequence
-from oracles import check_component_bound, enumerate_arcs, membership_increment
+from oracles import (
+    check_component_bound,
+    enumerate_arcs,
+    membership_increment,
+    state_index,
+    tuple_arcs,
+    tuple_states,
+)
 from tcq import (
     ComponentBoundError,
     GraphStructureError,
@@ -33,26 +40,25 @@ from tcq.statespace import format_statespace
 
 def test_g3_space(g3):
     ss = enumerate_states(g3)
-    assert ss.states == ((0, 0), (1, 0))
+    assert tuple_states(ss) == ((0, 0), (1, 0))
     assert ss.k == 1
     # alphabet order a, b per state
-    assert ss.arcs == (((0, 0), (1, 0)), ((0, 0), (0, 1)))
-    assert ss.index == {(0, 0): 0, (1, 0): 1}
+    assert tuple_arcs(ss) == (((0, 0), (1, 0)), ((0, 0), (0, 1)))
     assert len(ss) == 2
 
 
 def test_zero_state_first_and_reduced(debruijn8):
     ss = enumerate_states(debruijn8)
-    assert ss.states[0] == zero_state(debruijn8)
-    assert all(min(s) == 0 for s in ss.states)
+    assert tuple_states(ss)[0] == zero_state(debruijn8)
+    assert all(min(s) == 0 for s in tuple_states(ss))
     assert len(ss) == 107
 
 
 def test_enumeration_is_deterministic(debruijn8):
     a = enumerate_states(debruijn8)
     b = enumerate_states(debruijn8)
-    assert a.states == b.states
-    assert a.arcs == b.arcs
+    assert tuple_states(a) == tuple_states(b)
+    assert tuple_arcs(a) == tuple_arcs(b)
 
 
 def test_requires_strong_connectivity_and_aperiodicity():
@@ -76,9 +82,9 @@ def test_component_bound_and_closure_random(seed):
     g = random_code_graph(rng)
     ss = enumerate_states(g, max_states=50_000)
     assert check_component_bound(ss)
-    assert all(min(s) == 0 for s in ss.states)
+    assert all(min(s) == 0 for s in tuple_states(ss))
     # arcs land inside the space with increments in {0,1}
-    for row in ss.arcs:
+    for row in tuple_arcs(ss):
         for ti, inc in row:
             assert 0 <= ti < len(ss)
             assert inc in (0, 1)
@@ -88,9 +94,10 @@ def test_long_random_walk_stays_inside(debruijn8):
     ss = enumerate_states(debruijn8)
     rng = random.Random(11)
     s = zero_state(debruijn8)
+    index = state_index(ss)
     for x in random_sequence(rng, debruijn8.alphabet, 10_000):
         s, _ = reduced_transition(debruijn8, s, x)
-        assert s in ss.index
+        assert s in index
 
 
 def test_membership_increment(g3):
@@ -107,7 +114,7 @@ def test_membership_increment(g3):
 
 def test_membership_increment_exhaustive(debruijn8):
     ss = enumerate_states(debruijn8)
-    for s in ss.states:
+    for s in tuple_states(ss):
         for x in debruijn8.alphabet:
             r = membership_increment(ss, s, x)
             assert r.in_space == (not r.incremented)
@@ -147,8 +154,7 @@ DIFFERENTIAL_CORPUS = [
 def test_enumeration_matches_per_arc_oracle(gi):
     g = DIFFERENTIAL_CORPUS[gi]
     ss = enumerate_states(g)
-    assert (ss.states, ss.arcs) == enumerate_arcs(g)
-    assert ss.index == {s: i for i, s in enumerate(ss.states)}
+    assert (tuple_states(ss), tuple_arcs(ss)) == enumerate_arcs(g)
 
 
 def test_block_boundary_inside_a_layer():
@@ -157,12 +163,12 @@ def test_block_boundary_inside_a_layer():
     ss = enumerate_states(BIG_LAYER)
     # a state's BFS parent is the source of the first arc, in arc order, into it
     depth = {0: 0}
-    for si, row in enumerate(ss.arcs):
+    for si, row in enumerate(tuple_arcs(ss)):
         for ti, _ in row:
             depth.setdefault(ti, depth[si] + 1)
     assert len(ss) > statespace._BLOCK
     assert max(Counter(depth.values()).values()) > statespace._BLOCK
-    assert (ss.states, ss.arcs) == enumerate_arcs(BIG_LAYER)
+    assert (tuple_states(ss), tuple_arcs(ss)) == enumerate_arcs(BIG_LAYER)
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
@@ -170,7 +176,7 @@ def test_small_blocks_give_the_same_space(monkeypatch, debruijn8, block):
     expected = enumerate_arcs(debruijn8)
     monkeypatch.setattr(statespace, "_BLOCK", block)
     ss = enumerate_states(debruijn8)
-    assert (ss.states, ss.arcs) == expected
+    assert (tuple_states(ss), tuple_arcs(ss)) == expected
 
 
 def test_component_above_k_raises(monkeypatch, g3):
@@ -229,7 +235,7 @@ def test_hub_graph_blocks_bound_the_padded_intermediate(monkeypatch):
     assert depth >= 64
     calls = _kernel_calls(monkeypatch)
     ss = enumerate_states(HUB)
-    assert (ss.states, ss.arcs) == enumerate_arcs(HUB)
+    assert (tuple_states(ss), tuple_arcs(ss)) == enumerate_arcs(HUB)
     assert max(calls) * n_sym * depth * n_vert <= statespace._BLOCK * n_sym * n_edges
     assert max(calls) == statespace._BLOCK * n_edges // (depth * n_vert) < len(ss)
 
@@ -245,8 +251,8 @@ def test_uniform_in_degree_keeps_the_block(monkeypatch, block):
 
 
 def test_analysis_path_builds_no_tuple_views(monkeypatch, debruijn8):
-    """``analyze``, and enumeration, chain and class split, read only the
-    arrays: ``states``, ``index`` and ``arcs`` are built only when read."""
+    """``analyze``, and enumeration, chain and class split, leave the state
+    space as its arrays alone: it has no tuple or dict view to build."""
     spaces = []
 
     def recording(g, max_states=10**6):
@@ -259,9 +265,8 @@ def test_analysis_path_builds_no_tuple_views(monkeypatch, debruijn8):
     closed_classes(build_chain(ss, SourceModel.uniform(debruijn8.alphabet)))
     format_statespace(ss)
     for space in (*spaces, ss):
-        assert not {"states", "index", "arcs"} & vars(space).keys()
-    assert ss.states[1] in ss.index  # and built once read
-    assert {"states", "index"} <= vars(ss).keys()
+        assert vars(space).keys() == {"graph", "k", "vectors", "succ", "inc"}
+    assert not any(hasattr(ss, view) for view in ("states", "index", "arcs"))
 
 
 def test_state_space_equality(g3, debruijn8):
@@ -269,7 +274,7 @@ def test_state_space_equality(g3, debruijn8):
     element; comparing them builds no view."""
     a, b = enumerate_states(debruijn8), enumerate_states(debruijn8)
     assert a == b and hash(a) == hash(b)
-    assert not {"states", "index", "arcs"} & vars(a).keys()
+    assert vars(a).keys() == {"graph", "k", "vectors", "succ", "inc"}
     assert a == dataclasses.replace(a, vectors=a.vectors.astype(np.int64))
     assert a != enumerate_states(g3)
     assert a != dataclasses.replace(a, k=a.k + 1)
@@ -288,4 +293,4 @@ def test_state_space_equality(g3, debruijn8):
     )
     assert (renamed.vectors.tolist(), renamed.succ.tolist()) == (a.vectors.tolist(), a.succ.tolist())
     assert a != renamed
-    assert a != a.states
+    assert a != tuple_states(a)

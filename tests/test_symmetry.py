@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import json
+import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
+from oracles import (
+    apply_to_state,
+    lumped_dicts,
+    orbit_fibers,
+    state_index,
+    tuple_states,
+)
 from tcq import (
     FiberPartition,
     GraphStructureError,
@@ -14,9 +25,9 @@ from tcq import (
     PermutationGroup,
     SourceError,
     SourceModel,
-    apply_to_state,
     build_chain,
     distortion_rate,
+    de_bruijn,
     enumerate_states,
     fiber_representatives,
     induced_fibers,
@@ -41,9 +52,11 @@ def test_permutation_algebra():
 
 
 def test_apply_to_state_reads_through_the_permutation():
-    # component v of the image is the score of vertex p(v)
+    # component v of the image is the score of vertex p(v): the oracle's
+    # tuple form and the column gather that induced_fibers runs agree
     assert apply_to_state((1, 0), (3, 5)) == (5, 3)
     assert apply_to_state((2, 0, 1), (7, 8, 9)) == (9, 7, 8)
+    assert np.array([[7, 8, 9]])[:, (2, 0, 1)].tolist() == [[9, 7, 8]]
 
 
 def test_group_closure():
@@ -153,11 +166,12 @@ def test_orbit_coherence(debruijn8):
     fp = induced_fibers(ss, grp)
     assert len(fp) == 16
     assert sorted(len(f) for f in fp.fibers) == [1, 2, 4, 4] + [8] * 12
+    states, index = tuple_states(ss), state_index(ss)
     for fi, fiber in enumerate(fp.fibers):
         members = set(fiber)
         for i in fiber:
             assert fp.fiber_of[i] == fi
-            orbit = {ss.index[apply_to_state(p, ss.states[i])] for p in grp.elements}
+            orbit = {index[apply_to_state(p, states[i])] for p in grp.elements}
             assert orbit == members
     # group order is an upper bound on any orbit size
     assert max(len(f) for f in fp.fibers) <= len(grp)
@@ -167,10 +181,11 @@ def test_fiber_representatives_are_lex_least(debruijn8):
     ss = enumerate_states(debruijn8)
     fp = induced_fibers(ss, xor_translation_group(3))
     reps = fiber_representatives(ss, fp)
+    states = tuple_states(ss)
     for fi, fiber in enumerate(fp.fibers):
-        rep_vec = ss.states[reps[fi]]
+        rep_vec = states[reps[fi]]
         assert reps[fi] in fiber
-        assert all(rep_vec <= ss.states[i] for i in fiber)
+        assert all(rep_vec <= states[i] for i in fiber)
 
 
 def test_quotient_reproduces_distortion(debruijn8):
@@ -182,7 +197,7 @@ def test_quotient_reproduces_distortion(debruijn8):
     qr = quotient_analyze(quotient(ss, src, fp))
     assert qr.distortion == full == Fraction(452, 1809)
     assert qr.fiber_count == 16
-    assert sum(qr.q) == 1
+    assert sum(qr.stationary.q) == 1
 
 
 # Known quotient transition structure of the bundled 8-vertex example.
@@ -214,8 +229,10 @@ def test_quotient_transition_structure(debruijn8):
     fp = induced_fibers(ss, xor_translation_group(3))
     qc = quotient(ss, src, fp)
 
+    index = state_index(ss)
+
     def fiber_of_string(digits: str) -> int:
-        return fp.fiber_of[ss.index[tuple(int(c) for c in digits)]]
+        return fp.fiber_of[index[tuple(int(c) for c in digits)]]
 
     assert len(EXPECTED_QUOTIENT_MAP) == 16
     for member, (targets, inc_mass) in EXPECTED_QUOTIENT_MAP.items():
@@ -223,3 +240,117 @@ def test_quotient_transition_structure(debruijn8):
         expected_row = {fiber_of_string(t): mass for t, mass in targets.items()}
         assert qc.chain.rows[fi] == expected_row, member
         assert qc.chain.absorb[fi] == inc_mass, member
+
+
+# The numpy fibers and quotient against the orbit loop and Fraction-dict
+# lumping they replaced (``tests/oracles.py``).
+
+XOR4 = json.loads((REPO_ROOT / "perfbench" / "corpus.json").read_text(encoding="utf-8"))["xor4"]
+
+
+def _outcome(f, *args):
+    """f's result, or the type, stage, text and fields of the tcq error it raises."""
+    try:
+        return f(*args)
+    except (NotInvariantError, PartitionError, NotLumpableError) as exc:
+        return type(exc), exc.stage, str(exc), vars(exc)
+
+
+def _check_quotient(ss, src, fp) -> NotLumpableError | None:
+    """The quotient of fp has the oracle's rows and increment masses, or both
+    refuse it alike: the refusal is returned."""
+    try:
+        mc = quotient(ss, src, fp).chain
+    except NotLumpableError as exc:
+        assert _outcome(lumped_dicts, ss, src, fp) == _outcome(lambda: quotient(ss, src, fp))
+        return exc
+    assert (mc.rows, mc.absorb) == lumped_dicts(ss, src, fp)
+    return None
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [None] + [e["labels"] for e in XOR4],
+    ids=["debruijn8"] + [f"xor4-{i:02d}" for i in range(len(XOR4))],
+)
+def test_quotient_matches_the_oracles(labels, debruijn8):
+    """debruijn8 and the XOR-invariant order-4 labellings of the benchmark
+    corpus, under their XOR translation groups."""
+    g = debruijn8 if labels is None else de_bruijn(4, tuple(labels))
+    ss = enumerate_states(g)
+    group = xor_translation_group(g.num_vertices.bit_length() - 1)
+    fp = induced_fibers(ss, group)
+    assert fp == orbit_fibers(ss, group)
+    states = tuple_states(ss)
+    reps = fiber_representatives(ss, fp)
+    assert [states[r] for r in reps] == [min(states[i] for i in fiber) for fiber in fp.fibers]
+    assert _check_quotient(ss, SourceModel.uniform(g.alphabet), fp) is None
+
+
+def _coarsened(fp: FiberPartition, label: list[int], flip: bool) -> FiberPartition:
+    """The fibers of fp with equal labels merged, each in descending order
+    when ``flip`` (so that its first member is its largest)."""
+    groups: dict[int, list[int]] = {}
+    for fi, fiber in enumerate(fp.fibers):
+        groups.setdefault(label[fi], []).extend(fiber)
+    fibers = sorted(tuple(sorted(g, reverse=flip)) for g in groups.values())
+    fiber_of = [0] * len(fp.fiber_of)
+    for fi, fiber in enumerate(fibers):
+        for i in fiber:
+            fiber_of[i] = fi
+    return FiberPartition(fibers=tuple(fibers), fiber_of=tuple(fiber_of))
+
+
+def test_non_lumpable_partitions_name_the_oracles_witness(g3, debruijn8):
+    """Coarsenings of debruijn8's orbits, members in ascending and in
+    descending order: the same fiber, first member, first differing member
+    and message as the oracle, target-fiber masses checked before increments."""
+    ss = enumerate_states(debruijn8)
+    src = SourceModel.uniform(debruijn8.alphabet)
+    fp = induced_fibers(ss, xor_translation_group(3))
+    rng = random.Random(9)
+    kinds = set()
+    for t in range(60):
+        k = rng.randint(2, 15)
+        coarse = _coarsened(fp, [rng.randrange(k) for _ in range(len(fp))], flip=t % 2 == 1)
+        err = _check_quotient(ss, src, coarse)
+        if err is not None:
+            kinds.add((err.fiber > 0, "increment masses" in str(err)))
+    # refusals past the first fiber, and both kinds of disagreement
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+    # every pair of orbits merged: four of the 120 are lumpable again
+    refused = 0
+    for a in range(len(fp)):
+        for b in range(a + 1, len(fp)):
+            label = [b if fi == a else fi for fi in range(len(fp))]
+            refused += _check_quotient(ss, src, _coarsened(fp, label, flip=False)) is not None
+    assert refused == 116
+    # g3's two states, with the larger first: equal masses, unequal increments
+    fp = FiberPartition(fibers=((1, 0),), fiber_of=(0, 0))
+    err = _check_quotient(enumerate_states(g3), SourceModel.uniform(g3.alphabet), fp)
+    assert (err.fiber, err.member_a, err.member_b) == (0, 1, 0)
+    assert "increment masses differ: 1/2 vs 0" in str(err)
+
+
+def test_non_groups_and_non_symmetries_fail_as_the_oracle_does(g3, debruijn8):
+    """Element sets that are not groups, and permutations that are not
+    symmetries: the oracle's partition, or its error and text."""
+    ss = enumerate_states(debruijn8)
+    translations = xor_translation_group(3).elements
+    rng = random.Random(4)
+    cases = [PermutationGroup(degree=8, elements=(p,)) for p in translations]
+    for _ in range(30):
+        subset = tuple(rng.sample(translations, rng.randint(1, 7)))
+        cases.append(PermutationGroup(degree=8, elements=subset))
+        cases.append(PermutationGroup(degree=8, elements=(tuple(rng.sample(range(8), 8)),)))
+    cases.append(PermutationGroup.from_generators(((7, 6, 5, 4, 3, 2, 1, 0),), 8))
+    kinds = set()
+    for grp in cases:
+        got = _outcome(induced_fibers, ss, grp)
+        assert got == _outcome(orbit_fibers, ss, grp)
+        kinds.add(got[0] if isinstance(got, tuple) else FiberPartition)
+    assert kinds == {FiberPartition, NotInvariantError, PartitionError}
+    g3_space = enumerate_states(g3)
+    for grp in (PermutationGroup.from_generators(((1, 0),), 2), xor_translation_group(2)):
+        got = _outcome(induced_fibers, g3_space, grp)
+        assert got[0] is NotInvariantError and got == _outcome(orbit_fibers, g3_space, grp)

@@ -1,9 +1,11 @@
 """The integer arc tables against the tuple, dict and Tarjan oracles: the
-state space's ``succ``/``inc`` arrays and ``arcs`` view, the chain's CSR
-table and its ``rows``/``absorb`` views, and the class split."""
+state space's ``vectors``/``succ``/``inc`` arrays, the chain's CSR table and
+its ``rows``/``absorb`` views, and the class split."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, random_code_graph
-from oracles import chain_dicts, enumerate_tuples, tarjan_closed_classes
+from oracles import chain_dicts, enumerate_tuples, tarjan_closed_classes, tuple_arcs, tuple_states
 from tcq import (
     SourceModel,
     analyze,
@@ -21,8 +23,12 @@ from tcq import (
     de_bruijn,
     debruijn8_demo,
     enumerate_states,
+    induced_fibers,
+    quotient,
+    quotient_analyze,
+    xor_translation_group,
 )
-from tcq import chain
+from tcq import chain, cli, symmetry
 
 POOLS = json.loads((REPO_ROOT / "perfbench" / "corpus.json").read_text(encoding="utf-8"))
 POOL_GRAPHS = [
@@ -36,8 +42,8 @@ def _check_against_oracles(g, src: SourceModel):
     """The tables of g under src equal the oracles'; returns the chain."""
     ss = enumerate_states(g)
     states, arcs = enumerate_tuples(g)
-    assert ss.states == states
-    assert ss.arcs == arcs
+    assert tuple_states(ss) == states
+    assert tuple_arcs(ss) == arcs
     assert ss.succ.shape == ss.inc.shape == (len(states), len(g.alphabet))
     mc = build_chain(ss, src)
     rows, absorb = chain_dicts(arcs, src)
@@ -91,18 +97,38 @@ def test_shared_fractions_in_the_views():
 
 
 def test_analyze_builds_no_tuple_or_fraction_view(monkeypatch):
-    """The analysis path reads only the integer tables."""
-    seen = []
-    build = chain.build_chain
+    """The analysis path and the symmetry quotient, through the library and
+    through ``tcq quotient``, read only the integer tables."""
+    chains, laws = [], []
+    build, solve = chain.build_chain, symmetry.stationary
 
     def recording(ss, src):
-        seen.append((ss, build(ss, src)))
-        return seen[-1][1]
+        chains.append(build(ss, src))
+        return chains[-1]
+
+    def recording_law(mc):  # quotient_analyze's solve, of the quotient chain
+        chains.append(mc)
+        laws.append(solve(mc))
+        return laws[-1]
 
     monkeypatch.setattr(chain, "build_chain", recording)
+    monkeypatch.setattr(symmetry, "build_chain", recording)
+    monkeypatch.setattr(symmetry, "stationary", recording_law)
     for g in (debruijn8_demo(), de_bruijn(3, tuple("dabcbbbbcbbcabbd"))):
         analyze(g, with_rd=True)
-    for ss, mc in seen:
-        assert "arcs" not in vars(ss)
+    g = debruijn8_demo()
+    ss = enumerate_states(g)
+    fp = induced_fibers(ss, xor_translation_group(3))
+    quotient_analyze(quotient(ss, SourceModel.uniform(g.alphabet), fp))
+    monkeypatch.chdir(REPO_ROOT)
+    perm = "graphs/debruijn8_translations.perm"
+    argv = ["quotient", "--graph", "graphs/debruijn8.g", "--group", perm]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        assert cli.main([*argv, "--porcelain"]) == 0
+    # two full chains for analyze; a full and a quotient chain per quotient
+    assert (len(chains), len(laws)) == (8, 3)
+    for mc in chains:
         assert not {"rows", "absorb", "_fractions"} & set(vars(mc))
         assert isinstance(mc.num, np.ndarray) and mc.num.dtype == np.int64
+    assert not any("q" in vars(sd) for sd in laws)

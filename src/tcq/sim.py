@@ -1,13 +1,24 @@
 """Monte Carlo estimate of the per-step distortion rate.
 
-The walk is a sample path of the same chain that ``statespace`` enumerates:
-it drives a ``statespace.Explorer`` along the sampled symbols, reading each
-memoized arc straight from the current state's row and asking the explorer
-only on a miss. The explorer runs the transition kernel at most once per
-miss: for one arc at a state's first miss, and for all of the state's
-successors, kept as a block, at its second. Only the states the walk visits
-are ever interned, so graphs whose full space is too large to enumerate (or
-that are periodic) still simulate.
+The walk is a sample path of the same chain that ``statespace`` enumerates,
+read off a ``statespace.ArcTable`` that computes an arc only when some lane
+first takes it. Each chunk of a worker range is cut into about
+sqrt(length) lanes: lane 0 starts from the range's true state and every
+other lane from the zero vector, and all lanes advance together, one numpy
+gather from the table per step; at a step where some lanes miss, one
+``viterbi.advance`` call computes the missing arcs. Then the lanes are
+verified from left to right. Lane j is walked again from the speculative
+end of lane j - 1, all lanes together, until it meets its own path, as
+surviving paths of a Viterbi decoder merge; from there on its speculative
+increments are exact, and its end is the true start of lane j + 1. A lane
+that has not met its path within ``_REWALK`` steps is walked alone, one
+step at a time, from its true start, and so are the lanes after it until
+one is found whose re-walk started from the true state. When most lanes of
+a chunk did not meet (as on a periodic graph, where none does), the
+chunks after it are walked alone. So the increments are exactly those of
+a walk one step at a time, and only the states some lane takes are
+interned: graphs whose full space is too large to enumerate (or that are
+periodic) still simulate.
 
 Symbols come from a counter-based generator (SplitMix64 applied to a seed
 plus counter), so position i of the stream depends only on (seed, i). A
@@ -30,34 +41,40 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
+from . import viterbi
 from .chain import SourceModel
 from .errors import SimulationLimitError, SourceError
 from .graph import LabeledGraph
-from .statespace import Explorer
+from .statespace import ArcTable
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 _CHUNK = 1 << 16
+# Steps of the lockstep re-walk; a lane that has not met its path by then
+# is walked alone. Lanes of a graph whose paths merge meet within tens of steps.
+_REWALK = 64
 
 BIAS_BOUND = 2.0**-64
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
-
-
 def random_words(seed: int, start: int, stop: int) -> np.ndarray:
-    """Words start..stop-1 of the stream for this seed, as uint64."""
-    idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    return _mix64(np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA))
+    """Words start..stop-1 of the stream for this seed, as uint64: SplitMix64
+    of seed + (i + 1) * gamma, mixed in place in one buffer."""
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK)
+    scratch = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=scratch)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
 
 
 def source_thresholds(src: SourceModel) -> tuple[np.ndarray, list[int]]:
@@ -89,7 +106,7 @@ def symbol_indices(
     """Alphabet indices of stream positions start..stop-1."""
     u = random_words(seed, start, stop)
     picks = np.searchsorted(bounds, u, side="right")
-    return np.asarray(support, dtype=np.int64)[picks]
+    return np.asarray(support, dtype=viterbi.holding(0, support[-1]))[picks]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +142,128 @@ def _worker_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     return out
 
 
+def _step(table: ArcTable, states: np.ndarray, xs: np.ndarray, nxt: np.ndarray, incs: np.ndarray) -> None:
+    """One step of every lane: write the successors of ``states`` under
+    ``xs`` into ``nxt`` and their increments into ``incs``. Missing arcs are
+    computed in one ``ArcTable.fill`` call."""
+    arcs = np.multiply(states, table.succ.shape[1], dtype=np.intp)
+    arcs += xs
+    table.succ.take(arcs, out=nxt)
+    if nxt.min() < 0:
+        miss = nxt < 0
+        table.fill(states[miss].tolist(), xs[miss].tolist())
+        table.succ.take(arcs, out=nxt)
+    table.inc.take(arcs, out=incs)
+
+
+def _walk(table: ArcTable, xs: np.ndarray, state: int, out: np.ndarray, alone: bool) -> tuple[int, bool]:
+    """Write the increments of the walk from ``state`` along the symbol
+    indices ``xs`` into ``out``. Returns the state it ends in and whether
+    the next chunk should be walked alone: when most lanes here did not
+    meet their paths, speculation does not pay (as on a periodic graph).
+
+    The walk is cut into lanes of ``span`` steps (the last may be shorter);
+    row t of ``x``, ``paths`` and ``incs`` is step t of every lane. All
+    lanes but the first start from the zero state; ``paths`` holds the
+    state after each step."""
+    if alone:
+        arcs: list[int] = []
+        state = _walk_alone(table, table.succ[: len(table)].ravel().tolist(), xs.tolist(), state, arcs)
+        out[:] = table.inc.take(arcs)
+        return state, True
+    n = len(xs)
+    span = -(-n // isqrt(n))
+    lanes = -(-n // span)
+    last = n - (lanes - 1) * span  # steps of the last lane
+    x = np.zeros((lanes, span), xs.dtype)
+    x.ravel()[:n] = xs
+    x = np.ascontiguousarray(x.T)
+    paths = np.empty((span, lanes), table.succ.dtype)
+    incs = np.empty((span, lanes), np.uint8)
+    start = np.zeros(lanes, table.succ.dtype)
+    start[0] = state
+    for t in range(span):
+        k = lanes if t < last else lanes - 1
+        _step(table, paths[t - 1, :k] if t else start, x[t, :k], paths[t, :k], incs[t, :k])
+    return _verify(table, xs, x, paths, incs, out)
+
+
+def _verify(
+    table: ArcTable, xs: np.ndarray, x: np.ndarray, paths: np.ndarray, incs: np.ndarray, out: np.ndarray
+) -> tuple[int, bool]:
+    """Correct the speculative lanes of ``_walk`` from left to right, write
+    the walk's increments into ``out`` and return its end state, and
+    whether most lanes failed to meet their paths.
+
+    First every lane j > 0 is walked again, all together, from the
+    speculative end of lane j - 1, overwriting its increments, for up to
+    ``_REWALK`` steps or until every lane has met its own path; a lane that
+    met it stays on it. That start is true while every lane before has met
+    its path. From the first lane that has not, the walk goes on alone, one
+    step at a time, to the first lane boundary where it is in the state
+    that the next lane's re-walk started from and that lane met its path."""
+    span, lanes = paths.shape
+    n = len(out)
+    last = n - (lanes - 1) * span  # steps of the last lane
+    spec = np.append(paths[-1, :-1], paths[last - 1, -1])  # each lane's speculative end
+    met = np.ones(lanes, bool)
+    cur = spec[:-1]  # lane j starts from the speculative end of lane j - 1
+    for t in range(min(span, _REWALK)):
+        if t == last:  # the last lane has ended
+            met[-1], cur = cur[-1] == spec[-1], cur[:-1]
+        if not len(cur):
+            break
+        k = len(cur) + 1
+        nxt = np.empty_like(cur)
+        _step(table, cur, x[t, 1:k], nxt, incs[t, 1:k])
+        cur = nxt
+        hit = cur == paths[t, 1:k]
+        if hit.all():
+            break
+    else:
+        met[1 : len(cur) + 1] = hit
+    out[:] = incs.T.ravel()[:n]
+    if met.all():
+        return int(spec[-1]), False
+    succ = table.succ[: len(table)].ravel().tolist()
+    symbols = xs.tolist()
+    j = int(np.argmin(met))
+    state = int(spec[j - 1])
+    while j < lanes:
+        lo = j * span
+        arcs: list[int] = []
+        while True:
+            state = _walk_alone(table, succ, symbols[j * span : (j + 1) * span], state, arcs)
+            j += 1
+            if j == lanes or (met[j] and state == spec[j - 1]):
+                break
+        out[lo : lo + len(arcs)] = table.inc.take(arcs)
+        while j < lanes and met[j] and state == spec[j - 1]:  # lane j's re-walk holds
+            state = int(spec[j])
+            j += 1
+    return state, 2 * int(met.sum()) < lanes
+
+
+def _walk_alone(table: ArcTable, succ: list[int], symbols: list[int], state: int, arcs: list[int]) -> int:
+    """Walk ``symbols`` from ``state`` one step at a time, appending each
+    step's flat (state, symbol) index to ``arcs``, and return the end state.
+    ``succ`` is ``table.succ`` as a flat list, kept up to date here: a
+    missing arc is filled with its state's row."""
+    n_sym = table.succ.shape[1]
+    for xi in symbols:
+        arc = state * n_sym + xi
+        state = succ[arc]
+        if state < 0:
+            si = arc // n_sym
+            grown = len(table)
+            table.fill([si], [xi])
+            succ += [-1] * (n_sym * (len(table) - grown))
+            succ[arc - xi : arc - xi + n_sym] = table.succ[si].tolist()
+            state = succ[arc]
+        arcs.append(arc)
+    return state
+
+
 def simulate(
     g: LabeledGraph,
     src: SourceModel,
@@ -150,27 +289,26 @@ def simulate(
             f"source alphabet {src.alphabet} does not match graph alphabet {g.alphabet}"
         )
     bounds, support = source_thresholds(src)
-    explorer = Explorer(g)
-    rows, arc = explorer.rows, explorer.arc
-    buf = bytearray(n)
+    # Lanes take at most 3n steps (speculative, verifying, walking again),
+    # and each step interns at most one state.
+    table = ArcTable(g, np.int32 if 3 * n < 2**31 else np.int64)
+    increments = np.empty(n, dtype=np.uint8)
+    alone = False
     for start, stop in _worker_ranges(n, workers):
-        si, row = 0, rows[0]  # each range restarts from the zero state
+        state = 0  # each range restarts from the zero state
         for cs in range(start, stop, _CHUNK):
             ce = min(cs + _CHUNK, stop)
-            xs = symbol_indices(seed, cs, ce, bounds, support).tolist()
-            for pos, xi in enumerate(xs, cs):
-                step = row[xi]
-                if step is None:
-                    step = arc(si, xi)
-                si, inc = step
-                row = rows[si]
-                buf[pos] = inc
-    increments = np.frombuffer(buf, dtype=np.uint8)
+            xs = symbol_indices(seed, cs, ce, bounds, support)
+            state, alone = _walk(table, xs, state, increments[cs:ce], alone)
 
     estimate = float(increments.mean())
     batch_count = min(100, n)
     if batch_count >= 2:
-        means = [float(b.mean()) for b in np.array_split(increments, batch_count)]
+        q, r = divmod(n, batch_count)  # np.array_split's batches: r of q + 1, then q
+        lengths = np.full(batch_count, q)
+        lengths[:r] += 1
+        starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+        means = (np.add.reduceat(increments, starts, dtype=np.int64) / lengths).tolist()
         mean_of_means = sum(means) / batch_count
         var = sum((m - mean_of_means) ** 2 for m in means) / (batch_count - 1)
         stderr = sqrt(var / batch_count)

@@ -13,13 +13,11 @@ itself), ``StateSpace.succ`` (successor indices) and ``StateSpace.inc``
 a state's vector is its row, and a vector's index is found by the bytes of
 its row, as enumeration interns it.
 
-``Explorer`` interns reduced vectors lazily, in the order a walk first takes
-them; Monte Carlo drives it along the sampled walk. A state's first miss
-computes one arc through ``viterbi.reduced_transition``; a second miss at the
-same state runs ``viterbi.advance`` once for every symbol and keeps the
-successors as one compact block until that state's row is full. Successors
-in a block are not interned until the walk takes them, so a walk interns
-only the states it visits and a block costs symbols x (vertices + 1) bytes.
+``ArcTable`` keeps the same three arrays for a walk, filled on demand: it
+computes a state's arcs when the walk takes one that is missing and interns
+only the successors the walk takes, in the order it first takes them, so a
+walk of a graph whose space is too large to enumerate (or that is
+periodic) interns only the states it reaches.
 """
 
 from __future__ import annotations
@@ -31,72 +29,8 @@ import numpy as np
 from . import viterbi
 from .errors import ComponentBoundError, GraphStructureError, StateSpaceLimitError
 from .graph import LabeledGraph, exact_path_constant, validate
-from .viterbi import StateVector
-
-Arc = tuple[int, int]  # (successor state index, increment in {0,1})
 
 _BLOCK = 2048  # queued states that enumeration advances per kernel call
-
-
-class Explorer:
-    """Reduced states of one graph, interned in discovery order with the
-    zero vector first (``index`` maps a vector to its position). ``rows[i][xi]``
-    is the arc of state i under symbol xi, None until ``arc`` computes it.
-
-    ``blocks[i]`` holds every successor of state i, computed at its second
-    miss and kept until its row is full: the increments (one per symbol)
-    followed by the successor vectors, in symbol order, as ``bytes`` when
-    the kernel's rows are uint8 (a list of ints otherwise). A block holds
-    symbols x (vertices + 1) bytes; an interned state (its vector, row and
-    index entry) costs about twice a block with its dict entry (438 against
-    212 bytes on a 100,000-step order-5 quaternary walk).
-    """
-
-    def __init__(self, g: LabeledGraph):
-        self.graph = g
-        zero = viterbi.zero_state(g)
-        self.states: list[StateVector] = [zero]
-        self.index: dict[StateVector, int] = {zero: 0}
-        self.rows: list[list[Arc | None]] = [[None] * len(g.alphabet)]
-        self.blocks: dict[int, bytes | list[int]] = {}
-
-    def arc(self, si: int, xi: int) -> Arc:
-        """Compute, memoize and return the arc of state si under symbol xi.
-
-        A state's first miss computes that one arc through
-        ``viterbi.reduced_transition``; its next miss expands every symbol
-        in one ``viterbi.advance`` call into ``blocks[si]``, which later
-        misses read. Only the successor asked for is interned, so states
-        are numbered in the order the caller first takes them.
-        """
-        g = self.graph
-        row = self.rows[si]
-        if not any(row):
-            nxt, inc = viterbi.reduced_transition(g, self.states[si], g.alphabet[xi])
-        else:
-            block = self.blocks.get(si)
-            if block is None:
-                s = self.states[si]
-                t, incs = viterbi.advance(g, np.array(s, dtype=viterbi.holding(0, max(s) + 1)))
-                if t.dtype == np.uint8:
-                    block = incs.tobytes() + t.tobytes()
-                else:
-                    block = incs.tolist() + t.ravel().tolist()
-                self.blocks[si] = block
-            if row.count(None) == 1:  # this arc fills the row
-                del self.blocks[si]
-            v = g.num_vertices
-            lo = len(row) + xi * v
-            nxt, inc = tuple(block[lo : lo + v]), block[xi]
-        ti = self.index.get(nxt)
-        if ti is None:
-            ti = len(self.states)
-            self.index[nxt] = ti
-            self.states.append(nxt)
-            self.rows.append([None] * len(g.alphabet))
-        entry = (ti, inc)
-        row[xi] = entry
-        return entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +69,73 @@ def row_keys(a: np.ndarray) -> list[bytes]:
     state vectors by, so that two rows of one dtype match when they are equal."""
     a = np.ascontiguousarray(a)
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
+
+
+class ArcTable:
+    """Reduced states in the order a walk first takes them, the zero vector
+    first, in ``StateSpace``'s layout: row i of ``vectors`` is state i,
+    ``succ[i, x]`` its successor under symbol index x, -1 until ``fill``
+    computes the arc, and ``inc[i, x]`` that arc's increment. Rows from
+    ``len(self)`` on are spare capacity. ``index`` maps the bytes of each
+    state's row to its index.
+
+    ``vectors`` holds every component plus 1 (see ``viterbi.holding``), as
+    ``viterbi.advance`` requires; a successor that reaches the dtype's
+    maximum widens it and re-keys ``index``. A graph whose space is
+    finite never widens past the dtype holding k + 1, but a periodic one
+    can grow without bound."""
+
+    def __init__(self, g: LabeledGraph, index_dtype: type):
+        self.graph = g
+        self.vectors = np.zeros((1, g.num_vertices), viterbi.holding(0, 1))
+        self.succ = np.full((1, len(g.alphabet)), -1, index_dtype)
+        self.inc = np.zeros((1, len(g.alphabet)), np.uint8)
+        self.index: dict[bytes, int] = {self.vectors[0].tobytes(): 0}
+        self._top = np.iinfo(self.vectors.dtype).max
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def fill(self, states: list[int], symbols: list[int]) -> None:
+        """Compute every arc of the distinct states among ``states`` in one
+        ``viterbi.advance`` call. The successors of the pairs (states[i],
+        symbols[i]) are interned in pair order; every other arc is filled
+        only if its successor is already interned."""
+        rows = list(dict.fromkeys(states))
+        at = {si: i * self.inc.shape[1] for i, si in enumerate(rows)}
+        # one state is a basic index: the kernel and the writes below run faster
+        sel = rows[0] if len(rows) == 1 else rows
+        t, inc = viterbi.advance(self.graph, self.vectors[sel])
+        t = t.reshape(-1, t.shape[-1])  # (state, symbol) order
+        if t.max() >= self._top:  # the next kernel call needs t.max() + 1
+            wide = viterbi.holding(0, int(t.max()) + 1)
+            self.vectors, t = self.vectors.astype(wide), t.astype(wide)
+            self._top = np.iinfo(wide).max
+            self.index = {key: i for i, key in enumerate(row_keys(self.vectors[: len(self)]))}
+        index = self.index
+        n = len(index)
+        keys = row_keys(t)
+        fresh = []  # rows of t that this call interns
+        for si, xi in zip(states, symbols):
+            pos = at[si] + xi
+            if keys[pos] not in index:
+                index[keys[pos]] = len(index)
+                fresh.append(pos)
+        if len(index) > len(self.vectors):
+            cap = 2 * len(index)
+            self.vectors = _grown(self.vectors, cap, 0)
+            self.succ = _grown(self.succ, cap, -1)
+            self.inc = _grown(self.inc, cap, 0)
+        if fresh:
+            self.vectors[n : len(index)] = t[fresh]
+        self.succ[sel] = np.array([index.get(key, -1) for key in keys]).reshape(inc.shape)
+        self.inc[sel] = inc
+
+
+def _grown(a: np.ndarray, rows: int, fill: int) -> np.ndarray:
+    out = np.full((rows,) + a.shape[1:], fill, a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:

@@ -6,7 +6,9 @@ loop and Fraction-dict lumping that the symmetry quotient replaced, checks of
 the enumerated state space, a dense fraction-free (Bareiss) solve of the
 chain's linear systems, a modular p-adic (Dixon) solver with the contract of
 the production exact solver, and the Blahut-Arimoto iteration whose fixed
-point the rate-distortion module computes in closed form."""
+point the rate-distortion module computes in closed form, and the
+one-step-at-a-time Monte Carlo walk over a tuple-keyed explorer that the
+lockstep walk replaced."""
 
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ from tcq.chain import ClassPartition, MarkovChain, SourceModel, _numerators
 from tcq.errors import ChainError, NotInvariantError, NotLumpableError, PartitionError
 from tcq.graph import LabeledGraph
 from tcq.statespace import StateSpace
+from tcq import viterbi
+from tcq.sim import _CHUNK, _worker_ranges, source_thresholds, symbol_indices
 from tcq.symmetry import FiberPartition, Permutation, PermutationGroup
 from tcq.viterbi import StateVector, advance
 
@@ -506,3 +510,71 @@ def blahut_arimoto_point(p: np.ndarray, lam: float) -> tuple[float, float]:
             rate_nats = -lam * d - float((p * np.log(denom)).sum())
             return max(rate_nats / log(2.0), 0.0), d
     raise AssertionError("no convergence to a gap of 1e-9 bits in 200,000 iterations")
+
+
+class Explorer:
+    """Reduced states of one graph, interned in the order a walk first takes
+    them with the zero vector first (``index`` maps a vector to its
+    position). ``rows[i][xi]`` is the arc (successor, increment) of state i
+    under symbol xi, None until ``arc`` computes it.
+
+    A state's first miss computes that one arc through
+    ``viterbi.reduced_transition``; its next miss expands every symbol in one
+    ``viterbi.advance`` call into ``blocks[i]`` (the increments, then the
+    successor vectors, in symbol order), which later misses read until the
+    row is full. Only the successor asked for is interned."""
+
+    def __init__(self, g: LabeledGraph):
+        self.graph = g
+        zero = viterbi.zero_state(g)
+        self.states: list[StateVector] = [zero]
+        self.index: dict[StateVector, int] = {zero: 0}
+        self.rows: list[list[tuple[int, int] | None]] = [[None] * len(g.alphabet)]
+        self.blocks: dict[int, list[int]] = {}
+
+    def arc(self, si: int, xi: int) -> tuple[int, int]:
+        g = self.graph
+        row = self.rows[si]
+        if not any(row):
+            nxt, inc = viterbi.reduced_transition(g, self.states[si], g.alphabet[xi])
+        else:
+            block = self.blocks.get(si)
+            if block is None:
+                s = self.states[si]
+                t, incs = viterbi.advance(g, np.array(s, dtype=viterbi.holding(0, max(s) + 1)))
+                block = self.blocks[si] = incs.tolist() + t.ravel().tolist()
+            if row.count(None) == 1:  # this arc fills the row
+                del self.blocks[si]
+            v = g.num_vertices
+            lo = len(row) + xi * v
+            nxt, inc = tuple(block[lo : lo + v]), block[xi]
+        ti = self.index.get(nxt)
+        if ti is None:
+            ti = len(self.states)
+            self.index[nxt] = ti
+            self.states.append(nxt)
+            self.rows.append([None] * len(g.alphabet))
+        entry = (ti, inc)
+        row[xi] = entry
+        return entry
+
+
+def walk_increments(g: LabeledGraph, n: int, seed: int, workers: int) -> np.ndarray:
+    """The increments of ``sim.simulate``'s walk under the uniform source,
+    one step at a time: each worker range starts from the zero state and
+    reads each arc from its ``Explorer`` row, computing it on a miss."""
+    bounds, support = source_thresholds(SourceModel.uniform(g.alphabet))
+    explorer = Explorer(g)
+    rows, arc = explorer.rows, explorer.arc
+    buf = bytearray(n)
+    for start, stop in _worker_ranges(n, workers):
+        si, row = 0, rows[0]
+        for cs in range(start, stop, _CHUNK):
+            ce = min(cs + _CHUNK, stop)
+            for pos, xi in enumerate(symbol_indices(seed, cs, ce, bounds, support).tolist(), cs):
+                step = row[xi]
+                if step is None:
+                    step = arc(si, xi)
+                si, buf[pos] = step
+                row = rows[si]
+    return np.frombuffer(buf, dtype=np.uint8)

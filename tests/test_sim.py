@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import state_index, tuple_arcs
+from oracles import state_index, tuple_arcs, walk_increments
 from tcq import (
     SourceError,
     SourceModel,
@@ -163,6 +163,18 @@ def test_batch_count_and_stderr(g3):
     assert tiny.bias_bound == 2.0**-64
 
 
+@pytest.mark.parametrize("n", [2, 99, 100, 101, 12_345])
+def test_batch_means_match_array_split(g3, n):
+    """The batch sums come from one reduceat call over np.array_split's
+    boundaries, and the standard error is bit-identical to averaging each
+    split batch."""
+    r = simulate(g3, SourceModel.uniform(g3.alphabet), n=n, seed=1)
+    means = [float(b.mean()) for b in np.array_split(r.increments, r.batch_count)]
+    mean_of_means = sum(means) / r.batch_count
+    var = sum((m - mean_of_means) ** 2 for m in means) / (r.batch_count - 1)
+    assert r.stderr == math.sqrt(var / r.batch_count)
+
+
 def test_simulate_validation(g3):
     src = SourceModel.uniform(g3.alphabet)
     with pytest.raises(ValueError, match="at least one step"):
@@ -207,88 +219,93 @@ def _walk_graph(name: str):
 
 
 def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
-    """simulate, returning the result, the walk's Explorer and its kernel
-    calls: (reduced_transition, advance outside reduced_transition)."""
+    """simulate, returning the result, the walk's ArcTable and its counts:
+    kernel calls, lockstep steps, and lane steps (a lockstep step of k lanes
+    counts k; a step walked alone counts 1)."""
     made = []
-    calls = [0, 0]
-    inside = [False]
-    single = viterbi.reduced_transition
-    advance = viterbi.advance
+    counts = dict.fromkeys(("kernel", "lockstep", "lane_steps"), 0)
+    advance, step, alone = viterbi.advance, sim._step, sim._walk_alone
 
-    class Recorded(sim.Explorer):
-        def __init__(self, graph):
-            super().__init__(graph)
+    class Recorded(sim.ArcTable):
+        def __init__(self, *args):
+            super().__init__(*args)
             made.append(self)
 
-    def counted_single(*args):
-        calls[0] += 1
-        inside[0] = True  # its own advance call is not counted again
-        try:
-            return single(*args)
-        finally:
-            inside[0] = False
-
     def counted_advance(*args):
-        calls[1] += not inside[0]
+        counts["kernel"] += 1
         return advance(*args)
 
-    monkeypatch.setattr(sim, "Explorer", Recorded)
-    monkeypatch.setattr(viterbi, "reduced_transition", counted_single)
+    def counted_step(table, states, *args):
+        counts["lockstep"] += 1
+        counts["lane_steps"] += len(states)
+        return step(table, states, *args)
+
+    def counted_alone(table, succ, symbols, *args):
+        counts["lane_steps"] += len(symbols)
+        return alone(table, succ, symbols, *args)
+
+    monkeypatch.setattr(sim, "ArcTable", Recorded)
     monkeypatch.setattr(viterbi, "advance", counted_advance)
+    monkeypatch.setattr(sim, "_step", counted_step)
+    monkeypatch.setattr(sim, "_walk_alone", counted_alone)
     r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=seed, workers=workers)
     monkeypatch.undo()
-    [explorer] = made
-    return r, explorer, tuple(calls)
+    [table] = made
+    return r, table, counts
+
+
+def _filled(table) -> int:
+    return int((table.succ[: len(table)] >= 0).sum())
 
 
 def test_simulate_explores_only_the_walk(monkeypatch):
-    """The walk computes an arc on its first use only: an order-5 quaternary
-    labelling, whose full space is too large to enumerate in a unit test,
-    needs at most one reduced transition per step, and at most one kernel
-    call per step and two per state it interns."""
+    """The lanes intern only the successors they take: on an order-5
+    quaternary labelling, whose full space is too large to enumerate in a
+    unit test, no more states are interned than lane steps taken, plus
+    one. Every kernel call fills at least one arc, and there is at most one
+    per lockstep step and per step walked alone."""
     rng = random.Random(5)
     g = de_bruijn(5, tuple(rng.choice("abcd") for _ in range(64)))
     assert len(g.alphabet) == 4
-    r, explorer, (single, expanded) = _walk(monkeypatch, g, 2000)
-    assert 0 < single <= 2000
-    assert single + expanded <= 2000
-    assert single + expanded <= 2 * len(explorer.states)
+    r, table, counts = _walk(monkeypatch, g, 2000)
+    assert len(table) <= counts["lane_steps"] + 1
+    assert 0 < counts["kernel"] <= _filled(table)
+    assert counts["kernel"] <= counts["lockstep"] + counts["lane_steps"]
+    assert counts["lockstep"] < 2000
     assert 0.0 < r.estimate < 1.0
 
 
 def test_revisited_states_expand_in_one_kernel_call(monkeypatch, debruijn8):
-    """A 100,000-step walk on debruijn8 (107 states) makes at most one
-    single-arc call and one whole-state expansion per state."""
-    r, explorer, (single, expanded) = _walk(monkeypatch, debruijn8, 100_000)
-    assert len(explorer.states) == 107
-    assert expanded > 0
-    assert single + expanded <= 214
+    """A 100,000-step walk on debruijn8 (107 states, 428 arcs) interns each
+    state once and fills every arc in fewer kernel calls than it has
+    states: a call computes every arc of the states it expands, for all the
+    lanes that miss at one step."""
+    r, table, counts = _walk(monkeypatch, debruijn8, 100_000)
+    assert len(table) == 107
+    assert _filled(table) == 428
+    assert 0 < counts["kernel"] <= 107
 
 
 @pytest.mark.parametrize("name", ["debruijn8", "xor4", "random-order4-quaternary"])
 def test_walk_arcs_match_the_enumerated_table(monkeypatch, name):
-    """Every arc the walk memoized is the enumerated arc between the same
-    state vectors, no block outlives a full row, and the increments are
-    those of the same walk read off the enumerated table. The kernel runs
-    at most once per step and twice per state the walk interns."""
+    """Every arc the walk filled is the enumerated arc between the same
+    state vectors, and the increments are those of the same walk read off
+    the enumerated table. The kernel runs at most once per arc filled."""
     g = _walk_graph(name)
     ss = enumerate_states(g)
     index, arcs = state_index(ss), tuple_arcs(ss)
     src = SourceModel.uniform(g.alphabet)
     bounds, support = source_thresholds(src)
     for workers in (1, 2):
-        r, explorer, calls = _walk(monkeypatch, g, 100_000, seed=3, workers=workers)
-        assert sum(calls) <= min(r.n, 2 * len(explorer.states))
-        where = [index[s] for s in explorer.states]
-        memoized = 0
-        for si, row in enumerate(explorer.rows):
-            for xi, step in enumerate(row):
-                if step is not None:
-                    ti, inc = step
-                    assert arcs[where[si]][xi] == (where[ti], inc)
-                    memoized += 1
-        assert memoized > len(explorer.states)
-        assert all(None in explorer.rows[si] for si in explorer.blocks)
+        r, table, counts = _walk(monkeypatch, g, 100_000, seed=3, workers=workers)
+        assert counts["kernel"] <= _filled(table)
+        where = [index[s] for s in map(tuple, table.vectors[: len(table)].tolist())]
+        succ, inc = table.succ[: len(table)].tolist(), table.inc[: len(table)].tolist()
+        for si, (row, incs) in enumerate(zip(succ, inc)):
+            for xi, (ti, d) in enumerate(zip(row, incs)):
+                if ti >= 0:
+                    assert arcs[where[si]][xi] == (where[ti], d)
+        assert _filled(table) > len(table)
 
         expected = np.empty(r.n, dtype=np.uint8)
         for start, stop in _worker_ranges(r.n, workers):
@@ -301,16 +318,54 @@ def test_walk_arcs_match_the_enumerated_table(monkeypatch, name):
 
 
 def test_wide_kernel_rows_walk_the_same(monkeypatch):
-    """Kernel rows in a dtype wider than uint8 are kept as lists of ints,
-    and the walk, its states and its arcs are unchanged."""
-    narrow, narrow_explorer, _ = _walk(monkeypatch, XOR4, 20_000, seed=2)
+    """State vectors in a dtype wider than uint8 give the same walk: the
+    same states in the same order, the same arcs and the same increments."""
+    narrow, narrow_table, _ = _walk(monkeypatch, XOR4, 20_000, seed=2)
     monkeypatch.setattr(viterbi, "holding", lambda lo, hi: np.int64)
-    wide, explorer, _ = _walk(monkeypatch, XOR4, 20_000, seed=2)
-    assert explorer.blocks
-    assert all(type(block) is list for block in explorer.blocks.values())
-    assert all(type(c) is int for s in explorer.states for c in s)
-    assert (explorer.states, explorer.rows) == (narrow_explorer.states, narrow_explorer.rows)
+    wide, table, _ = _walk(monkeypatch, XOR4, 20_000, seed=2)
+    assert (narrow_table.vectors.dtype, table.vectors.dtype) == (np.uint8, np.int64)
+    n = len(table)
+    assert n == len(narrow_table)
+    for a, b in [("vectors", "vectors"), ("succ", "succ"), ("inc", "inc")]:
+        assert np.array_equal(getattr(table, a)[:n], getattr(narrow_table, b)[:n])
     assert (wide.increments == narrow.increments).all()
+
+
+PERIODIC = parse_graph("alphabet a b\nedge v w a\nedge w v b\n")
+
+
+def test_periodic_walk_widens_its_vectors(monkeypatch):
+    """On a periodic graph the lanes never meet the true walk, and a
+    component passes 255 within 100,000 steps: the vectors widen to a dtype
+    holding it plus 1, the index is re-keyed by the wider rows, and the walk
+    is still the one-step-at-a-time walk."""
+    r, table, _ = _walk(monkeypatch, PERIODIC, 100_000, seed=1)
+    vectors = table.vectors[: len(table)]
+    assert vectors.max() >= 256
+    assert np.iinfo(vectors.dtype).max > vectors.max()
+    assert table.index == {row.tobytes(): i for i, row in enumerate(vectors)}
+    assert (r.increments == walk_increments(PERIODIC, 100_000, 1, 1)).all()
+
+
+_ORDER3Q = de_bruijn(3, tuple(random.Random(3).choice("abcd") for _ in range(16)))
+_ORDER5Q = de_bruijn(5, tuple(random.Random(5).choice("abcd") for _ in range(64)))
+# Lengths around lane boundaries: 99 is 9 full lanes of 11 steps, 100 is 10
+# of 10, 101 is 9 of 11 and one of 2; and around the chunk length.
+_LENGTHS = (1, 2, 3, 99, 100, 101, sim._CHUNK - 1, sim._CHUNK, sim._CHUNK + 1, 100_000)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize(
+    "name", ["g3", "debruijn8", "perfect2", "selfloop_ab", "xor4", "order3q", "order5q", "periodic"]
+)
+def test_walk_matches_the_one_step_oracle(request, name, workers):
+    """The lanes give exactly the increments of the walk one step at a time.
+    The order-5 quaternary labelling walks at most 2,000 steps."""
+    g = {"xor4": XOR4, "order3q": _ORDER3Q, "order5q": _ORDER5Q, "periodic": PERIODIC}.get(name)
+    g = g or request.getfixturevalue(name)
+    for n in _LENGTHS if name != "order5q" else (*_LENGTHS[:6], 2000):
+        r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=7, workers=workers)
+        assert (r.increments == walk_increments(g, n, 7, workers)).all(), n
 
 
 # 100,000-step increment sums, equal to perfbench's corpus pins
@@ -338,3 +393,17 @@ def test_simulate_runs_on_a_periodic_graph():
     g = parse_graph("alphabet a b\nedge v w a\nedge w v b\n")
     r = simulate(g, SourceModel.uniform(g.alphabet), n=1000, seed=1)
     assert r.estimate == 0.485
+
+
+@pytest.mark.parametrize("rewalk", [1, 3, 8])
+def test_lanes_that_have_not_met_are_walked_alone(monkeypatch, rewalk):
+    """With a re-walk too short for every lane to meet its path, a lane that
+    has not met is walked alone, the lanes after it take up their re-walks
+    again where the walk alone reaches their start, and a chunk where most
+    lanes did not meet has the next chunks walked alone: the increments
+    stay those of the walk one step at a time."""
+    monkeypatch.setattr(sim, "_REWALK", rewalk)
+    for g in (debruijn8_demo(), XOR4):
+        for n, workers in ((101, 1), (sim._CHUNK + 1, 1), (100_000, 2)):
+            r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=4, workers=workers)
+            assert (r.increments == walk_increments(g, n, 4, workers)).all(), (n, workers)

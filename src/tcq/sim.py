@@ -293,7 +293,7 @@ def simulate(
     # and each step interns at most one state.
     table = ArcTable(g, np.int32 if 3 * n < 2**31 else np.int64)
     increments = np.empty(n, dtype=np.uint8)
-    alone = False
+    alone = False  # set once most lanes of a chunk have not met their paths
     for start, stop in _worker_ranges(n, workers):
         state = 0  # each range restarts from the zero state
         for cs in range(start, stop, _CHUNK):

@@ -142,7 +142,9 @@ def _worker_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     return out
 
 
-def _step(table: ArcTable, states: np.ndarray, xs: np.ndarray, nxt: np.ndarray, incs: np.ndarray) -> None:
+def _step(
+    table: ArcTable, states: np.ndarray, xs: np.ndarray, nxt: np.ndarray, incs: np.ndarray
+) -> None:
     """One step of every lane: write the successors of ``states`` under
     ``xs`` into ``nxt`` and their increments into ``incs``. Missing arcs are
     computed in one ``ArcTable.fill`` call."""
@@ -156,11 +158,14 @@ def _step(table: ArcTable, states: np.ndarray, xs: np.ndarray, nxt: np.ndarray, 
     table.inc.take(arcs, out=incs)
 
 
-def _walk(table: ArcTable, xs: np.ndarray, state: int, out: np.ndarray, alone: bool) -> tuple[int, bool]:
+def _walk(
+    table: ArcTable, xs: np.ndarray, state: int, out: np.ndarray, alone: bool
+) -> tuple[int, bool]:
     """Write the increments of the walk from ``state`` along the symbol
-    indices ``xs`` into ``out``. Returns the state it ends in and whether
-    the next chunk should be walked alone: when most lanes here did not
-    meet their paths, speculation does not pay (as on a periodic graph).
+    indices ``xs`` into ``out``; return the state it ends in and whether
+    the next chunk should be walked alone, one step at a time, as this one
+    is when ``alone`` is set. That holds once most lanes of a chunk have not
+    met their paths (as on a periodic graph), where speculation does not pay.
 
     The walk is cut into lanes of ``span`` steps (the last may be shorter);
     row t of ``x``, ``paths`` and ``incs`` is step t of every lane. All
@@ -168,7 +173,8 @@ def _walk(table: ArcTable, xs: np.ndarray, state: int, out: np.ndarray, alone: b
     state after each step."""
     if alone:
         arcs: list[int] = []
-        state = _walk_alone(table, table.succ[: len(table)].ravel().tolist(), xs.tolist(), state, arcs)
+        succ = table.succ[: len(table)].ravel().tolist()
+        state = _walk_alone(table, succ, xs.tolist(), state, arcs)
         out[:] = table.inc.take(arcs)
         return state, True
     n = len(xs)
@@ -189,7 +195,12 @@ def _walk(table: ArcTable, xs: np.ndarray, state: int, out: np.ndarray, alone: b
 
 
 def _verify(
-    table: ArcTable, xs: np.ndarray, x: np.ndarray, paths: np.ndarray, incs: np.ndarray, out: np.ndarray
+    table: ArcTable,
+    xs: np.ndarray,
+    x: np.ndarray,
+    paths: np.ndarray,
+    incs: np.ndarray,
+    out: np.ndarray,
 ) -> tuple[int, bool]:
     """Correct the speculative lanes of ``_walk`` from left to right, write
     the walk's increments into ``out`` and return its end state, and
@@ -244,7 +255,9 @@ def _verify(
     return state, 2 * int(met.sum()) < lanes
 
 
-def _walk_alone(table: ArcTable, succ: list[int], symbols: list[int], state: int, arcs: list[int]) -> int:
+def _walk_alone(
+    table: ArcTable, succ: list[int], symbols: list[int], state: int, arcs: list[int]
+) -> int:
     """Walk ``symbols`` from ``state`` one step at a time, appending each
     step's flat (state, symbol) index to ``arcs``, and return the end state.
     ``succ`` is ``table.succ`` as a flat list, kept up to date here: a

@@ -220,10 +220,10 @@ def _walk_graph(name: str):
 
 def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
     """simulate, returning the result, the walk's ArcTable and its counts:
-    kernel calls, lockstep steps, and lane steps (a lockstep step of k lanes
-    counts k; a step walked alone counts 1)."""
+    kernel calls, lockstep steps, the lane steps they take (a lockstep step
+    of k lanes takes k), and steps walked alone."""
     made = []
-    counts = dict.fromkeys(("kernel", "lockstep", "lane_steps"), 0)
+    counts = dict.fromkeys(("kernel", "lockstep", "lane_steps", "alone"), 0)
     advance, step, alone = viterbi.advance, sim._step, sim._walk_alone
 
     class Recorded(sim.ArcTable):
@@ -241,7 +241,7 @@ def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
         return step(table, states, *args)
 
     def counted_alone(table, succ, symbols, *args):
-        counts["lane_steps"] += len(symbols)
+        counts["alone"] += len(symbols)
         return alone(table, succ, symbols, *args)
 
     monkeypatch.setattr(sim, "ArcTable", Recorded)
@@ -263,15 +263,16 @@ def test_simulate_explores_only_the_walk(monkeypatch):
     quaternary labelling, whose full space is too large to enumerate in a
     unit test, no more states are interned than lane steps taken, plus
     one. Every kernel call fills at least one arc, and there is at most one
-    per lockstep step and per step walked alone."""
-    rng = random.Random(5)
-    g = de_bruijn(5, tuple(rng.choice("abcd") for _ in range(64)))
+    per lockstep step and per step walked alone. The 2,000 steps run as 44
+    lanes of at most 46, so the lanes and their re-walks take at most 92
+    lockstep steps."""
+    g = _ORDER5Q
     assert len(g.alphabet) == 4
     r, table, counts = _walk(monkeypatch, g, 2000)
-    assert len(table) <= counts["lane_steps"] + 1
+    assert len(table) <= counts["lane_steps"] + counts["alone"] + 1
     assert 0 < counts["kernel"] <= _filled(table)
-    assert counts["kernel"] <= counts["lockstep"] + counts["lane_steps"]
-    assert counts["lockstep"] < 2000
+    assert counts["kernel"] <= counts["lockstep"] + counts["alone"]
+    assert counts["lockstep"] <= 2 * 46
     assert 0.0 < r.estimate < 1.0
 
 
@@ -347,8 +348,14 @@ def test_periodic_walk_widens_its_vectors(monkeypatch):
     assert (r.increments == walk_increments(PERIODIC, 100_000, 1, 1)).all()
 
 
-_ORDER3Q = de_bruijn(3, tuple(random.Random(3).choice("abcd") for _ in range(16)))
-_ORDER5Q = de_bruijn(5, tuple(random.Random(5).choice("abcd") for _ in range(64)))
+def _quaternary(order: int, seed: int):
+    """A random quaternary labelling of the order-``order`` de Bruijn graph."""
+    rng = random.Random(seed)
+    return de_bruijn(order, tuple(rng.choice("abcd") for _ in range(2 ** (order + 1))))
+
+
+_ORDER3Q = _quaternary(3, 3)
+_ORDER5Q = _quaternary(5, 5)
 # Lengths around lane boundaries: 99 is 9 full lanes of 11 steps, 100 is 10
 # of 10, 101 is 9 of 11 and one of 2; and around the chunk length.
 _LENGTHS = (1, 2, 3, 99, 100, 101, sim._CHUNK - 1, sim._CHUNK, sim._CHUNK + 1, 100_000)
@@ -356,7 +363,8 @@ _LENGTHS = (1, 2, 3, 99, 100, 101, sim._CHUNK - 1, sim._CHUNK, sim._CHUNK + 1, 1
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
 @pytest.mark.parametrize(
-    "name", ["g3", "debruijn8", "perfect2", "selfloop_ab", "xor4", "order3q", "order5q", "periodic"]
+    "name",
+    ["g3", "debruijn8", "perfect2", "selfloop_ab", "xor4", "order3q", "order5q", "periodic"],
 )
 def test_walk_matches_the_one_step_oracle(request, name, workers):
     """The lanes give exactly the increments of the walk one step at a time.
@@ -407,3 +415,15 @@ def test_lanes_that_have_not_met_are_walked_alone(monkeypatch, rewalk):
         for n, workers in ((101, 1), (sim._CHUNK + 1, 1), (100_000, 2)):
             r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=4, workers=workers)
             assert (r.increments == walk_increments(g, n, 4, workers)).all(), (n, workers)
+
+
+def test_uneven_chunks_hand_on_their_true_end(monkeypatch):
+    """With a chunk length that is not a square, each chunk's last lane is
+    shorter than the others (1,000 steps run as 30 lanes of 33 and one of
+    10) and may end before it meets its path; the state each chunk hands to
+    the next is still the true one."""
+    monkeypatch.setattr(sim, "_CHUNK", 1000)
+    for g in (debruijn8_demo(), XOR4, PERIODIC):
+        for workers in (1, 3):
+            r = simulate(g, SourceModel.uniform(g.alphabet), n=7919, seed=5, workers=workers)
+            assert (r.increments == walk_increments(g, 7919, 5, workers)).all(), workers

@@ -317,11 +317,17 @@ def simulate(
     estimate = float(increments.mean())
     batch_count = min(100, n)
     if batch_count >= 2:
-        q, r = divmod(n, batch_count)  # np.array_split's batches: r of q + 1, then q
-        lengths = np.full(batch_count, q)
-        lengths[:r] += 1
-        starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
-        means = (np.add.reduceat(increments, starts, dtype=np.int64) / lengths).tolist()
+        # np.array_split's batches, r of q + 1 steps and then q, summed
+        # exactly; a reduction along rows casts in buffers, where
+        # np.add.reduceat would first copy the whole walk to int64.
+        q, r = divmod(n, batch_count)
+        head = r * (q + 1)
+        means = np.concatenate(
+            (
+                increments[:head].reshape(r, q + 1).sum(axis=1, dtype=np.int64) / (q + 1),
+                increments[head:].reshape(batch_count - r, q).sum(axis=1, dtype=np.int64) / q,
+            )
+        ).tolist()
         mean_of_means = sum(means) / batch_count
         var = sum((m - mean_of_means) ** 2 for m in means) / (batch_count - 1)
         stderr = sqrt(var / batch_count)

@@ -165,9 +165,8 @@ def test_batch_count_and_stderr(g3):
 
 @pytest.mark.parametrize("n", [2, 99, 100, 101, 12_345])
 def test_batch_means_match_array_split(g3, n):
-    """The batch sums come from one reduceat call over np.array_split's
-    boundaries, and the standard error is bit-identical to averaging each
-    split batch."""
+    """The batch sums are taken over np.array_split's batches, and the
+    standard error is bit-identical to averaging each split batch."""
     r = simulate(g3, SourceModel.uniform(g3.alphabet), n=n, seed=1)
     means = [float(b.mean()) for b in np.array_split(r.increments, r.batch_count)]
     mean_of_means = sum(means) / r.batch_count

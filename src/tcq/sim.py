@@ -13,12 +13,11 @@ surviving paths of a Viterbi decoder merge; from there on its speculative
 increments are exact, and its end is the true start of lane j + 1. A lane
 that has not met its path within ``_REWALK`` steps is walked alone, one
 step at a time, from its true start, and so are the lanes after it until
-one is found whose re-walk started from the true state. When most lanes of
-a chunk did not meet (as on a periodic graph, where none does), the
-chunks after it are walked alone. So the increments are exactly those of
-a walk one step at a time, and only the states some lane takes are
-interned: graphs whose full space is too large to enumerate (or that are
-periodic) still simulate.
+one is found whose re-walk started from the true state; on a periodic
+graph no lane meets, and all of a chunk but lane 0 is walked again alone. So the
+increments are exactly those of a walk one step at a time, and only the
+states some lane takes are interned: graphs whose full space is too large
+to enumerate (or that are periodic) still simulate.
 
 Symbols come from a counter-based generator (SplitMix64 applied to a seed
 plus counter), so position i of the stream depends only on (seed, i). A
@@ -159,24 +158,16 @@ def _step(
 
 
 def _walk(
-    table: ArcTable, xs: np.ndarray, state: int, out: np.ndarray, alone: bool
-) -> tuple[int, bool]:
+    table: ArcTable, rows: list[int], xs: np.ndarray, state: int, out: np.ndarray
+) -> int:
     """Write the increments of the walk from ``state`` along the symbol
-    indices ``xs`` into ``out``; return the state it ends in and whether
-    the next chunk should be walked alone, one step at a time, as this one
-    is when ``alone`` is set. That holds once most lanes of a chunk have not
-    met their paths (as on a periodic graph), where speculation does not pay.
+    indices ``xs`` into ``out`` and return the state it ends in. ``rows``
+    is the list that ``_walk_alone`` reads.
 
     The walk is cut into lanes of ``span`` steps (the last may be shorter);
     row t of ``x``, ``paths`` and ``incs`` is step t of every lane. All
     lanes but the first start from the zero state; ``paths`` holds the
     state after each step."""
-    if alone:
-        arcs: list[int] = []
-        succ = table.succ[: len(table)].ravel().tolist()
-        state = _walk_alone(table, succ, xs.tolist(), state, arcs)
-        out[:] = table.inc.take(arcs)
-        return state, True
     n = len(xs)
     span = -(-n // isqrt(n))
     lanes = -(-n // span)
@@ -191,20 +182,20 @@ def _walk(
     for t in range(span):
         k = lanes if t < last else lanes - 1
         _step(table, paths[t - 1, :k] if t else start, x[t, :k], paths[t, :k], incs[t, :k])
-    return _verify(table, xs, x, paths, incs, out)
+    return _verify(table, rows, xs, x, paths, incs, out)
 
 
 def _verify(
     table: ArcTable,
+    rows: list[int],
     xs: np.ndarray,
     x: np.ndarray,
     paths: np.ndarray,
     incs: np.ndarray,
     out: np.ndarray,
-) -> tuple[int, bool]:
+) -> int:
     """Correct the speculative lanes of ``_walk`` from left to right, write
-    the walk's increments into ``out`` and return its end state, and
-    whether most lanes failed to meet their paths.
+    the walk's increments into ``out`` and return its end state.
 
     First every lane j > 0 is walked again, all together, from the
     speculative end of lane j - 1, overwriting its increments, for up to
@@ -235,8 +226,7 @@ def _verify(
         met[1 : len(cur) + 1] = hit
     out[:] = incs.T.ravel()[:n]
     if met.all():
-        return int(spec[-1]), False
-    succ = table.succ[: len(table)].ravel().tolist()
+        return int(spec[-1])
     symbols = xs.tolist()
     j = int(np.argmin(met))
     state = int(spec[j - 1])
@@ -244,7 +234,7 @@ def _verify(
         lo = j * span
         arcs: list[int] = []
         while True:
-            state = _walk_alone(table, succ, symbols[j * span : (j + 1) * span], state, arcs)
+            state = _walk_alone(table, rows, symbols[j * span : (j + 1) * span], state, arcs)
             j += 1
             if j == lanes or (met[j] and state == spec[j - 1]):
                 break
@@ -252,29 +242,36 @@ def _verify(
         while j < lanes and met[j] and state == spec[j - 1]:  # lane j's re-walk holds
             state = int(spec[j])
             j += 1
-    return state, 2 * int(met.sum()) < lanes
+    return state
 
 
 def _walk_alone(
-    table: ArcTable, succ: list[int], symbols: list[int], state: int, arcs: list[int]
+    table: ArcTable, rows: list[int], symbols: list[int], state: int, arcs: list[int]
 ) -> int:
     """Walk ``symbols`` from ``state`` one step at a time, appending each
     step's flat (state, symbol) index to ``arcs``, and return the end state.
-    ``succ`` is ``table.succ`` as a flat list, kept up to date here: a
-    missing arc is filled with its state's row."""
+
+    ``rows`` holds, for each flat arc index, the flat index of its
+    successor's row (the successor times the number of symbols), or a
+    negative number; it is kept across calls and grown here as the table
+    grows. It misses the arcs filled by lockstep steps since: an arc it
+    lacks is read from the table, computed there first if the table lacks
+    it too."""
     n_sym = table.succ.shape[1]
+    rows += [-1] * (n_sym * len(table) - len(rows))
+    row = state * n_sym
     for xi in symbols:
-        arc = state * n_sym + xi
-        state = succ[arc]
-        if state < 0:
+        arc = row + xi
+        row = rows[arc]
+        if row < 0:
             si = arc // n_sym
-            grown = len(table)
-            table.fill([si], [xi])
-            succ += [-1] * (n_sym * (len(table) - grown))
-            succ[arc - xi : arc - xi + n_sym] = table.succ[si].tolist()
-            state = succ[arc]
+            if table.succ[si, xi] < 0:
+                table.fill([si], [xi])
+                rows += [-1] * (n_sym * len(table) - len(rows))
+            rows[arc - xi : arc - xi + n_sym] = [s * n_sym for s in table.succ[si].tolist()]
+            row = rows[arc]
         arcs.append(arc)
-    return state
+    return row // n_sym
 
 
 def simulate(
@@ -306,13 +303,13 @@ def simulate(
     # and each step interns at most one state.
     table = ArcTable(g, np.int32 if 3 * n < 2**31 else np.int64)
     increments = np.empty(n, dtype=np.uint8)
-    alone = False  # set once most lanes of a chunk have not met their paths
+    rows: list[int] = []  # successor rows by flat arc index, for the walks alone
     for start, stop in _worker_ranges(n, workers):
         state = 0  # each range restarts from the zero state
         for cs in range(start, stop, _CHUNK):
             ce = min(cs + _CHUNK, stop)
             xs = symbol_indices(seed, cs, ce, bounds, support)
-            state, alone = _walk(table, xs, state, increments[cs:ce], alone)
+            state = _walk(table, rows, xs, state, increments[cs:ce])
 
     estimate = float(increments.mean())
     batch_count = min(100, n)

@@ -127,8 +127,9 @@ class ArcTable:
             self.succ = _grown(self.succ, cap, -1)
             self.inc = _grown(self.inc, cap, 0)
         if fresh:
-            self.vectors[n : len(index)] = t[fresh]
-        self.succ[sel] = np.array([index.get(key, -1) for key in keys]).reshape(inc.shape)
+            t.take(fresh, axis=0, out=self.vectors[n : len(index)])
+        succ = [index.get(key, -1) for key in keys]
+        self.succ[sel] = succ if len(rows) == 1 else np.reshape(succ, inc.shape)
         self.inc[sel] = inc
 
 

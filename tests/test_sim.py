@@ -220,7 +220,8 @@ def _walk_graph(name: str):
 def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
     """simulate, returning the result, the walk's ArcTable and its counts:
     kernel calls, lockstep steps, the lane steps they take (a lockstep step
-    of k lanes takes k), and steps walked alone."""
+    of k lanes takes k), and steps walked alone. Every arc that the walk
+    asks the table to fill must be missing from it."""
     made = []
     counts = dict.fromkeys(("kernel", "lockstep", "lane_steps", "alone"), 0)
     advance, step, alone = viterbi.advance, sim._step, sim._walk_alone
@@ -229,6 +230,10 @@ def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
+
+        def fill(self, states, symbols):
+            assert (self.succ[states, symbols] < 0).all()
+            super().fill(states, symbols)
 
     def counted_advance(*args):
         counts["kernel"] += 1
@@ -239,9 +244,9 @@ def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
         counts["lane_steps"] += len(states)
         return step(table, states, *args)
 
-    def counted_alone(table, succ, symbols, *args):
+    def counted_alone(table, rows, symbols, *args):
         counts["alone"] += len(symbols)
-        return alone(table, succ, symbols, *args)
+        return alone(table, rows, symbols, *args)
 
     monkeypatch.setattr(sim, "ArcTable", Recorded)
     monkeypatch.setattr(viterbi, "advance", counted_advance)
@@ -347,6 +352,18 @@ def test_periodic_walk_widens_its_vectors(monkeypatch):
     assert (r.increments == walk_increments(PERIODIC, 100_000, 1, 1)).all()
 
 
+def test_walks_alone_keep_one_successor_list(monkeypatch):
+    """On the periodic graph all of every chunk but its first lane is walked
+    again alone, reading successors from one list kept across chunks. The
+    list does not see the arcs that lockstep steps fill after it: the walk
+    alone reads those from the table and asks the kernel for none of them
+    again (``_walk`` checks every fill)."""
+    monkeypatch.setattr(sim, "_CHUNK", 1000)
+    r, table, counts = _walk(monkeypatch, PERIODIC, 7919, seed=5)
+    assert counts["alone"] >= 7919 - 8 * 34  # every lane but each chunk's first
+    assert (r.increments == walk_increments(PERIODIC, 7919, 5, 1)).all()
+
+
 def _quaternary(order: int, seed: int):
     """A random quaternary labelling of the order-``order`` de Bruijn graph."""
     rng = random.Random(seed)
@@ -405,9 +422,8 @@ def test_simulate_runs_on_a_periodic_graph():
 @pytest.mark.parametrize("rewalk", [1, 3, 8])
 def test_lanes_that_have_not_met_are_walked_alone(monkeypatch, rewalk):
     """With a re-walk too short for every lane to meet its path, a lane that
-    has not met is walked alone, the lanes after it take up their re-walks
-    again where the walk alone reaches their start, and a chunk where most
-    lanes did not meet has the next chunks walked alone: the increments
+    has not met is walked alone and the lanes after it take up their
+    re-walks again where the walk alone reaches their start: the increments
     stay those of the walk one step at a time."""
     monkeypatch.setattr(sim, "_REWALK", rewalk)
     for g in (debruijn8_demo(), XOR4):

@@ -343,25 +343,16 @@ def test_periodic_walk_widens_its_vectors(monkeypatch):
     """On a periodic graph the lanes never meet the true walk, and a
     component passes 255 within 100,000 steps: the vectors widen to a dtype
     holding it plus 1, the index is re-keyed by the wider rows, and the walk
-    is still the one-step-at-a-time walk."""
+    is still the one-step-at-a-time walk. Every lane but each chunk's first
+    is walked again alone, over a successor list kept across chunks that
+    lacks the arcs lockstep steps filled since it last read their rows;
+    ``_walk`` checks that none of them is computed again."""
     r, table, _ = _walk(monkeypatch, PERIODIC, 100_000, seed=1)
     vectors = table.vectors[: len(table)]
     assert vectors.max() >= 256
     assert np.iinfo(vectors.dtype).max > vectors.max()
     assert table.index == {row.tobytes(): i for i, row in enumerate(vectors)}
     assert (r.increments == walk_increments(PERIODIC, 100_000, 1, 1)).all()
-
-
-def test_walks_alone_keep_one_successor_list(monkeypatch):
-    """On the periodic graph all of every chunk but its first lane is walked
-    again alone, reading successors from one list kept across chunks. The
-    list does not see the arcs that lockstep steps fill after it: the walk
-    alone reads those from the table and asks the kernel for none of them
-    again (``_walk`` checks every fill)."""
-    monkeypatch.setattr(sim, "_CHUNK", 1000)
-    r, table, counts = _walk(monkeypatch, PERIODIC, 7919, seed=5)
-    assert counts["alone"] >= 7919 - 8 * 34  # every lane but each chunk's first
-    assert (r.increments == walk_increments(PERIODIC, 7919, 5, 1)).all()
 
 
 def _quaternary(order: int, seed: int):

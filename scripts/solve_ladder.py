@@ -22,10 +22,11 @@ how the residual was kept ("int64" or "int"), the child's peak RSS and the
 sha256 of D(G).
 
 The walk rungs are 100,000-step single-worker ``simulate`` calls with seed
-1 on debruijn8, the order-4 XOR labelling of the montecarlo workload and
-two order-5 quaternary labellings, whose spaces are too large to
-enumerate. Each runs once in its own child process and records its
-seconds, peak RSS and increment sum.
+1 on debruijn8, the order-4 XOR labelling of the montecarlo workload, two
+order-5 quaternary labellings, whose spaces are too large to enumerate,
+and the periodic two-vertex graph ``v w a / w v b``, on which no lane of
+the walk meets its path and the walk goes on alone. Each runs once in its
+own child process and records its seconds, peak RSS and increment sum.
 
 The report also names the git commit (marked "-dirty" when tracked files
 differ from it), the Python, numpy and scipy versions (scipy "absent"
@@ -70,7 +71,8 @@ PINNED = {
     "order5b:0": "c7ae246aa9171c93d80145ce5195bfb6c5616182751e764c1f82bd8f4634bad0",
     "order4q:0": "548980486ea32691baca00436c630bfccc159a72432c7ebc0c52c8c52a19d286",
 }
-# walk rung -> (a solve rung's graph or a de Bruijn labelling, pinned increment sum)
+# walk rung -> (a solve rung's graph, a de Bruijn labelling or a graph's
+# text, pinned increment sum)
 WALKS = {
     "walk:debruijn8": ("debruijn8", 24999),
     "walk:xor4": ("abbacddccddcabbacddcabbaabbacddc", 26920),
@@ -82,6 +84,7 @@ WALKS = {
         "babacbbabddacdbdabddacabddabbcbaaabcabaddddcdadbcbdacdcbccacccdd",
         25723,
     ),
+    "walk:periodic": ("alphabet a b\nedge v w a\nedge w v b\n", 49742),
 }
 
 
@@ -92,6 +95,8 @@ def rung_graph(name: str):
         graph = WALKS[name][0]
         if graph in PINNED:
             return rung_graph(graph)
+        if graph.startswith("alphabet "):
+            return parse_graph(graph)
         return de_bruijn(len(graph).bit_length() - 2, tuple(graph))  # 2^(order+1) labels
     if ":" not in name:
         return parse_graph((ROOT / "graphs" / f"{name}.g").read_text(encoding="utf-8"))

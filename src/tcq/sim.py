@@ -2,19 +2,22 @@
 
 The walk is a sample path of the same chain that ``statespace`` enumerates,
 read off a ``statespace.ArcTable`` that computes an arc only when some lane
-first takes it. Each chunk of a worker range is cut into about
-sqrt(length) lanes: lane 0 starts from the range's true state and every
-other lane from the zero vector, and all lanes advance together, one numpy
-gather from the table per step; at a step where some lanes miss, one
-``viterbi.advance`` call computes the missing arcs. Then the lanes are
-verified from left to right. Lane j is walked again from the speculative
-end of lane j - 1, all lanes together, until it meets its own path, as
-surviving paths of a Viterbi decoder merge; from there on its speculative
-increments are exact, and its end is the true start of lane j + 1. A lane
-that has not met its path within ``_REWALK`` steps is walked alone, one
-step at a time, from its true start, and so are the lanes after it until
-one is found whose re-walk started from the true state; on a periodic
-graph no lane meets, and all of a chunk but lane 0 is walked again alone. So the
+first takes it. Each chunk of a worker range is cut into lanes of about
+sqrt(length) steps, but at most 2 * ``_REWALK``: a lane that meets its path
+does so within ``_REWALK`` steps, and a longer lane only adds lockstep
+steps, so a 65,536-step chunk runs as 512 lanes of 128 steps. Lane 0
+starts from the range's true state and every other lane from the zero
+vector, and all lanes advance together, one numpy gather from the table
+per step; at a step where some lanes miss, one ``viterbi.advance`` call
+computes the missing arcs. Then the lanes are verified from left to
+right. Lane j is walked again from the speculative end of lane j - 1, all
+lanes together, until it meets its own path, as surviving paths of a
+Viterbi decoder merge; from there on its speculative increments are
+exact, and its end is the true start of lane j + 1. A lane that has not
+met its path within ``_REWALK`` steps is walked alone, one step at a
+time, from its true start, and so are the lanes after it until one is
+found whose re-walk started from the true state; on a periodic graph no
+lane meets, and all of a chunk but lane 0 is walked again alone. So the
 increments are exactly those of a walk one step at a time, and only the
 states some lane takes are interned: graphs whose full space is too large
 to enumerate (or that are periodic) still simulate.
@@ -31,7 +34,11 @@ Source sampling draws a 64-bit word per step and compares it against
 cumulative thresholds obtained from the exact symbol probabilities by
 largest-remainder rounding to integer multiples of 2^-64. Zero-probability
 symbols receive weight exactly zero; every other symbol's probability is
-off by at most 2^-64.
+off by at most 2^-64. A word's symbol is read from a table of 4,096
+entries indexed by its top 12 bits (a guide table for inversion
+sampling); only the words of the few buckets that hold a threshold other
+than on their first word are searched among the thresholds, so the picks
+are those of a search over every word.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ _CHUNK = 1 << 16
 # Steps of the lockstep re-walk; a lane that has not met its path by then
 # is walked alone. Lanes of a graph whose paths merge meet within tens of steps.
 _REWALK = 64
+_TOP_BITS = 12  # a word's top bits index the sampling table
 
 BIAS_BOUND = 2.0**-64
 
@@ -103,9 +111,30 @@ def symbol_indices(
     seed: int, start: int, stop: int, bounds: np.ndarray, support: list[int]
 ) -> np.ndarray:
     """Alphabet indices of stream positions start..stop-1."""
-    u = random_words(seed, start, stop)
-    picks = np.searchsorted(bounds, u, side="right")
-    return np.asarray(support, dtype=viterbi.holding(0, support[-1]))[picks]
+    return _pick_symbols(random_words(seed, start, stop), bounds, support)
+
+
+def _pick_symbols(u: np.ndarray, bounds: np.ndarray, support: list[int]) -> np.ndarray:
+    """The alphabet index that each uint64 word of ``u`` picks:
+    ``support[k]``, k the number of ``bounds`` at most the word.
+
+    Words are bucketed by their top ``_TOP_BITS`` bits. A bucket that holds
+    no bound, or one only on its first word, picks one symbol for all its
+    words, read from a table; the words of every other bucket are
+    searched among ``bounds``."""
+    symbols = np.asarray(support, dtype=viterbi.holding(0, support[-1]))
+    shift = np.uint64(64 - _TOP_BITS)
+    firsts = np.arange(1 << _TOP_BITS, dtype=np.uint64) << shift
+    table = symbols[np.searchsorted(bounds, firsts, side="right")]
+    top = np.right_shift(u, shift, out=np.empty(len(u), np.intp), casting="unsafe")
+    picks = table.take(top)
+    inner = bounds[bounds & np.uint64((1 << (64 - _TOP_BITS)) - 1) != 0]
+    if len(inner):
+        mixed = np.zeros(1 << _TOP_BITS, bool)
+        mixed[inner >> shift] = True
+        at = np.flatnonzero(mixed.take(top))
+        picks[at] = symbols[np.searchsorted(bounds, u[at], side="right")]
+    return picks
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,12 +193,12 @@ def _walk(
     indices ``xs`` into ``out`` and return the state it ends in. ``rows``
     is the list that ``_walk_alone`` reads.
 
-    The walk is cut into lanes of ``span`` steps (the last may be shorter);
-    row t of ``x``, ``paths`` and ``incs`` is step t of every lane. All
+    The walk is cut into lanes of ``span`` steps, about sqrt(n) and at
+    most ``2 * _REWALK`` (the last lane may be shorter); row t of ``x``, ``paths`` and ``incs`` is step t of every lane. All
     lanes but the first start from the zero state; ``paths`` holds the
     state after each step."""
     n = len(xs)
-    span = -(-n // isqrt(n))
+    span = min(-(-n // isqrt(n)), 2 * _REWALK)
     lanes = -(-n // span)
     last = n - (lanes - 1) * span  # steps of the last lane
     x = np.zeros((lanes, span), xs.dtype)
@@ -238,7 +267,7 @@ def _verify(
             j += 1
             if j == lanes or (met[j] and state == spec[j - 1]):
                 break
-        out[lo : lo + len(arcs)] = table.inc.take(arcs)
+        out[lo : lo + len(arcs)] = table.inc.take(np.fromiter(arcs, np.intp, len(arcs)))
         while j < lanes and met[j] and state == spec[j - 1]:  # lane j's re-walk holds
             state = int(spec[j])
             j += 1

@@ -8,7 +8,8 @@ chain's linear systems, a modular p-adic (Dixon) solver with the contract of
 the production exact solver, and the Blahut-Arimoto iteration whose fixed
 point the rate-distortion module computes in closed form, and the
 one-step-at-a-time Monte Carlo walk over a tuple-keyed explorer that the
-lockstep walk replaced."""
+lockstep walk replaced, and the search of every source word among the
+sampling thresholds that the top-bits table replaced."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from tcq.errors import ChainError, NotInvariantError, NotLumpableError, Partitio
 from tcq.graph import LabeledGraph
 from tcq.statespace import StateSpace
 from tcq import viterbi
-from tcq.sim import _CHUNK, _worker_ranges, source_thresholds, symbol_indices
+from tcq.sim import _CHUNK, _worker_ranges, random_words, source_thresholds
 from tcq.symmetry import FiberPartition, Permutation, PermutationGroup
 from tcq.viterbi import StateVector, advance
 
@@ -562,7 +563,8 @@ class Explorer:
 def walk_increments(g: LabeledGraph, n: int, seed: int, workers: int) -> np.ndarray:
     """The increments of ``sim.simulate``'s walk under the uniform source,
     one step at a time: each worker range starts from the zero state and
-    reads each arc from its ``Explorer`` row, computing it on a miss."""
+    reads each arc from its ``Explorer`` row, computing it on a miss. The
+    symbols are picked by ``searched_symbols``."""
     bounds, support = source_thresholds(SourceModel.uniform(g.alphabet))
     explorer = Explorer(g)
     rows, arc = explorer.rows, explorer.arc
@@ -571,10 +573,19 @@ def walk_increments(g: LabeledGraph, n: int, seed: int, workers: int) -> np.ndar
         si, row = 0, rows[0]
         for cs in range(start, stop, _CHUNK):
             ce = min(cs + _CHUNK, stop)
-            for pos, xi in enumerate(symbol_indices(seed, cs, ce, bounds, support).tolist(), cs):
+            xs = searched_symbols(random_words(seed, cs, ce), bounds, support)
+            for pos, xi in enumerate(xs.tolist(), cs):
                 step = row[xi]
                 if step is None:
                     step = arc(si, xi)
                 si, buf[pos] = step
                 row = rows[si]
     return np.frombuffer(buf, dtype=np.uint8)
+
+
+def searched_symbols(u: np.ndarray, bounds: np.ndarray, support: list[int]) -> np.ndarray:
+    """The alphabet index that each uint64 word of ``u`` picks, by a search
+    of every word among ``bounds``: ``support[k]``, k the number of bounds
+    at most the word."""
+    picks = np.searchsorted(bounds, u, side="right")
+    return np.asarray(support, dtype=viterbi.holding(0, support[-1]))[picks]

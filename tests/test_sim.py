@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import state_index, tuple_arcs, walk_increments
+from oracles import searched_symbols, state_index, tuple_arcs, walk_increments
 from tcq import (
     SourceError,
     SourceModel,
@@ -93,6 +93,91 @@ def test_single_symbol_source():
     bounds, support = source_thresholds(src)
     assert support == [0] and len(bounds) == 0
     assert (symbol_indices(1, 0, 100, bounds, support) == 0).all()
+
+
+def _edge_words(bounds: np.ndarray) -> np.ndarray:
+    """Every sampling bucket's first and last word, and b - 1, b and b + 1
+    for every bound b."""
+    bucket = 1 << (64 - sim._TOP_BITS)
+    firsts = [h * bucket for h in range(1 << sim._TOP_BITS)]
+    words = firsts + [f + bucket - 1 for f in firsts]
+    words += [b + d for b in bounds.tolist() for d in (-1, 0, 1) if 0 <= b + d <= MASK]
+    return np.array(words, dtype=np.uint64)
+
+
+def _source(weights: list[Fraction]) -> SourceModel:
+    total = sum(weights)
+    return SourceModel(
+        tuple(f"s{i}" for i in range(len(weights))), tuple(w / total for w in weights)
+    )
+
+
+def _assert_picks_match_the_search(src: SourceModel, seed: int = 0) -> None:
+    bounds, support = source_thresholds(src)
+    words = np.concatenate((_edge_words(bounds), random_words(seed, 0, 5000)))
+    picks = sim._pick_symbols(words, bounds, support)
+    expected = searched_symbols(words, bounds, support)
+    assert picks.dtype == expected.dtype
+    assert (picks == expected).all()
+
+
+_TINY = Fraction(1, 2**70)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [1],  # no bounds
+        [1, 0],  # no bounds, a zero-probability symbol
+        [1, 1, 1, 1],  # every bound on a bucket's first word
+        [1] * 64,
+        [1, 4095],  # a bound on the first word of bucket 1
+        [1, 8191],  # a bound halfway into bucket 0
+        [3, 2, 1],  # bounds off a bucket's first word
+        [1] * 3,
+        [1, 0, 1, 0, 0, 2],
+        [1] * 1000,
+        [1] * 5000,  # more bounds than buckets
+        [_TINY, Fraction(1, 2), Fraction(1, 2) - _TINY],
+        [Fraction(1, 4) - _TINY, 2 * _TINY, Fraction(3, 4) - _TINY],
+        [Fraction(1, 2), _TINY, Fraction(1, 2) - _TINY],
+    ],
+)
+def test_table_picks_match_the_search(weights):
+    """The top-bits table picks, on every word at the edge of a sampling
+    bucket and next to every bound, the symbol that a search among the
+    bounds picks, in the same dtype."""
+    _assert_picks_match_the_search(_source([Fraction(w) for w in weights]))
+
+
+@st.composite
+def _weights(draw) -> list[Fraction]:
+    """1 to 1,000 weights, some of them zero, cut at multiples of 1/total:
+    for a total of 4,096 every bound is on a bucket's first word, for
+    8,192 some are halfway into a bucket, and the other totals cut
+    anywhere; sometimes with one more weight of 2^-70."""
+    k = draw(st.integers(1, 1000))
+    dyadic = st.sampled_from([1 << sim._TOP_BITS, 1 << (sim._TOP_BITS + 1), 1 << 64])
+    total = draw(dyadic | st.integers(1, 10**6))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)))
+    weights = [Fraction(b - a, total) for a, b in zip([0, *cuts], [*cuts, total])]
+    if draw(st.booleans()):
+        weights = [w * (1 - _TINY) for w in weights]
+        weights.insert(draw(st.integers(0, k)), _TINY)
+    return weights
+
+
+@given(_weights(), st.integers(0, MASK))
+@settings(max_examples=60)
+def test_table_picks_match_the_search_on_random_sources(weights, seed):
+    _assert_picks_match_the_search(_source(weights), seed)
+
+
+def test_symbol_indices_pick_the_stream_words():
+    src = SourceModel(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    bounds, support = source_thresholds(src)
+    picks = symbol_indices(8, 1000, 3000, bounds, support)
+    assert (picks == searched_symbols(random_words(8, 1000, 3000), bounds, support)).all()
 
 
 def test_simulate_is_deterministic(g3):
@@ -364,8 +449,30 @@ def _quaternary(order: int, seed: int):
 _ORDER3Q = _quaternary(3, 3)
 _ORDER5Q = _quaternary(5, 5)
 # Lengths around lane boundaries: 99 is 9 full lanes of 11 steps, 100 is 10
-# of 10, 101 is 9 of 11 and one of 2; and around the chunk length.
-_LENGTHS = (1, 2, 3, 99, 100, 101, sim._CHUNK - 1, sim._CHUNK, sim._CHUNK + 1, 100_000)
+# of 10, 101 is 9 of 11 and one of 2; around the lengths where lanes reach
+# their cap of 2 * _REWALK = 128 steps: 16,257 is the first length whose
+# sqrt rule (129 steps) is capped, so it runs as 127 lanes of 128 and one of
+# 1; 16,383 as 127 of 128 and one of 127 (the rule gives 127 of 129);
+# 16,384 as 128 of 128 either way; 16,385 as 128 of 128 and one of 1;
+# 25,601, whose last capped lane is one step long; and around the chunk
+# length.
+_LENGTHS = (
+    1,
+    2,
+    3,
+    99,
+    100,
+    101,
+    16_257,
+    16_383,
+    16_384,
+    16_385,
+    25_601,
+    sim._CHUNK - 1,
+    sim._CHUNK,
+    sim._CHUNK + 1,
+    100_000,
+)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
@@ -415,11 +522,23 @@ def test_lanes_that_have_not_met_are_walked_alone(monkeypatch, rewalk):
     """With a re-walk too short for every lane to meet its path, a lane that
     has not met is walked alone and the lanes after it take up their
     re-walks again where the walk alone reaches their start: the increments
-    stay those of the walk one step at a time."""
+    stay those of the walk one step at a time. Lanes are at most twice the
+    re-walk long, so each case counts its walks alone to show that some
+    lane did not meet."""
     monkeypatch.setattr(sim, "_REWALK", rewalk)
+    alone = sim._walk_alone
     for g in (debruijn8_demo(), XOR4):
         for n, workers in ((101, 1), (sim._CHUNK + 1, 1), (100_000, 2)):
+            calls = 0
+
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return alone(*args)
+
+            monkeypatch.setattr(sim, "_walk_alone", counted)
             r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=4, workers=workers)
+            assert calls > 0, (n, workers)
             assert (r.increments == walk_increments(g, n, 4, workers)).all(), (n, workers)
 
 

@@ -186,17 +186,41 @@ def _step(
     table.inc.take(arcs, out=incs)
 
 
-def _walk(
-    table: ArcTable, rows: list[int], xs: np.ndarray, state: int, out: np.ndarray
-) -> int:
+class _Alone:
+    """What ``_walk_alone`` keeps across calls, over only the states that
+    walks alone have reached or read a row of, numbered in that order:
+    ``states[i]`` is the table index of number i and ``number`` maps it
+    back. ``rows[i * symbols + x]`` is the flat index of the row of the
+    successor of i under x (its number times the number of symbols), or a
+    negative number where the table had no arc when the row was read."""
+
+    def __init__(self, symbols: int):
+        self.symbols = symbols
+        self.rows: list[int] = []
+        self.states: list[int] = []
+        self.number: dict[int, int] = {}
+
+    def row(self, state: int) -> int:
+        """The flat index of the row of table state ``state``, numbering
+        the state if it has no number yet."""
+        i = self.number.get(state)
+        if i is None:
+            i = self.number[state] = len(self.states)
+            self.states.append(state)
+            self.rows += [-1] * self.symbols
+        return i * self.symbols
+
+
+def _walk(table: ArcTable, alone: _Alone, xs: np.ndarray, state: int, out: np.ndarray) -> int:
     """Write the increments of the walk from ``state`` along the symbol
-    indices ``xs`` into ``out`` and return the state it ends in. ``rows``
-    is the list that ``_walk_alone`` reads.
+    indices ``xs`` into ``out`` and return the state it ends in. ``alone``
+    is what ``_walk_alone`` keeps.
 
     The walk is cut into lanes of ``span`` steps, about sqrt(n) and at
-    most ``2 * _REWALK`` (the last lane may be shorter); row t of ``x``, ``paths`` and ``incs`` is step t of every lane. All
-    lanes but the first start from the zero state; ``paths`` holds the
-    state after each step."""
+    most ``2 * _REWALK`` (the last lane may be shorter); row t of ``x``,
+    ``paths`` and ``incs`` is step t of every lane. All lanes but the
+    first start from the zero state; ``paths`` holds the state after each
+    step."""
     n = len(xs)
     span = min(-(-n // isqrt(n)), 2 * _REWALK)
     lanes = -(-n // span)
@@ -211,12 +235,12 @@ def _walk(
     for t in range(span):
         k = lanes if t < last else lanes - 1
         _step(table, paths[t - 1, :k] if t else start, x[t, :k], paths[t, :k], incs[t, :k])
-    return _verify(table, rows, xs, x, paths, incs, out)
+    return _verify(table, alone, xs, x, paths, incs, out)
 
 
 def _verify(
     table: ArcTable,
-    rows: list[int],
+    alone: _Alone,
     xs: np.ndarray,
     x: np.ndarray,
     paths: np.ndarray,
@@ -259,48 +283,50 @@ def _verify(
     symbols = xs.tolist()
     j = int(np.argmin(met))
     state = int(spec[j - 1])
+    runs: list[tuple[int, list[int]]] = []  # first step and arcs of each run walked alone
     while j < lanes:
         lo = j * span
         arcs: list[int] = []
         while True:
-            state = _walk_alone(table, rows, symbols[j * span : (j + 1) * span], state, arcs)
+            state = _walk_alone(table, alone, symbols[j * span : (j + 1) * span], state, arcs)
             j += 1
             if j == lanes or (met[j] and state == spec[j - 1]):
                 break
-        out[lo : lo + len(arcs)] = table.inc.take(np.fromiter(arcs, np.intp, len(arcs)))
+        runs.append((lo, arcs))
         while j < lanes and met[j] and state == spec[j - 1]:  # lane j's re-walk holds
             state = int(spec[j])
             j += 1
+    inc = table.inc[alone.states].ravel()  # by flat (number, symbol) index
+    for lo, arcs in runs:
+        out[lo : lo + len(arcs)] = inc.take(np.fromiter(arcs, np.intp, len(arcs)))
     return state
 
 
 def _walk_alone(
-    table: ArcTable, rows: list[int], symbols: list[int], state: int, arcs: list[int]
+    table: ArcTable, alone: _Alone, symbols: list[int], state: int, arcs: list[int]
 ) -> int:
-    """Walk ``symbols`` from ``state`` one step at a time, appending each
-    step's flat (state, symbol) index to ``arcs``, and return the end state.
+    """Walk ``symbols`` from table state ``state`` one step at a time,
+    appending each step's flat (number, symbol) index in ``alone`` to
+    ``arcs``, and return the table state it ends in.
 
-    ``rows`` holds, for each flat arc index, the flat index of its
-    successor's row (the successor times the number of symbols), or a
-    negative number; it is kept across calls and grown here as the table
-    grows. It misses the arcs filled by lockstep steps since: an arc it
-    lacks is read from the table, computed there first if the table lacks
-    it too."""
-    n_sym = table.succ.shape[1]
-    rows += [-1] * (n_sym * len(table) - len(rows))
-    row = state * n_sym
+    ``alone.rows`` misses the arcs filled by lockstep steps since it read
+    their rows: an arc it lacks is read from the table, computed there
+    first if the table lacks it too."""
+    n_sym, rows, states = alone.symbols, alone.rows, alone.states
+    row = alone.row(state)
     for xi in symbols:
         arc = row + xi
         row = rows[arc]
         if row < 0:
-            si = arc // n_sym
+            si = states[arc // n_sym]
             if table.succ[si, xi] < 0:
                 table.fill([si], [xi])
-                rows += [-1] * (n_sym * len(table) - len(rows))
-            rows[arc - xi : arc - xi + n_sym] = [s * n_sym for s in table.succ[si].tolist()]
+            rows[arc - xi : arc - xi + n_sym] = [
+                alone.row(s) if s >= 0 else -1 for s in table.succ[si].tolist()
+            ]
             row = rows[arc]
         arcs.append(arc)
-    return row // n_sym
+    return states[row // n_sym]
 
 
 def simulate(
@@ -332,13 +358,13 @@ def simulate(
     # and each step interns at most one state.
     table = ArcTable(g, np.int32 if 3 * n < 2**31 else np.int64)
     increments = np.empty(n, dtype=np.uint8)
-    rows: list[int] = []  # successor rows by flat arc index, for the walks alone
+    alone = _Alone(len(g.alphabet))
     for start, stop in _worker_ranges(n, workers):
         state = 0  # each range restarts from the zero state
         for cs in range(start, stop, _CHUNK):
             ce = min(cs + _CHUNK, stop)
             xs = symbol_indices(seed, cs, ce, bounds, support)
-            state = _walk(table, rows, xs, state, increments[cs:ce])
+            state = _walk(table, alone, xs, state, increments[cs:ce])
 
     estimate = float(increments.mean())
     batch_count = min(100, n)

@@ -440,6 +440,29 @@ def test_periodic_walk_widens_its_vectors(monkeypatch):
     assert (r.increments == walk_increments(PERIODIC, 100_000, 1, 1)).all()
 
 
+def test_walks_alone_keep_rows_of_the_states_they_reach(monkeypatch):
+    """The successor rows kept for lanes walked alone cover the states
+    those walks reached and the successors of the rows they read, not the
+    whole table: each call numbers its start state and each step at most
+    one row of 4 successors. A 20,000-step walk on an order-5 quaternary
+    labelling interns about 20,000 states and walks a few lanes alone."""
+    made = []
+
+    class Recorded(sim._Alone):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sim, "_Alone", Recorded)
+    r, table, counts = _walk(monkeypatch, _ORDER5Q, 20_000)
+    [alone] = made
+    assert counts["alone"] > 0
+    assert 0 < len(alone.states) <= 5 * counts["alone"] < len(table) // 10
+    assert len(alone.rows) == 4 * len(alone.states)
+    assert alone.number == {s: i for i, s in enumerate(alone.states)}
+    assert (r.increments == walk_increments(_ORDER5Q, 20_000, 0, 1)).all()
+
+
 def _quaternary(order: int, seed: int):
     """A random quaternary labelling of the order-``order`` de Bruijn graph."""
     rng = random.Random(seed)

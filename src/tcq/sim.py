@@ -3,8 +3,8 @@
 The walk is a sample path of the same chain that ``statespace`` enumerates,
 read off a ``statespace.ArcTable`` that computes an arc only when some lane
 first takes it. Each chunk of a worker range is cut into lanes of about
-sqrt(length) steps, but at most 2 * ``_REWALK``: a lane that meets its path
-does so within ``_REWALK`` steps, and a longer lane only adds lockstep
+sqrt(length) steps, but at most 2 * ``_REWALK``: the re-walk gives a lane
+``_REWALK`` steps to meet its path, and a longer lane only adds lockstep
 steps, so a 65,536-step chunk runs as 512 lanes of 128 steps. Lane 0
 starts from the range's true state and every other lane from the zero
 vector, and all lanes advance together, one numpy gather from the table

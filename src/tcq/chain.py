@@ -19,10 +19,10 @@ state whose balance row names exactly one predecessor i other than itself
 has x_j = P_ij x_i, so it leaves the system, resolved by pointer jumping
 to a surviving root with an integer coefficient over a power of the scale;
 rounds repeat while the censored chain has such states. A transient state
-0 stays, and so does one member of a class that is a pure cycle. One
-``np.bincount`` finds the candidates, so a chain without any pays for that
-count alone. ``SolveStats`` reports the unknowns before censoring
-(``unreduced_dim``) beside those solved (``dim``).
+0 stays, and so does one member of a class that is a pure cycle. A chain
+without any such state (debruijn8) censors to the identity and takes the
+same path, certificate included. ``SolveStats`` reports the unknowns before
+censoring (``unreduced_dim``) beside those solved (``dim``).
 
 The censored system is built in integers, each row divided by its gcd,
 handed over as CSR arrays, factored once in float64 by LAPACK's dgetrf
@@ -68,6 +68,9 @@ if TYPE_CHECKING:
     from .rd import RDPoint
 
 
+_MAX_EXPONENT = 4300  # Python's default cap on the digits of an int, a 4-digit number
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """Memoryless source over a finite alphabet with exact probabilities."""
@@ -98,7 +101,8 @@ class SourceModel:
     def parse(cls, text: str, alphabet: tuple[str, ...]) -> SourceModel:
         """Parse ``uniform`` or a comma list like ``a:1/2,b:1/4,c:1/4``.
 
-        Every graph symbol must be assigned exactly once.
+        Every graph symbol must be assigned exactly once, and no decimal
+        exponent may pass ``_MAX_EXPONENT``.
         """
         text = text.strip()
         if text == "uniform":
@@ -116,10 +120,15 @@ class SourceModel:
                 raise SourceError(f"symbol {sym!r} is not in the graph alphabet")
             if sym in assigned:
                 raise SourceError(f"symbol {sym!r} assigned twice")
+            val = val.strip()
+            # Fraction would build 10**exponent, and int() is slow on a long one
+            exponent = val.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+            if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > _MAX_EXPONENT):
+                raise SourceError(f"probability of {sym!r} has an exponent past {_MAX_EXPONENT}")
             try:
-                assigned[sym] = Fraction(val.strip())
+                assigned[sym] = Fraction(val)
             except (ValueError, ZeroDivisionError) as exc:
-                raise SourceError(f"bad probability {val.strip()!r}: {exc}") from None
+                raise SourceError(f"bad probability {val!r}: {exc}") from None
         missing = [s for s in alphabet if s not in assigned]
         if missing:
             raise SourceError(f"no probability given for {missing}")
@@ -515,8 +524,9 @@ def _censor(
     a right-hand side). A class whose surviving members would all go (a pure
     cycle) keeps its largest. Each round resolves the new eliminations to
     their roots by pointer jumping. Returns ``root``, ``coef`` (Python
-    integers) and ``power`` with x_s = coef[s] / scale**power[s] x_root[s],
-    or None when nothing is eliminated.
+    integers) and ``power`` with x_s = coef[s] / scale**power[s] x_root[s];
+    when nothing is eliminated, that is the identity: every state its own
+    root, with coefficient 1 and power 0.
     """
     states = np.arange(size)
     root, alive = states.copy(), np.ones(size, dtype=bool)
@@ -575,7 +585,7 @@ def _censor(
             root[hop] = up[hop]
         else:
             raise ChainError(f"censoring met a cycle of single predecessors at state {hop[0]}")
-    return None if alive.all() else (root, coef, power)
+    return root, coef, power
 
 
 def _back_substitute(
@@ -603,7 +613,7 @@ def _certify(
     original chain's equations in integers: every reached closed state's
     balance within its class and, with several reached classes, every
     reached transient state's expected visits and every class's entering
-    mass. ``stationary`` checks the total mass 1 on every path."""
+    mass. ``stationary`` checks the total mass 1."""
     src, dst, num = arcs
     size = len(x)
     # rows 0..size-1 balance each state; row size + c sets class c's mass,
@@ -642,16 +652,16 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     Before the solve, the system is censored: an unknown whose row names a
     single predecessor i other than itself has x_j = P_ij x_i, and leaves
     the system (``_censor``; repeated while the censored chain has such
-    states). One ``np.bincount`` finds the candidates, so a chain without
-    any pays nothing more. The survivors' system substitutes each
+    states). A chain without such states censors to the identity, and every
+    system takes the same steps: the survivors' system substitutes each
     eliminated share by its root's, with the class mass row at the class's
     last survivor and each row over the largest power of the scale among its
     entries, divided by its gcd. The eliminated shares are back-substituted
     in exact integers over one common denominator, and the full law is then
     certified on the original chain's equations (``_certify``), so a fault
-    in the censoring raises ChainError instead of passing. ``solve.dim``
-    counts the unknowns solved, ``solve.unreduced_dim`` those before
-    censoring.
+    in the censoring or the solve raises ChainError instead of passing.
+    ``solve.dim`` counts the unknowns solved, ``solve.unreduced_dim`` those
+    before censoring.
     """
     classes = closed_classes(mc)
     indptr, succ = mc.indptr, mc.succ
@@ -677,29 +687,20 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
     # an arc from a transient state into a class enters the class's mass
     # row, negated; every other arc enters its target's balance row
     into = (last[t] >= 0) & (last[i] < 0)
-    within = ~into
-    fold = None
-    if (np.bincount(t[within], minlength=mc.size) == 1).any():
-        pinned = None if single else 0  # a transient state 0 has a right-hand side
-        fold = _censor(mc.size, i[within], t[within], num[within], scale, last, pinned)
-    anchor = last  # the row of each class's mass: its last member that stays
-    if fold is not None:
-        root, coef, power = fold
-        survivor = root == np.arange(mc.size)
-        anchor = np.full(mc.size, -1, dtype=np.intp)
-        kept = closed[survivor[closed]]
-        np.maximum.at(anchor, last[kept], kept)
-        anchor = np.where(last >= 0, anchor[last], -1)
-        solved = unknowns[survivor[unknowns]]
-    else:
-        solved = unknowns
+    pinned = None if single else 0  # a transient state 0 has a right-hand side
+    root, coef, power = _censor(mc.size, i[~into], t[~into], num[~into], scale, last, pinned)
+    survivor = root == np.arange(mc.size)
+    # the row of each class's mass: its last member that stays
+    anchor = np.full(mc.size, -1, dtype=np.intp)
+    kept = closed[survivor[closed]]
+    np.maximum.at(anchor, last[kept], kept)
+    anchor = np.where(last >= 0, anchor[last], -1)
+    solved = unknowns[survivor[unknowns]]
     m = len(solved)
     col = np.full(mc.size, -1, dtype=np.intp)
     col[solved] = np.arange(m)
     # a balance row for each solved state but its class's anchor
-    keep = into | (t != anchor[t])
-    if fold is not None:
-        keep &= into | survivor[t]
+    keep = into | (survivor[t] & (t != anchor[t]))
     balanced = solved[anchor[solved] != solved]  # rows with -scale on the diagonal
     unit = 1 if single else scale  # a mass row's entry for each member
     row = np.concatenate([np.where(into, anchor[t], t)[keep], balanced, anchor[closed]])
@@ -711,41 +712,39 @@ def stationary(mc: MarkovChain) -> StationaryDistribution:
             np.full(len(closed), unit, dtype=num.dtype),
         ]
     )
-    b = np.zeros(m, dtype=num.dtype)
+    # each eliminated share as its root's times coef / scale**power, and
+    # each row over the largest such power in it; no entry then exceeds
+    # scale**(max power + 1) * max coef, so int64 sums hold them below
+    widest = len(value) * scale ** (int(power.max()) + 1) * max(coef.tolist())
+    dtype = np.int64 if widest < 1 << 63 else object
+    value = value.astype(dtype) * coef.astype(dtype)[column]
+    lifted, column = power[column], root[column]
+    top = np.zeros(m, dtype=np.int64)
+    np.maximum.at(top, col[row], lifted)
+    powers = np.array([scale**k for k in range(int(top.max()) + 1)], dtype=dtype)
+    value *= powers[top[col[row]] - lifted]
+    b = np.zeros(m, dtype=dtype)
     if single:  # the one reached class holds all the mass
         b[col[anchor[comps[0][-1]]]] = 1
     else:  # state 0 is transient, and the walk starts there
         b[col[0]] = -scale
-    if fold is not None:
-        # each eliminated share as its root's times coef / scale**power, and
-        # each row over the largest such power in it; no entry then exceeds
-        # scale**(max power + 1) * max coef, so int64 sums hold them below
-        widest = len(value) * scale ** (int(power.max()) + 1) * max(coef.tolist())
-        dtype = np.int64 if widest < 1 << 63 else object
-        value = value.astype(dtype) * coef.astype(dtype)[column]
-        lifted, column = power[column], root[column]
-        top = np.zeros(m, dtype=np.int64)
-        np.maximum.at(top, col[row], lifted)
-        powers = np.array([scale**k for k in range(int(top.max()) + 1)], dtype=dtype)
-        value *= powers[top[col[row]] - lifted]
-        b = b.astype(dtype) * powers[top]
-    # CSR over the solved unknowns, entries at the same place summed
+    b *= powers[top]
+    # CSR over the solved unknowns, entries at the same place summed, each
+    # row with its right-hand side over its gcd
     key = col[row] * m + col[column]
     order = np.argsort(key, kind="stable")
     key = key[order]
     firsts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     system_indptr = np.searchsorted(key[firsts], np.arange(m + 1) * m)
     vals = np.add.reduceat(value[order], firsts)
-    if fold is not None:  # each row, with its right-hand side, over its gcd
-        g = np.gcd(np.gcd.reduceat(vals, system_indptr[:-1]), b)
-        vals, b = vals // np.repeat(g, np.diff(system_indptr)), b // g
+    g = np.gcd(np.gcd.reduceat(vals, system_indptr[:-1]), b)
+    vals, b = vals // np.repeat(g, np.diff(system_indptr)), b // g
     d, nums, stats = _solve_exact((system_indptr, key[firsts] % m, vals), b.tolist())
     x = np.zeros(mc.size, dtype=object)
     x[solved] = nums
-    if fold is not None:
-        x, d = _back_substitute(x, d, scale, *fold)
-        _certify(x, d, scale, (i, t, num), into, last, unknowns, single)
-        stats = replace(stats, unreduced_dim=len(unknowns))
+    x, d = _back_substitute(x, d, scale, root, coef, power)
+    _certify(x, d, scale, (i, t, num), into, last, unknowns, single)
+    stats = replace(stats, unreduced_dim=len(unknowns))
     total = x[closed].sum()
     if total != d:
         raise ChainError(f"long-run mass sums to {Fraction(total, d)}, not 1")

@@ -45,16 +45,15 @@ def holding(lo: int, hi: int) -> type | np.dtype:
     return dt if dt.kind in "iu" else object
 
 
-def advance(
-    g: LabeledGraph, states: np.ndarray, xi: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced successors of cost vectors: the transition kernel.
+def advance(g: LabeledGraph, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced successors of cost vectors under every symbol: the transition
+    kernel.
 
     ``states`` is one vector (V,) or a stack (F, V), in a dtype that holds
     each component plus 1 (see ``holding``). Returns ``t``, every successor
     with its minimum subtracted, and ``inc``, the subtracted minima: of shape
-    (F, symbols, V) and (F, symbols) for every symbol, or of the shape of
-    ``states`` and one less dimension for symbol ``xi`` alone.
+    (symbols, V) and (symbols,) for one vector, (F, symbols, V) and
+    (F, symbols) for a stack.
     """
     tab = g.in_edge_arrays
     if tab.sourceless is not None:
@@ -62,17 +61,15 @@ def advance(
             f"vertex {g.vertices[tab.sourceless]!r} has no incoming edge; "
             "cost updates need one per vertex"
         )
-    if xi is None:  # (..., symbols, D, V): every in-edge's path cost
-        t = np.minimum.reduce(states[..., None, tab.src] + tab.cost, axis=-2)
-    else:
-        t = np.minimum.reduce(states[..., tab.src] + tab.cost[xi], axis=-2)
+    # (..., symbols, D, V): every in-edge's path cost
+    t = np.minimum.reduce(states[..., None, tab.src] + tab.cost, axis=-2)
     inc = np.minimum.reduce(t, axis=-1, keepdims=True)
     t -= inc
     return t, inc[..., 0]
 
 
 def reduced_transition(g: LabeledGraph, s: StateVector, x: str) -> tuple[StateVector, int]:
-    """``advance`` on one reduced state s under symbol x: the reduced
+    """``advance`` on one reduced state s, read at symbol x: the reduced
     successor and the subtracted minimum, the increment."""
     if min(s) != 0:
         raise ValueError("state vector is not reduced (minimum component != 0)")
@@ -81,8 +78,8 @@ def reduced_transition(g: LabeledGraph, s: StateVector, x: str) -> tuple[StateVe
     xi = g.symbol_index.get(x)
     if xi is None:
         raise ValueError(f"symbol {x!r} not in alphabet")
-    t, inc = advance(g, np.array(s, dtype=holding(0, max(s) + 1)), xi)
-    return tuple(t.tolist()), int(inc)
+    t, inc = advance(g, np.array(s, dtype=holding(0, max(s) + 1)))
+    return tuple(t[xi].tolist()), int(inc[xi])
 
 
 def encode(g: LabeledGraph, xs: Sequence[str]) -> EncodingResult:

@@ -16,7 +16,7 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 from conftest import EXPECTED_DIR, GRAPH_DIR, REPO_ROOT
-from tcq import SourceModel, analyze, de_bruijn, serialize_graph
+from tcq import SourceError, SourceModel, analyze, de_bruijn, serialize_graph
 from tcq.cli import main
 
 DB8 = "graphs/debruijn8.g"
@@ -234,6 +234,24 @@ def test_rd_command(capsys):
     fields = dict(line.split("=", 1) for line in out.splitlines())
     assert abs(float(fields["distortion"]) - 0.1893) < 1e-3
     assert float(fields["difference"]) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "exponent",
+    ["-100000000", "1000000", "-4301", "+" + "9" * 10**6, "_".join("0" * 10**5) + "4301"],
+)
+def test_an_oversized_exponent_is_refused_at_once(capsys, exponent):
+    """Fraction would build 10**exponent, and the CLI, which lifts Python's
+    cap on the digits of an int, would then print the sum in full."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "--graph", G3, "--source", f"a:1e{exponent},b:1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error (source): probability of 'a' has an exponent past 4300\n"
+    # the cap itself: 0 times 10**4300 is a probability
+    assert SourceModel.parse("a:0e4300,b:1", ("a", "b")).probabilities == (0, 1)
+    with pytest.raises(SourceError, match="exponent past 4300"):
+        SourceModel.parse("a:0e4301,b:1", ("a", "b"))
 
 
 def test_rd_errors(capsys):
@@ -498,11 +516,13 @@ def test_console_script_entry_point():
 
 
 def test_module_invocation_matches_script():
+    path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "tcq.cli", "rd", "--alphabet", "2", "--rate", "0.5"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert "D(R) = " in proc.stdout

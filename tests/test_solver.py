@@ -269,7 +269,7 @@ ORDER3_SYSTEMS = [
 
 @pytest.mark.parametrize(
     "labels,expected",
-    # debruijn8 has no single-predecessor state: its system is not censored
+    # debruijn8 has no single-predecessor state: censoring leaves its system as it is
     [pytest.param("debruijn8", (106, 106, 1, 57, 4, 611, "int64"), id="debruijn8")]
     + [pytest.param(labels, stats, id=labels) for labels, stats in ORDER3_SYSTEMS],
 )
@@ -354,7 +354,43 @@ def _censoring(mc: MarkovChain) -> tuple:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "_censor", recording)
         sd = stationary(mc)
-    return sd, (folds or [None])[0]
+    (fold,) = folds
+    return sd, fold
+
+
+def test_an_uncensored_chain_takes_the_one_path(debruijn8):
+    """debruijn8 has no single-predecessor state: censoring returns the
+    identity, and the law is still back-substituted and certified once on
+    the original chain's equations."""
+    mc = _uniform_chain(debruijn8)
+    certified = []
+    certify = chain._certify
+
+    def recording(*args):
+        certified.append(args)
+        return certify(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "_certify", recording)
+        stationary(mc)
+    assert len(certified) == 1
+    sd, (root, coef, power) = _censoring(mc)
+    assert root.tolist() == list(range(mc.size))
+    assert set(coef.tolist()) == {1} and not power.any()
+    assert sd.solve.dim == sd.solve.unreduced_dim == 106
+    assert sd.q == bareiss_stationary(mc)
+    # the certificate is a real check here too: one share off by one fails it
+    back_substitute, member = chain._back_substitute, sd.classes.closed[0][0]
+
+    def corrupt(*args):
+        x, d = back_substitute(*args)
+        x[member] += 1
+        return x, d
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "_back_substitute", corrupt)
+        with pytest.raises(ChainError, match="fails the original chain's balance equation"):
+            stationary(mc)
 
 
 @pytest.mark.parametrize(
@@ -708,8 +744,12 @@ def test_censored_system_certifies_past_the_unreduced_refusal():
     sd = stationary(mc)
     assert sd.q == bareiss_stationary(mc)
     assert (sd.solve.unreduced_dim, sd.solve.dim) == (6, 4)
+
+    def identity(size, *args):
+        return np.arange(size), np.ones(size, dtype=object), np.zeros(size, dtype=np.int64)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chain, "_censor", lambda *args: None)
+        mp.setattr(chain, "_censor", identity)
         with pytest.raises(ChainError, match="too ill-conditioned"):
             stationary(mc)
 

@@ -183,8 +183,8 @@ def test_component_above_k_raises(monkeypatch, g3):
     """A kernel that broke the bound would be caught: k = 1 on g3."""
     advance = statespace.viterbi.advance
 
-    def broken(g, states, xi=None):
-        t, inc = advance(g, states, xi)
+    def broken(g, states):
+        t, inc = advance(g, states)
         first = t[..., 0]
         first[first > 0] += 2
         return t, inc
@@ -218,9 +218,9 @@ def _kernel_calls(monkeypatch) -> list[int]:
     calls = []
     advance = statespace.viterbi.advance
 
-    def recording(g, states, xi=None):
+    def recording(g, states):
         calls.append(len(states))
-        return advance(g, states, xi)
+        return advance(g, states)
 
     monkeypatch.setattr(statespace.viterbi, "advance", recording)
     return calls

@@ -197,10 +197,10 @@ def _skewed_graph(rng: random.Random):
 @pytest.mark.parametrize("count", [1, 3, 64])
 @pytest.mark.parametrize("top", [1, 255, 256, 2**64, 2**70])
 def test_batch_kernel_matches_scalar_oracle(top, count):
-    """``advance`` on a stack of ``count`` vectors, for every symbol at once
-    and for each symbol alone, against the per-arc oracle: components up to
-    ``top`` in the dtype ``holding`` gives (uint16 at 255 and 256, Python
-    ints in an ``object`` array past 64 bits), which the result keeps."""
+    """``advance`` on a stack of ``count`` vectors, for every symbol at once,
+    against the per-arc oracle: components up to ``top`` in the dtype
+    ``holding`` gives (uint16 at 255 and 256, Python ints in an ``object``
+    array past 64 bits), which the result keeps."""
     rng = random.Random(f"{top}:{count}")
     for _ in range(8):
         g = _skewed_graph(rng)
@@ -222,11 +222,6 @@ def test_batch_kernel_matches_scalar_oracle(top, count):
         assert got == expected
         t0, inc0 = advance(g, stack[0])  # one vector, every symbol
         assert (t0.tolist(), inc0.tolist()) == (t[0].tolist(), inc[0].tolist())
-
-        for xi in range(len(g.alphabet)):
-            t, inc = advance(g, stack, xi)
-            assert t.shape == (count, n) and inc.shape == (count,) and t.dtype == stack.dtype
-            assert list(zip(map(tuple, t.tolist()), inc.tolist())) == [e[xi] for e in expected]
 
 
 @pytest.mark.parametrize(

@@ -1,28 +1,33 @@
 """The reduced state vectors and their arc table.
 
-Enumeration is a breadth-first closure from the zero vector: it advances the
-BFS queue a block of states at a time through ``viterbi.advance`` (every
-state of the block under every symbol in one numpy call) and interns the
-successors in (state, symbol) order, each by the bytes of its array row, so
-the discovery order and the arc table are those of a one-arc-at-a-time
-search. The closure is finite: every component of every reachable reduced
-vector is bounded by the graph's exact-path constant k. The space is kept as
-three arrays with one row per state: ``StateSpace.vectors`` (the queue
-itself), ``StateSpace.succ`` (successor indices) and ``StateSpace.inc``
-(increments), one column per symbol in the last two. Nothing else is kept:
-a state's vector is its row, and a vector's index is found by the bytes of
-its row, as enumeration interns it.
+``ArcTable`` is the one interner: it keeps three arrays with one row per
+state, ``vectors`` (the state's cost vector), ``succ`` (successor indices)
+and ``inc`` (increments), one column per symbol in the last two, and a dict
+from the bytes of each state's row to its index. Its core advances a
+selection of its rows through ``viterbi.advance`` (every selected state
+under every symbol in one numpy call) and interns the successors at the
+positions it is given, in (state, symbol) order.
 
-``ArcTable`` keeps the same three arrays for a walk, filled on demand: it
-computes a state's arcs when the walk takes one that is missing and interns
-only the successors the walk takes, in the order it first takes them, so a
-walk of a graph whose space is too large to enumerate (or that is
-periodic) interns only the states it reaches.
+Enumeration is a breadth-first closure from the zero vector over a table's
+rows: the rows not yet advanced are the BFS queue, taken a block at a time,
+and every successor of a block is interned, so the discovery order and the
+arc table are those of a one-arc-at-a-time search. The closure is finite:
+every component of every reachable reduced vector is bounded by the
+graph's exact-path constant k. ``StateSpace`` is the closed table's arrays,
+trimmed to its states and nothing else: a state's vector is its row, and a
+vector's index is found by the bytes of its row, as the table interns it.
+
+A walk fills a table on demand: it computes a state's arcs when the walk
+takes one that is missing and interns only the successors the walk takes,
+in the order it first takes them, so a walk of a graph whose space is too
+large to enumerate (or that is periodic) interns only the states it
+reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -45,7 +50,7 @@ class StateSpace:
 
     graph: LabeledGraph
     k: int
-    vectors: np.ndarray = field(repr=False)  # (states, vertices), a dtype holding k + 1
+    vectors: np.ndarray = field(repr=False)  # (states, vertices), a dtype holding max(vectors) + 1
     succ: np.ndarray = field(repr=False)  # intp, (states, symbols)
     inc: np.ndarray = field(repr=False)  # uint8, (states, symbols)
 
@@ -65,17 +70,18 @@ class StateSpace:
 
 
 def row_keys(a: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a 2-D array: the keys that enumeration interns
-    state vectors by, so that two rows of one dtype match when they are equal."""
+    """The bytes of each row of a 2-D array: the keys that ``ArcTable``
+    interns state vectors by, so that two rows of one dtype match when they
+    are equal."""
     a = np.ascontiguousarray(a)
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
 
 
 class ArcTable:
-    """Reduced states in the order a walk first takes them, the zero vector
+    """Reduced states in the order they are first interned, the zero vector
     first, in ``StateSpace``'s layout: row i of ``vectors`` is state i,
-    ``succ[i, x]`` its successor under symbol index x, -1 until ``fill``
-    computes the arc, and ``inc[i, x]`` that arc's increment. Rows from
+    ``succ[i, x]`` its successor under symbol index x, -1 until the arc is
+    computed, and ``inc[i, x]`` that arc's increment. Rows from
     ``len(self)`` on are spare capacity. ``index`` maps the bytes of each
     state's row to its index.
 
@@ -102,13 +108,23 @@ class ArcTable:
         symbols[i]) are interned in pair order; every other arc is filled
         only if its successor is already interned."""
         rows = list(dict.fromkeys(states))
-        at = {si: i * self.inc.shape[1] for i, si in enumerate(rows)}
-        # one state is a basic index: the kernel and the writes below run faster
-        sel = rows[0] if len(rows) == 1 else rows
+        if len(rows) == 1:  # a basic index: the kernel and the writes run faster
+            self._intern(rows[0], symbols)
+        else:
+            at = {si: i * self.inc.shape[1] for i, si in enumerate(rows)}
+            self._intern(rows, [at[si] + xi for si, xi in zip(states, symbols)])
+
+    def _intern(self, sel: int | list[int] | slice, positions) -> int:
+        """Compute every arc of the states ``sel`` selects in one
+        ``viterbi.advance`` call and intern the successors at ``positions``
+        (flat indices in (state, symbol) order of the selection), in that
+        order. Every other arc is filled only if its successor is already
+        interned. Returns the largest component of the successors."""
         t, inc = viterbi.advance(self.graph, self.vectors[sel])
         t = t.reshape(-1, t.shape[-1])  # (state, symbol) order
-        if t.max() >= self._top:  # the next kernel call needs t.max() + 1
-            wide = viterbi.holding(0, int(t.max()) + 1)
+        top = int(t.max())
+        if top >= self._top:  # the next kernel call needs top + 1
+            wide = viterbi.holding(0, top + 1)
             self.vectors, t = self.vectors.astype(wide), t.astype(wide)
             self._top = np.iinfo(wide).max
             self.index = {key: i for i, key in enumerate(row_keys(self.vectors[: len(self)]))}
@@ -116,8 +132,7 @@ class ArcTable:
         n = len(index)
         keys = row_keys(t)
         fresh = []  # rows of t that this call interns
-        for si, xi in zip(states, symbols):
-            pos = at[si] + xi
+        for pos in positions:
             if keys[pos] not in index:
                 index[keys[pos]] = len(index)
                 fresh.append(pos)
@@ -128,9 +143,10 @@ class ArcTable:
             self.inc = _grown(self.inc, cap, 0)
         if fresh:
             t.take(fresh, axis=0, out=self.vectors[n : len(index)])
-        succ = [index.get(key, -1) for key in keys]
-        self.succ[sel] = succ if len(rows) == 1 else np.reshape(succ, inc.shape)
+        succ = np.fromiter(map(index.get, keys, repeat(-1)), self.succ.dtype, len(keys))
+        self.succ[sel] = succ.reshape(inc.shape)
         self.inc[sel] = inc
+        return top
 
 
 def _grown(a: np.ndarray, rows: int, fill: int) -> np.ndarray:
@@ -162,59 +178,34 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
     k = exact_path_constant(g)
 
     n_sym = len(g.alphabet)
-    n_vert = g.num_vertices
     block = max(1, _BLOCK * len(g.edges) // g.in_edge_arrays.src.size)
-    # The queue's vectors as array rows in discovery order, in a dtype that
-    # holds k + 1 (an integer one: k <= (V - 1)^2 + 1), interned by the bytes
-    # of their rows.
-    queue = np.zeros((1, n_vert), dtype=viterbi.holding(0, k + 1))
-    index: dict[bytes, int] = {queue[0].tobytes(): 0}
-    succ_all: list[int] = []  # successor indices in (state, symbol) order
-    inc_blocks: list[np.ndarray] = []
+    table = ArcTable(g, np.intp)
     lo = 0
-    while lo < len(index):
-        hi = min(lo + block, len(index))
-        t, inc = viterbi.advance(g, queue[lo:hi])
-        rows = t.reshape(-1, n_vert)
-        over_k = rows.max() > k
-        keys = row_keys(rows)  # (state, symbol) order
-        succ = list(map(index.get, keys))  # the misses are interned below, in order
-        fresh = []  # positions in rows of the states this block discovers
-        for pos in [pos for pos, ti in enumerate(succ) if ti is None]:
-            key = keys[pos]
-            ti = index.get(key)  # interned earlier in this block
-            if ti is None:
-                ti = len(index)
-                index[key] = ti
-                fresh.append(pos)
-                if over_k and rows[pos].max() > k:
-                    si, xi = divmod(pos, n_sym)
-                    raise ComponentBoundError(
-                        f"state {tuple(rows[pos].tolist())} from"
-                        f" ({tuple(queue[lo + si].tolist())}, {g.alphabet[xi]!r})"
-                        f" exceeds the bound k={k}"
-                    )
-                if ti >= max_states:
-                    raise StateSpaceLimitError(
-                        f"more than {max_states} states; raise max_states to continue"
-                    )
-            succ[pos] = ti
-        succ_all += succ
-        inc_blocks.append(inc)
-        n = len(index)
-        if n > len(queue):
-            grown = np.empty((2 * n, n_vert), queue.dtype)
-            grown[: len(queue)] = queue
-            queue = grown
-        queue[n - len(fresh) : n] = rows[fresh]
+    while lo < len(table):  # the table's rows from lo on are the BFS queue
+        hi = min(lo + block, len(table))
+        if table._intern(slice(lo, hi), range((hi - lo) * n_sym)) > k:
+            # the block's first arc into a vector past k discovered it
+            succ = table.succ[lo:hi].ravel()
+            pos = int(np.argmax(table.vectors[succ].max(axis=1) > k))
+            si, xi = divmod(pos, n_sym)
+            raise ComponentBoundError(
+                f"state {tuple(table.vectors[succ[pos]].tolist())} from"
+                f" ({tuple(table.vectors[lo + si].tolist())}, {g.alphabet[xi]!r})"
+                f" exceeds the bound k={k}"
+            )
+        if len(table) > max_states:
+            raise StateSpaceLimitError(
+                f"more than {max_states} states; raise max_states to continue"
+            )
         lo = hi
 
+    n = len(table)
     return StateSpace(
         graph=g,
         k=k,
-        vectors=queue[: len(index)],
-        succ=np.array(succ_all, dtype=np.intp).reshape(-1, n_sym),
-        inc=np.concatenate(inc_blocks).astype(np.uint8),
+        vectors=table.vectors[:n].copy(),
+        succ=table.succ[:n].copy(),
+        inc=table.inc[:n].copy(),
     )
 
 

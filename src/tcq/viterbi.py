@@ -8,8 +8,10 @@ cost plus label cost (one numpy ``minimum.reduce`` over the in-edge axis of
 the graph's ``in_edge_arrays``, padded to the largest in-degree), then
 subtracts each new vector's minimum component. That keeps the vectors
 bounded and returns the subtracted amount as the per-step distortion
-increment (always 0 or 1 for Hamming distortion). State enumeration runs it
-on blocks of its BFS queue; ``reduced_transition`` runs it on one vector.
+increment (always 0 or 1 for Hamming distortion). ``statespace.ArcTable``
+runs it on a selection of its rows, a block of the BFS queue for state
+enumeration and the states that missed an arc for the Monte Carlo walk;
+``reduced_transition`` runs it on one vector.
 """
 
 from __future__ import annotations

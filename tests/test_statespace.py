@@ -75,6 +75,30 @@ def test_state_cap(debruijn8):
         enumerate_states(debruijn8, max_states=10)
 
 
+def test_state_cap_at_its_boundary(monkeypatch, debruijn8):
+    """The cap is checked after each block, on every state the block
+    interned: a space of exactly ``max_states`` states is returned, one
+    more raises, whichever block the last state is found in."""
+    monkeypatch.setattr(statespace, "_BLOCK", 3)
+    assert len(enumerate_states(debruijn8, max_states=107)) == 107
+    message = "more than 106 states; raise max_states to continue"
+    with pytest.raises(StateSpaceLimitError, match=message):
+        enumerate_states(debruijn8, max_states=106)
+
+
+def test_space_arrays_are_exact_and_own_their_data(debruijn8):
+    """The returned arrays are trimmed copies of the table's: no spare
+    capacity, and no view that would keep the table's arrays alive. The
+    vectors' dtype holds the largest component plus 1."""
+    ss = enumerate_states(debruijn8)
+    n, n_sym = len(ss), len(debruijn8.alphabet)
+    assert ss.vectors.shape == (n, debruijn8.num_vertices)
+    assert (ss.succ.shape, ss.succ.dtype) == ((n, n_sym), np.intp)
+    assert (ss.inc.shape, ss.inc.dtype) == ((n, n_sym), np.uint8)
+    assert all(a.base is None for a in (ss.vectors, ss.succ, ss.inc))
+    assert np.iinfo(ss.vectors.dtype).max > ss.vectors.max()
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 10**9))
 def test_component_bound_and_closure_random(seed):
@@ -179,8 +203,13 @@ def test_small_blocks_give_the_same_space(monkeypatch, debruijn8, block):
     assert (tuple_states(ss), tuple_arcs(ss)) == expected
 
 
-def test_component_above_k_raises(monkeypatch, g3):
-    """A kernel that broke the bound would be caught: k = 1 on g3."""
+@pytest.mark.parametrize("block", [None, 1])
+def test_component_above_k_raises(monkeypatch, g3, block):
+    """A kernel that broke the bound would be caught: k = 1 on g3. The
+    bound is checked once per block, on the block's largest component, and
+    the first state past it and its parent are looked up only then."""
+    if block is not None:
+        monkeypatch.setattr(statespace, "_BLOCK", block)
     advance = statespace.viterbi.advance
 
     def broken(g, states):

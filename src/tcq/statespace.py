@@ -26,6 +26,7 @@ reaches.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -114,7 +115,7 @@ class ArcTable:
             at = {si: i * self.inc.shape[1] for i, si in enumerate(rows)}
             self._intern(rows, [at[si] + xi for si, xi in zip(states, symbols)])
 
-    def _intern(self, sel: int | list[int] | slice, positions) -> int:
+    def _intern(self, sel: int | list[int] | slice, positions: Iterable[int]) -> int:
         """Compute every arc of the states ``sel`` selects in one
         ``viterbi.advance`` call and intern the successors at ``positions``
         (flat indices in (state, symbol) order of the selection), in that

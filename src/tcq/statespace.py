@@ -26,9 +26,9 @@ reaches.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 

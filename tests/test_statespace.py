@@ -203,13 +203,8 @@ def test_small_blocks_give_the_same_space(monkeypatch, debruijn8, block):
     assert (tuple_states(ss), tuple_arcs(ss)) == expected
 
 
-@pytest.mark.parametrize("block", [None, 1])
-def test_component_above_k_raises(monkeypatch, g3, block):
-    """A kernel that broke the bound would be caught: k = 1 on g3. The
-    bound is checked once per block, on the block's largest component, and
-    the first state past it and its parent are looked up only then."""
-    if block is not None:
-        monkeypatch.setattr(statespace, "_BLOCK", block)
+def test_component_above_k_raises(monkeypatch, g3):
+    """A kernel that broke the bound would be caught: k = 1 on g3."""
     advance = statespace.viterbi.advance
 
     def broken(g, states):
@@ -222,6 +217,14 @@ def test_component_above_k_raises(monkeypatch, g3, block):
     message = r"state \(3, 0\) from \(\(0, 0\), 'b'\) exceeds the bound k=1"
     with pytest.raises(ComponentBoundError, match=message):
         enumerate_states(g3)
+
+
+def test_component_above_k_raises_in_small_blocks(monkeypatch, g3):
+    """The bound is checked once per block, on the block's largest
+    component, and the first state past it and its parent are looked up
+    only then: with one state per block the message is the same."""
+    monkeypatch.setattr(statespace, "_BLOCK", 1)
+    test_component_above_k_raises(monkeypatch, g3)
 
 
 def _hub_graph(seed: int, spokes: int = 64):

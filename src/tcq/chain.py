@@ -360,17 +360,22 @@ class _FloatLU:
         return x
 
 
-def _reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
-    """Common-denominator rational reconstruction from approximations x/m.
+def _reconstruct(xs: list[int], shift: int) -> tuple[int, list[int]] | None:
+    """Common-denominator rational reconstruction from approximations x/m,
+    m = 2**shift.
 
     Builds d from one continued-fraction convergent of each x for which the
     d so far leaves d x more than sqrt(m)/2 from a multiple of m, and returns
     it with the numerators round(d x / m), or None once d exceeds sqrt(m)/2.
+    The residues and the rounding are masks and shifts, since m is a power
+    of two (a division of big ints would be a long division).
     """
+    m = 1 << shift
+    mask, half = m - 1, m >> 1
     bound = isqrt(m) >> 1
     d = 1
     for x in xs:
-        y = d * x % m
+        y = d * x & mask
         if y <= bound or m - y <= bound:
             continue
         # extended Euclid on (m, y) until the remainder drops to the bound
@@ -381,7 +386,7 @@ def _reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
         d *= abs(s1)
         if d > bound:
             return None
-    return d, [(d * x + (m >> 1)) // m for x in xs]
+    return d, [(d * x + half) >> shift for x in xs]
 
 
 def _matvec(a: tuple[np.ndarray, np.ndarray, np.ndarray], x: list[int]) -> list[int]:
@@ -481,7 +486,7 @@ def _solve_exact(
         # tries spaced by about 1/8 of the lifts so far keep the cost of
         # reconstruction quadratic in the digits
         next_try = lifts + 1 + lifts // 8
-        candidate = _reconstruct(digits.tolist(), 1 << shift)
+        candidate = _reconstruct(digits.tolist(), shift)
         if candidate is None:
             continue
         d, nums = candidate

@@ -1,11 +1,17 @@
 """Monte Carlo estimate of the per-step distortion rate.
 
 The walk is a sample path of the same chain that ``statespace`` enumerates,
-read off a ``statespace.ArcTable`` that computes an arc only when some lane
-first takes it. Each chunk of a worker range is cut into lanes of about
-sqrt(length) steps, but at most 2 * ``_REWALK``: the re-walk gives a lane
-``_REWALK`` steps to meet its path, and a longer lane only adds lockstep
-steps, so a 65,536-step chunk runs as 512 lanes of 128 steps. Lane 0
+read off a ``statespace.ArcTable``. On a graph whose space is finite
+(strongly connected and aperiodic) the table is first closed breadth first,
+as enumeration closes it, until it is closed or holds more than n //
+``_CLOSURE_SHARE`` states, so the walk of a space that fits reads every arc
+off the closed table; any other arc is computed when some lane first takes
+it.
+
+Each chunk of a worker range is cut into lanes of about sqrt(length)
+steps, but at most 2 * ``_REWALK``: the re-walk gives a lane ``_REWALK``
+steps to meet its path, and a longer lane only adds lockstep steps, so a
+65,536-step chunk runs as 512 lanes of 128 steps. Lane 0
 starts from the range's true state and every other lane from the zero
 vector, and all lanes advance together, one numpy gather from the table
 per step; at a step where some lanes miss, one ``viterbi.advance`` call
@@ -18,9 +24,9 @@ met its path within ``_REWALK`` steps is walked alone, one step at a
 time, from its true start, and so are the lanes after it until one is
 found whose re-walk started from the true state; on a periodic graph no
 lane meets, and all of a chunk but lane 0 is walked again alone. So the
-increments are exactly those of a walk one step at a time, and only the
-states some lane takes are interned: graphs whose full space is too large
-to enumerate (or that are periodic) still simulate.
+increments are exactly those of a walk one step at a time, and past the
+closure only the states some lane takes are interned: graphs whose full
+space is too large to enumerate (or that are periodic) still simulate.
 
 Symbols come from a counter-based generator (SplitMix64 applied to a seed
 plus counter), so position i of the stream depends only on (seed, i). A
@@ -54,7 +60,7 @@ import numpy as np
 from . import viterbi
 from .chain import SourceModel
 from .errors import SimulationLimitError, SourceError
-from .graph import LabeledGraph
+from .graph import LabeledGraph, exact_path_constant, validate
 from .statespace import ArcTable
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -66,6 +72,13 @@ _CHUNK = 1 << 16
 # is walked alone. Lanes of a graph whose paths merge meet within tens of steps.
 _REWALK = 64
 _TOP_BITS = 12  # a word's top bits index the sampling table
+# A walk of n steps closes a finite space's table up to n // _CLOSURE_SHARE
+# states, so it advances at most that many. On an order-5 quaternary
+# labelling, closing takes about 1.3-1.6 us per state advanced and a walk that
+# interns a new state at nearly every step about 2 us a step (one core of a
+# shared 2-core x86 host), so on a space too large to close the closure costs
+# about 1-2% of the walk, and a space that fits is never filled lane by lane.
+_CLOSURE_SHARE = 64
 
 BIAS_BOUND = 2.0**-64
 
@@ -354,9 +367,15 @@ def simulate(
             f"source alphabet {src.alphabet} does not match graph alphabet {g.alphabet}"
         )
     bounds, support = source_thresholds(src)
-    # Lanes take at most 3n steps (speculative, verifying, walking again),
-    # and each step interns at most one state.
-    table = ArcTable(g, np.int32 if 3 * n < 2**31 else np.int64)
+    # The closure interns at most symbols + 1 times its budget of states; then
+    # lanes take at most 3n steps (speculative, verifying, walking again), and
+    # each step interns at most one state.
+    budget = n // _CLOSURE_SHARE
+    states = (len(g.alphabet) + 1) * budget + 3 * n
+    table = ArcTable(g, np.int32 if states < 2**31 else np.int64)
+    report = validate(g)
+    if report.strongly_connected and report.aperiodic:
+        table.close(exact_path_constant(g), budget)
     increments = np.empty(n, dtype=np.uint8)
     alone = _Alone(len(g.alphabet))
     for start, stop in _worker_ranges(n, workers):

@@ -8,20 +8,25 @@ selection of its rows through ``viterbi.advance`` (every selected state
 under every symbol in one numpy call) and interns the successors at the
 positions it is given, in (state, symbol) order.
 
-Enumeration is a breadth-first closure from the zero vector over a table's
-rows: the rows not yet advanced are the BFS queue, taken a block at a time,
-and every successor of a block is interned, so the discovery order and the
-arc table are those of a one-arc-at-a-time search. The closure is finite:
+Closing a table runs breadth first from the zero vector over its rows:
+the rows not yet advanced are the BFS queue, taken a block at a time, and
+every successor of a block is interned, so the discovery order and the arc
+table are those of a one-arc-at-a-time search. The closure is finite:
 every component of every reachable reduced vector is bounded by the
-graph's exact-path constant k. ``StateSpace`` is the closed table's arrays,
-trimmed to its states and nothing else: a state's vector is its row, and a
-vector's index is found by the bytes of its row, as the table interns it.
+graph's exact-path constant k. Enumeration closes a table completely;
+``StateSpace`` is the closed table's arrays, trimmed to its states and
+nothing else: a state's vector is its row, and a vector's index is found by
+the bytes of its row, as the table interns it.
 
-A walk fills a table on demand: it computes a state's arcs when the walk
-takes one that is missing and interns only the successors the walk takes,
-in the order it first takes them, so a walk of a graph whose space is too
-large to enumerate (or that is periodic) interns only the states it
-reaches.
+A walk closes its table the same way first, but only up to a budget of
+states and only on a graph whose space is finite (strongly connected and
+aperiodic), so a walk of a space that fits in the budget reads every arc
+off the closed table. Past the budget, and on every other graph, the walk
+fills the table on demand: it computes a state's arcs when the walk takes
+one that is missing and interns only the successors the walk takes, in the
+order it first takes them, so a walk of a graph whose space is too large to
+enumerate (or that is periodic) interns the closure's states and those it
+reaches, no others.
 """
 
 from __future__ import annotations
@@ -83,8 +88,9 @@ class ArcTable:
     first, in ``StateSpace``'s layout: row i of ``vectors`` is state i,
     ``succ[i, x]`` its successor under symbol index x, -1 until the arc is
     computed, and ``inc[i, x]`` that arc's increment. Rows from
-    ``len(self)`` on are spare capacity. ``index`` maps the bytes of each
-    state's row to its index.
+    ``len(self)`` on are spare capacity: the table has the least power of
+    two of rows that holds its states, so its size depends on the state
+    count alone. ``index`` maps the bytes of each state's row to its index.
 
     ``vectors`` holds every component plus 1 (see ``viterbi.holding``), as
     ``viterbi.advance`` requires; a successor that reaches the dtype's
@@ -115,6 +121,39 @@ class ArcTable:
             at = {si: i * self.inc.shape[1] for i, si in enumerate(rows)}
             self._intern(rows, [at[si] + xi for si, xi in zip(states, symbols)])
 
+    def close(self, k: int, limit: int) -> None:
+        """Advance this table's rows breadth first from the zero vector,
+        every successor interned, until every row is advanced or the table
+        holds more than ``limit`` states. The table must have advanced no
+        row yet; the rows the closure leaves unadvanced have no arcs. Raises
+        ``ComponentBoundError`` if a component exceeds k, which signals a
+        bug, not bad input.
+
+        Each kernel call advances F queued states, with F·D·V at most
+        ``_BLOCK``·E for V vertices, E edges and largest in-degree D, so its
+        (F, symbols, D, V) intermediate is never larger than ``_BLOCK``
+        states' (symbols, E) path costs; F is ``_BLOCK`` when every
+        in-degree is equal. A closure that stops at ``limit`` advanced at
+        most ``limit`` states and interned at most (symbols + 1)·``limit``.
+        """
+        g = self.graph
+        n_sym = len(g.alphabet)
+        block = max(1, _BLOCK * len(g.edges) // g.in_edge_arrays.src.size)
+        lo = 0
+        while lo < len(self) <= limit:  # the rows from lo on are the BFS queue
+            hi = min(lo + block, len(self))
+            if self._intern(slice(lo, hi), range((hi - lo) * n_sym)) > k:
+                # the block's first arc into a vector past k discovered it
+                succ = self.succ[lo:hi].ravel()
+                pos = int(np.argmax(self.vectors[succ].max(axis=1) > k))
+                si, xi = divmod(pos, n_sym)
+                raise ComponentBoundError(
+                    f"state {tuple(self.vectors[succ[pos]].tolist())} from"
+                    f" ({tuple(self.vectors[lo + si].tolist())}, {g.alphabet[xi]!r})"
+                    f" exceeds the bound k={k}"
+                )
+            lo = hi
+
     def _intern(self, sel: int | list[int] | slice, positions: Iterable[int]) -> int:
         """Compute every arc of the states ``sel`` selects in one
         ``viterbi.advance`` call and intern the successors at ``positions``
@@ -137,8 +176,8 @@ class ArcTable:
             if keys[pos] not in index:
                 index[keys[pos]] = len(index)
                 fresh.append(pos)
-        if len(index) > len(self.vectors):
-            cap = 2 * len(index)
+        if len(index) > len(self.vectors):  # a power of two, whatever the batches
+            cap = 1 << (len(index) - 1).bit_length()
             self.vectors = _grown(self.vectors, cap, 0)
             self.succ = _grown(self.succ, cap, -1)
             self.inc = _grown(self.inc, cap, 0)
@@ -162,12 +201,8 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
     Arc order is (state discovery order x alphabet order). Raises if the
     graph is not strongly connected and aperiodic, if the space exceeds
     ``max_states``, or if any component exceeds the exact-path constant
-    (the latter signals a bug, not bad input).
-
-    Each kernel call advances F queued states, with F·D·V at most
-    ``_BLOCK``·E for V vertices, E edges and largest in-degree D, so its
-    (F, symbols, D, V) intermediate is never larger than ``_BLOCK`` states'
-    (symbols, E) path costs; F is ``_BLOCK`` when every in-degree is equal.
+    (the latter signals a bug, not bad input). ``ArcTable.close`` gives
+    the block size of its kernel calls.
     """
     report = validate(g)
     if not (report.strongly_connected and report.aperiodic):
@@ -178,27 +213,12 @@ def enumerate_states(g: LabeledGraph, max_states: int = 10**6) -> StateSpace:
         )
     k = exact_path_constant(g)
 
-    n_sym = len(g.alphabet)
-    block = max(1, _BLOCK * len(g.edges) // g.in_edge_arrays.src.size)
     table = ArcTable(g, np.intp)
-    lo = 0
-    while lo < len(table):  # the table's rows from lo on are the BFS queue
-        hi = min(lo + block, len(table))
-        if table._intern(slice(lo, hi), range((hi - lo) * n_sym)) > k:
-            # the block's first arc into a vector past k discovered it
-            succ = table.succ[lo:hi].ravel()
-            pos = int(np.argmax(table.vectors[succ].max(axis=1) > k))
-            si, xi = divmod(pos, n_sym)
-            raise ComponentBoundError(
-                f"state {tuple(table.vectors[succ[pos]].tolist())} from"
-                f" ({tuple(table.vectors[lo + si].tolist())}, {g.alphabet[xi]!r})"
-                f" exceeds the bound k={k}"
-            )
-        if len(table) > max_states:
-            raise StateSpaceLimitError(
-                f"more than {max_states} states; raise max_states to continue"
-            )
-        lo = hi
+    table.close(k, max_states)
+    if len(table) > max_states:
+        raise StateSpaceLimitError(
+            f"more than {max_states} states; raise max_states to continue"
+        )
 
     n = len(table)
     return StateSpace(

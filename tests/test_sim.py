@@ -304,11 +304,12 @@ def _walk_graph(name: str):
 
 def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
     """simulate, returning the result, the walk's ArcTable and its counts:
-    kernel calls, lockstep steps, the lane steps they take (a lockstep step
-    of k lanes takes k), and steps walked alone. Every arc that the walk
-    asks the table to fill must be missing from it."""
+    kernel calls, ``ArcTable.fill`` calls, lockstep steps, the lane steps
+    they take (a lockstep step of k lanes takes k), and steps walked alone.
+    Every arc that the walk asks the table to fill must be missing from
+    it."""
     made = []
-    counts = dict.fromkeys(("kernel", "lockstep", "lane_steps", "alone"), 0)
+    counts = dict.fromkeys(("kernel", "fill", "lockstep", "lane_steps", "alone"), 0)
     advance, step, alone = viterbi.advance, sim._step, sim._walk_alone
 
     class Recorded(sim.ArcTable):
@@ -318,6 +319,7 @@ def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
 
         def fill(self, states, symbols):
             assert (self.succ[states, symbols] < 0).all()
+            counts["fill"] += 1
             super().fill(states, symbols)
 
     def counted_advance(*args):
@@ -348,32 +350,51 @@ def _filled(table) -> int:
 
 
 def test_simulate_explores_only_the_walk(monkeypatch):
-    """The lanes intern only the successors they take: on an order-5
-    quaternary labelling, whose full space is too large to enumerate in a
-    unit test, no more states are interned than lane steps taken, plus
-    one. Every kernel call fills at least one arc, and there is at most one
-    per lockstep step and per step walked alone. The 2,000 steps run as 44
-    lanes of at most 46, so the lanes and their re-walks take at most 92
-    lockstep steps."""
+    """On an order-5 quaternary labelling, whose full space is too large to
+    enumerate in a unit test, the closure stops past its budget of
+    2,000 // 64 = 31 states, having interned at most 5 · 31, and the lanes
+    then intern only the successors they take: no more states are interned
+    than that, plus lane steps taken, plus one. Every kernel call fills at
+    least one arc, and there is at most one fill per lockstep step and per
+    step walked alone. The 2,000 steps run as 44 lanes of at most 46, so
+    the lanes and their re-walks take at most 92 lockstep steps."""
     g = _ORDER5Q
     assert len(g.alphabet) == 4
     r, table, counts = _walk(monkeypatch, g, 2000)
-    assert len(table) <= counts["lane_steps"] + counts["alone"] + 1
+    assert len(table) <= counts["lane_steps"] + counts["alone"] + 1 + 5 * (2000 // 64)
     assert 0 < counts["kernel"] <= _filled(table)
-    assert counts["kernel"] <= counts["lockstep"] + counts["alone"]
+    assert 0 < counts["fill"] <= counts["lockstep"] + counts["alone"]
     assert counts["lockstep"] <= 2 * 46
     assert 0.0 < r.estimate < 1.0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["debruijn8", "xor4"])
+def test_finite_space_walk_reads_a_closed_table(monkeypatch, name, workers):
+    """A 100,000-step walk closes a space of at most 100,000 // 64 states
+    before its lanes start: it fills no arc on demand, and its table is the
+    enumerated space, row for row."""
+    g = _walk_graph(name)
+    ss = enumerate_states(g)
+    assert len(ss) <= 100_000 // 64
+    _, table, counts = _walk(monkeypatch, g, 100_000, workers=workers)
+    assert counts["fill"] == 0
+    n = len(table)
+    for a in ("vectors", "succ", "inc"):
+        assert np.array_equal(getattr(table, a)[:n], getattr(ss, a)), a
+
+
 def test_revisited_states_expand_in_one_kernel_call(monkeypatch, debruijn8):
-    """A 100,000-step walk on debruijn8 (107 states, 428 arcs) interns each
-    state once and fills every arc in fewer kernel calls than it has
-    states: a call computes every arc of the states it expands, for all the
-    lanes that miss at one step."""
+    """Without the closure (a budget of 0 states), a 100,000-step walk on
+    debruijn8 (107 states, 428 arcs) interns each state once and fills
+    every arc in fewer kernel calls than it has states: a call computes
+    every arc of the states it expands, for all the lanes that miss at one
+    step."""
+    monkeypatch.setattr(sim, "_CLOSURE_SHARE", 100_001)
     r, table, counts = _walk(monkeypatch, debruijn8, 100_000)
     assert len(table) == 107
     assert _filled(table) == 428
-    assert 0 < counts["kernel"] <= 107
+    assert 0 < counts["kernel"] == counts["fill"] <= 107
 
 
 @pytest.mark.parametrize("name", ["debruijn8", "xor4", "random-order4-quaternary"])
@@ -431,8 +452,11 @@ def test_periodic_walk_widens_its_vectors(monkeypatch):
     is still the one-step-at-a-time walk. Every lane but each chunk's first
     is walked again alone, over a successor list kept across chunks that
     lacks the arcs lockstep steps filled since it last read their rows;
-    ``_walk`` checks that none of them is computed again."""
-    r, table, _ = _walk(monkeypatch, PERIODIC, 100_000, seed=1)
+    ``_walk`` checks that none of them is computed again. A periodic space
+    is not closed: the table holds only the 584 states the lanes take."""
+    r, table, counts = _walk(monkeypatch, PERIODIC, 100_000, seed=1)
+    assert len(table) == 584
+    assert counts["kernel"] == counts["fill"]
     vectors = table.vectors[: len(table)]
     assert vectors.max() >= 256
     assert np.iinfo(vectors.dtype).max > vectors.max()

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import frexp, gcd, lcm
+from math import frexp, gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -699,8 +699,8 @@ def test_int64_residual_leaves_matvec_to_the_certificate(monkeypatch, labels):
         calls["matvec"] += 1
         return matvec(a, x)
 
-    def counted_reconstruct(xs, m):
-        found = reconstruct(xs, m)
+    def counted_reconstruct(xs, shift):
+        found = reconstruct(xs, shift)
         calls["candidates"] += found is not None
         return found
 
@@ -925,11 +925,50 @@ def test_analyze_takes_d_from_the_integer_law(monkeypatch, debruijn8):
     assert (again.numerators, again.denominator) == (sd.numerators, sd.denominator)
 
 
-def _first_numerator_off_by_one(xs, m):
+def _reconstruct_by_division(xs: list[int], m: int) -> tuple[int, list[int]] | None:
+    """``chain._reconstruct`` with ``%`` and ``//`` by m in place of its
+    masks and shifts: the reference they are compared against."""
+    bound = isqrt(m) >> 1
+    d = 1
+    for x in xs:
+        y = d * x % m
+        if y <= bound or m - y <= bound:
+            continue
+        r0, r1, s0, s1 = m, y, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        d *= abs(s1)
+        if d > bound:
+            return None
+    return d, [(d * x + (m >> 1)) // m for x in xs]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reconstruct_masks_and_shifts_match_division(seed):
+    """Digits of signed rationals over a common denominator, exact or
+    perturbed, and digits with no such denominator, reconstruct as they do
+    by division, negative digits included."""
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(200):
+        shift = rng.randint(4, 400)
+        m = 1 << shift
+        d = rng.randint(1, max(1, isqrt(m) >> 3))
+        xs = [(rng.randint(-4 * d, 4 * d) * m) // d + rng.randint(-2, 2) for _ in range(6)]
+        if rng.random() < 0.25:
+            xs = [rng.randint(-m, m) for _ in range(6)]
+        expected = _reconstruct_by_division(xs, m)
+        assert chain._reconstruct(xs, shift) == expected
+        found += expected is not None
+    assert 0 < found < 200
+
+
+def _first_numerator_off_by_one(xs, shift):
     """The true reconstruction with its first numerator off by one: within
-    sqrt(m)/2 of d x / m on every entry, as a reconstruction can be, yet
-    not a solution of A num = d b."""
-    found = _real_reconstruct(xs, m)
+    sqrt(m)/2 of d x / m (m = 2**shift) on every entry, as a reconstruction
+    can be, yet not a solution of A num = d b."""
+    found = _real_reconstruct(xs, shift)
     if found is None:
         return None
     d, nums = found
@@ -941,7 +980,7 @@ _real_reconstruct = chain._reconstruct
 
 @pytest.mark.parametrize(
     "fake",
-    [lambda xs, m: None, _first_numerator_off_by_one],
+    [lambda xs, shift: None, _first_numerator_off_by_one],
     ids=["no-reconstruction", "stable-but-wrong"],
 )
 def test_uncertified_answers_are_never_returned(monkeypatch, g3, fake):

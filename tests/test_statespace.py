@@ -75,15 +75,51 @@ def test_state_cap(debruijn8):
         enumerate_states(debruijn8, max_states=10)
 
 
+def _cap_holds_at_107_states(g) -> None:
+    assert len(enumerate_states(g, max_states=107)) == 107
+    message = "more than 106 states; raise max_states to continue"
+    with pytest.raises(StateSpaceLimitError, match=message):
+        enumerate_states(g, max_states=106)
+
+
 def test_state_cap_at_its_boundary(monkeypatch, debruijn8):
     """The cap is checked after each block, on every state the block
     interned: a space of exactly ``max_states`` states is returned, one
     more raises, whichever block the last state is found in."""
     monkeypatch.setattr(statespace, "_BLOCK", 3)
-    assert len(enumerate_states(debruijn8, max_states=107)) == 107
-    message = "more than 106 states; raise max_states to continue"
-    with pytest.raises(StateSpaceLimitError, match=message):
-        enumerate_states(debruijn8, max_states=106)
+    _cap_holds_at_107_states(debruijn8)
+
+
+@pytest.mark.parametrize("block", [1, statespace._BLOCK])
+def test_state_cap_at_its_boundary_in_other_blocks(monkeypatch, debruijn8, block):
+    """The same boundary with one state per block, and with blocks that
+    hold whole BFS layers of debruijn8."""
+    monkeypatch.setattr(statespace, "_BLOCK", block)
+    _cap_holds_at_107_states(debruijn8)
+
+
+@pytest.mark.parametrize("block", [3, statespace._BLOCK])
+@pytest.mark.parametrize("limit", [0, 1, 10, 50, 106, 107])
+def test_closure_stops_past_its_limit(monkeypatch, debruijn8, block, limit):
+    """A closure that stops once the table holds more than ``limit`` states
+    is a prefix of the enumeration: the same states in the same order, and
+    the same arcs for the states it advanced, which are at most ``limit``
+    and come first. It interns at most (symbols + 1)·``limit`` states; every
+    state after those it advanced has no arc."""
+    ss = enumerate_states(debruijn8)
+    monkeypatch.setattr(statespace, "_BLOCK", block)
+    table = statespace.ArcTable(debruijn8, np.intp)
+    table.close(ss.k, limit)
+    n, n_sym = len(table), len(debruijn8.alphabet)
+    lo = int((table.succ[:n] >= 0).all(axis=1).sum())  # the states advanced
+    assert (table.succ[lo:n] == -1).all()
+    if limit >= len(ss):
+        assert lo == n == len(ss)
+    else:
+        assert lo <= limit < n <= max(1, (n_sym + 1) * limit)
+    assert np.array_equal(table.vectors[:n], ss.vectors[:n])
+    assert np.array_equal(table.succ[:lo], ss.succ[:lo])
+    assert np.array_equal(table.inc[:lo], ss.inc[:lo])
 
 
 def test_space_arrays_are_exact_and_own_their_data(debruijn8):

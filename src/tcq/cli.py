@@ -361,7 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_positive_int, required=True, help="number of source symbols"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallel", type=_positive_int, default=1, metavar="WORKERS")
+    p.add_argument(
+        "--parallel",
+        type=_positive_int,
+        default=1,
+        metavar="WORKERS",
+        help="split the stream into WORKERS ranges, each walked from the zero"
+        " state in this process; results depend on (seed, n, WORKERS)",
+    )
     p.add_argument(
         "--exact", action="store_true", help="also compute the exact value and z-score"
     )

@@ -8,25 +8,27 @@ as enumeration closes it, until it is closed or holds more than n //
 off the closed table; any other arc is computed when some lane first takes
 it.
 
-Each chunk of a worker range is cut into lanes of about sqrt(length)
-steps, but at most 2 * ``_REWALK``: the re-walk gives a lane ``_REWALK``
-steps to meet its path, and a longer lane only adds lockstep steps, so a
-65,536-step chunk runs as 512 lanes of 128 steps. Lane 0
-starts from the range's true state and every other lane from the zero
-vector, and all lanes advance together, one numpy gather from the table
-per step; at a step where some lanes miss, one ``viterbi.advance`` call
-computes the missing arcs. Then the lanes are verified from left to
-right. Lane j is walked again from the speculative end of lane j - 1, all
-lanes together, until it meets its own path, as surviving paths of a
-Viterbi decoder merge; from there on its speculative increments are
-exact, and its end is the true start of lane j + 1. A lane that has not
-met its path within ``_REWALK`` steps is walked alone, one step at a
-time, from its true start, and so are the lanes after it until one is
-found whose re-walk started from the true state; on a periodic graph no
-lane meets, and all of a chunk but lane 0 is walked again alone. So the
-increments are exactly those of a walk one step at a time, and past the
-closure only the states some lane takes are interned: graphs whose full
-space is too large to enumerate (or that are periodic) still simulate.
+The walk takes every worker range at once, in passes over their c-th
+chunks of ``_CHUNK`` steps. Each chunk is cut into lanes of about
+sqrt(length) steps, but at most 2 * ``_REWALK``: the re-walk gives a lane
+``_REWALK`` steps to meet its path, and a longer lane only adds lockstep
+steps (a 100,000-step range runs as 781 lanes of 128 steps and one of 32).
+A chunk's lane 0 starts from its range's true state and every other lane
+from the zero vector; all lanes of a pass advance together, one numpy
+gather per step, and on a table that is not closed one
+``viterbi.advance`` call computes the arcs that lanes miss at a step. Then
+lane j is walked again from the speculative end of lane j - 1, all lanes
+together, until it meets its own path, as surviving paths of a Viterbi
+decoder merge; from there on its speculative path is exact, and its end
+is the true start of lane j + 1. One gather then reads every step's
+increment off the table. A lane that has not met its path within ``_REWALK`` steps
+is walked alone, one step at a time, from its true start, and so are the
+lanes after it until one is found whose re-walk started from the true
+state; on a periodic graph no lane meets, and all of a chunk but lane 0
+is walked again alone. So the increments are exactly those of a walk one
+step at a time, and past the closure only the states some lane takes are
+interned: graphs whose full space is too large to enumerate (or that are
+periodic) still simulate.
 
 Symbols come from a counter-based generator (SplitMix64 applied to a seed
 plus counter), so position i of the stream depends only on (seed, i). A
@@ -67,16 +69,17 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
-_CHUNK = 1 << 16
+_CHUNK = 1 << 17  # steps of each worker range that one pass walks
 # Steps of the lockstep re-walk; a lane that has not met its path by then
 # is walked alone. Lanes of a graph whose paths merge meet within tens of steps.
 _REWALK = 64
 _TOP_BITS = 12  # a word's top bits index the sampling table
+_WORDS = 1 << 15  # stream words drawn at once
 # A walk of n steps closes a finite space's table up to n // _CLOSURE_SHARE
-# states, so it advances at most that many. On an order-5 quaternary
-# labelling, closing takes about 1.3-1.6 us per state advanced and a walk that
-# interns a new state at nearly every step about 2 us a step (one core of a
-# shared 2-core x86 host), so on a space too large to close the closure costs
+# states, so it advances at most that many. On the order-5 quaternary walk
+# rungs, closing takes about 1.3-1.7 us per state advanced and a walk that
+# interns a state at nearly every step 1.7-1.9 us a step (one core of a
+# shared 2-core x86 host): on a space too large to close the closure costs
 # about 1-2% of the walk, and a space that fits is never filled lane by lane.
 _CLOSURE_SHARE = 64
 
@@ -123,8 +126,13 @@ def source_thresholds(src: SourceModel) -> tuple[np.ndarray, list[int]]:
 def symbol_indices(
     seed: int, start: int, stop: int, bounds: np.ndarray, support: list[int]
 ) -> np.ndarray:
-    """Alphabet indices of stream positions start..stop-1."""
-    return _pick_symbols(random_words(seed, start, stop), bounds, support)
+    """Alphabet indices of stream positions start..stop-1, drawn in blocks
+    of at most ``_WORDS`` words, whose buffers stay in cache."""
+    out = np.empty(stop - start, viterbi.holding(0, support[-1]))
+    for lo in range(start, stop, _WORDS):
+        hi = min(lo + _WORDS, stop)
+        out[lo - start : hi - start] = _pick_symbols(random_words(seed, lo, hi), bounds, support)
+    return out
 
 
 def _pick_symbols(u: np.ndarray, bounds: np.ndarray, support: list[int]) -> np.ndarray:
@@ -183,20 +191,17 @@ def _worker_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     return out
 
 
-def _step(
-    table: ArcTable, states: np.ndarray, xs: np.ndarray, nxt: np.ndarray, incs: np.ndarray
-) -> None:
+def _step(table: ArcTable, states: np.ndarray, xs: np.ndarray, nxt: np.ndarray) -> None:
     """One step of every lane: write the successors of ``states`` under
-    ``xs`` into ``nxt`` and their increments into ``incs``. Missing arcs are
+    ``xs`` into ``nxt``. On a table that is not closed, missing arcs are
     computed in one ``ArcTable.fill`` call."""
     arcs = np.multiply(states, table.succ.shape[1], dtype=np.intp)
     arcs += xs
     table.succ.take(arcs, out=nxt)
-    if nxt.min() < 0:
+    if not table.closed and nxt.min() < 0:
         miss = nxt < 0
         table.fill(states[miss].tolist(), xs[miss].tolist())
         table.succ.take(arcs, out=nxt)
-    table.inc.take(arcs, out=incs)
 
 
 class _Alone:
@@ -205,11 +210,13 @@ class _Alone:
     ``states[i]`` is the table index of number i and ``number`` maps it
     back. ``rows[i * symbols + x]`` is the flat index of the row of the
     successor of i under x (its number times the number of symbols), or a
-    negative number where the table had no arc when the row was read."""
+    negative number where the table had no arc when the row was read, and
+    ``incs[i * symbols + x]`` the increment of that arc."""
 
     def __init__(self, symbols: int):
         self.symbols = symbols
         self.rows: list[int] = []
+        self.incs: list[int] = []
         self.states: list[int] = []
         self.number: dict[int, int] = {}
 
@@ -221,111 +228,120 @@ class _Alone:
             i = self.number[state] = len(self.states)
             self.states.append(state)
             self.rows += [-1] * self.symbols
+            self.incs += [0] * self.symbols
         return i * self.symbols
 
 
-def _walk(table: ArcTable, alone: _Alone, xs: np.ndarray, state: int, out: np.ndarray) -> int:
-    """Write the increments of the walk from ``state`` along the symbol
-    indices ``xs`` into ``out`` and return the state it ends in. ``alone``
-    is what ``_walk_alone`` keeps.
+def _walk(
+    table: ArcTable, alone: _Alone, xss: list[np.ndarray], starts: list[int], outs: list[np.ndarray]
+) -> list[int]:
+    """Write the increments of the walk from each ``starts[b]`` along the
+    symbol indices ``xss[b]`` into ``outs[b]``, all walks in one lockstep
+    loop, and return the states they end in. The walks are n or n - 1
+    steps long, the longer first; ``alone`` is what ``_walk_alone`` keeps.
 
-    The walk is cut into lanes of ``span`` steps, about sqrt(n) and at
-    most ``2 * _REWALK`` (the last lane may be shorter); row t of ``x``,
-    ``paths`` and ``incs`` is step t of every lane. All lanes but the
-    first start from the zero state; ``paths`` holds the state after each
-    step."""
-    n = len(xs)
+    Each walk is cut into ``m`` lanes of ``span`` steps, about sqrt(n) and
+    at most ``2 * _REWALK``, and a last lane of the steps left over. Lane 0
+    starts from the walk's start and every other lane from the zero state.
+    Column ``b * m + j`` of ``x`` and ``paths`` is lane j < m of walk b and
+    column ``len(xss) * m + b`` its last lane, so the lanes still walking
+    at step t (``live[t]``) are a prefix, as ``lasts`` never grows. Row t
+    of ``x`` is step t of every lane and row t of ``paths`` the state
+    before it."""
+    n = len(xss[0])
     span = min(-(-n // isqrt(n)), 2 * _REWALK)
-    lanes = -(-n // span)
-    last = n - (lanes - 1) * span  # steps of the last lane
-    x = np.zeros((lanes, span), xs.dtype)
-    x.ravel()[:n] = xs
+    m = (n - 1) // span
+    walks, lasts = len(xss), [len(xs) - m * span for xs in xss]  # steps of each last lane
+    width = walks * m  # columns of the lanes before the last
+    lanes = width + walks
+    x = np.zeros((lanes, span), xss[0].dtype)
+    for b, (xs, e) in enumerate(zip(xss, lasts)):
+        x[b * m : (b + 1) * m] = xs[: m * span].reshape(m, span)
+        x[width + b, :e] = xs[m * span :]
     x = np.ascontiguousarray(x.T)
-    paths = np.empty((span, lanes), table.succ.dtype)
-    incs = np.empty((span, lanes), np.uint8)
-    start = np.zeros(lanes, table.succ.dtype)
-    start[0] = state
-    for t in range(span):
-        k = lanes if t < last else lanes - 1
-        _step(table, paths[t - 1, :k] if t else start, x[t, :k], paths[t, :k], incs[t, :k])
-    return _verify(table, alone, xs, x, paths, incs, out)
+    live = (lanes - np.searchsorted(lasts[::-1], range(span), side="right")).tolist()
+    paths = np.zeros((span + 1, lanes), table.succ.dtype)
+    paths[0, : walks * max(m, 1) : max(m, 1)] = starts  # lane 0: column b * m, or b if m = 0
+    for t, k in enumerate(live):
+        _step(table, paths[t, :k], x[t, :k], paths[t + 1, :k])
+
+    # Lane j is walked again from the speculative end of lane j - 1 (lane 0
+    # from its start), all lanes together, until every lane has met its own
+    # path or for _REWALK steps. Its states replace the speculative ones, and
+    # one gather then reads every increment: a filled arc never changes.
+    begin = np.column_stack((starts, paths[-1, :width].reshape(walks, m)))  # by walk and lane
+    walked = np.zeros((min(span, _REWALK) + 1, lanes), paths.dtype)
+    walked[0] = np.append(begin[:, :m], begin[:, m])
+    met = np.ones(lanes, bool)
+    for t, k in enumerate(live[: len(walked) - 1]):  # live[0] > 0: the loop runs
+        _step(table, walked[t, :k], x[t, :k], walked[t + 1, :k])
+        if np.equal(walked[t + 1, :k], paths[t + 1, :k], out=met[:k]).all():
+            break
+    paths[: t + 2] = walked[: t + 2]
+    ends = np.append(paths[-1, :width], paths[lasts, width + np.arange(walks)])
+    arcs = np.multiply(paths[:-1], table.succ.shape[1], dtype=np.intp)
+    arcs += x
+    incs = table.inc.take(arcs).T
+    for b, (e, out) in enumerate(zip(lasts, outs)):
+        out[: m * span].reshape(m, span)[:] = incs[b * m : (b + 1) * m]
+        out[m * span :] = incs[width + b, :e]
+    if met.all():
+        return ends[width:].tolist()
+
+    def by_walk(a: np.ndarray) -> list[list[int]]:  # row b: lanes 0..m of walk b
+        return np.column_stack((a[:width].reshape(walks, m), a[width:])).tolist()
+
+    holds = by_walk(np.where(met, walked[0], -1))
+    return [_verify(table, alone, *walk, span) for walk in zip(xss, holds, by_walk(ends), outs)]
 
 
 def _verify(
     table: ArcTable,
     alone: _Alone,
     xs: np.ndarray,
-    x: np.ndarray,
-    paths: np.ndarray,
-    incs: np.ndarray,
+    holds: list[int],
+    ends: list[int],
     out: np.ndarray,
+    span: int,
 ) -> int:
-    """Correct the speculative lanes of ``_walk`` from left to right, write
-    the walk's increments into ``out`` and return its end state.
-
-    First every lane j > 0 is walked again, all together, from the
-    speculative end of lane j - 1, overwriting its increments, for up to
-    ``_REWALK`` steps or until every lane has met its own path; a lane that
-    met it stays on it. That start is true while every lane before has met
-    its path. From the first lane that has not, the walk goes on alone, one
-    step at a time, to the first lane boundary where it is in the state
-    that the next lane's re-walk started from and that lane met its path."""
-    span, lanes = paths.shape
-    n = len(out)
-    last = n - (lanes - 1) * span  # steps of the last lane
-    spec = np.append(paths[-1, :-1], paths[last - 1, -1])  # each lane's speculative end
-    met = np.ones(lanes, bool)
-    cur = spec[:-1]  # lane j starts from the speculative end of lane j - 1
-    for t in range(min(span, _REWALK)):
-        if t == last:  # the last lane has ended
-            met[-1], cur = cur[-1] == spec[-1], cur[:-1]
-        if not len(cur):
-            break
-        k = len(cur) + 1
-        nxt = np.empty_like(cur)
-        _step(table, cur, x[t, 1:k], nxt, incs[t, 1:k])
-        cur = nxt
-        hit = cur == paths[t, 1:k]
-        if hit.all():
-            break
-    else:
-        met[1 : len(cur) + 1] = hit
-    out[:] = incs.T.ravel()[:n]
-    if met.all():
-        return int(spec[-1])
-    symbols = xs.tolist()
-    j = int(np.argmin(met))
-    state = int(spec[j - 1])
-    runs: list[tuple[int, list[int]]] = []  # first step and arcs of each run walked alone
-    while j < lanes:
+    """Walk alone the lanes of one walk of ``_walk`` whose re-walk did not
+    hold, writing their increments into ``out``, and return the state the
+    walk ends in. Lane j takes steps ``j * span`` on; its re-walk ended in
+    ``ends[j]`` and started from ``holds[j]``, or -1 if it did not meet the
+    lane's path. A lane's re-walk started from the speculative end of the
+    lane before, which is true while every lane before has met its path:
+    from the first lane that has not, the walk goes on alone, one step at a
+    time, to the first lane boundary where the next lane's re-walk holds."""
+    if -1 not in holds:
+        return ends[-1]
+    j = holds.index(-1)
+    state = ends[j - 1]
+    while j < len(holds):
         lo = j * span
-        arcs: list[int] = []
+        incs = bytearray()
         while True:
-            state = _walk_alone(table, alone, symbols[j * span : (j + 1) * span], state, arcs)
+            state = _walk_alone(table, alone, xs[j * span : (j + 1) * span].tolist(), state, incs)
             j += 1
-            if j == lanes or (met[j] and state == spec[j - 1]):
+            if j == len(holds) or state == holds[j]:
                 break
-        runs.append((lo, arcs))
-        while j < lanes and met[j] and state == spec[j - 1]:  # lane j's re-walk holds
-            state = int(spec[j])
+        out[lo : lo + len(incs)] = np.frombuffer(incs, np.uint8)
+        while j < len(holds) and state == holds[j]:  # lane j's re-walk holds
+            state = ends[j]
             j += 1
-    inc = table.inc[alone.states].ravel()  # by flat (number, symbol) index
-    for lo, arcs in runs:
-        out[lo : lo + len(arcs)] = inc.take(np.fromiter(arcs, np.intp, len(arcs)))
     return state
 
 
 def _walk_alone(
-    table: ArcTable, alone: _Alone, symbols: list[int], state: int, arcs: list[int]
+    table: ArcTable, alone: _Alone, symbols: list[int], state: int, incs: bytearray
 ) -> int:
     """Walk ``symbols`` from table state ``state`` one step at a time,
-    appending each step's flat (number, symbol) index in ``alone`` to
-    ``arcs``, and return the table state it ends in.
+    appending each step's increment to ``incs``, and return the table
+    state it ends in.
 
     ``alone.rows`` misses the arcs filled by lockstep steps since it read
     their rows: an arc it lacks is read from the table, computed there
     first if the table lacks it too."""
-    n_sym, rows, states = alone.symbols, alone.rows, alone.states
+    n_sym, rows, arc_incs, states = alone.symbols, alone.rows, alone.incs, alone.states
     row = alone.row(state)
     for xi in symbols:
         arc = row + xi
@@ -337,8 +353,9 @@ def _walk_alone(
             rows[arc - xi : arc - xi + n_sym] = [
                 alone.row(s) if s >= 0 else -1 for s in table.succ[si].tolist()
             ]
+            arc_incs[arc - xi : arc - xi + n_sym] = table.inc[si].tolist()
             row = rows[arc]
-        arcs.append(arc)
+        incs.append(arc_incs[arc])
     return states[row // n_sym]
 
 
@@ -378,12 +395,13 @@ def simulate(
         table.close(exact_path_constant(g), budget)
     increments = np.empty(n, dtype=np.uint8)
     alone = _Alone(len(g.alphabet))
-    for start, stop in _worker_ranges(n, workers):
-        state = 0  # each range restarts from the zero state
-        for cs in range(start, stop, _CHUNK):
-            ce = min(cs + _CHUNK, stop)
-            xs = symbol_indices(seed, cs, ce, bounds, support)
-            state = _walk(table, alone, xs, state, increments[cs:ce])
+    ranges = _worker_ranges(n, workers)
+    ends = [0] * len(ranges)  # each range starts from the zero state
+    for c in range(0, ranges[0][1], _CHUNK):  # the first range is the longest
+        chunks = [(lo + c, min(lo + c + _CHUNK, hi)) for lo, hi in ranges if lo + c < hi]
+        xss = [symbol_indices(seed, lo, hi, bounds, support) for lo, hi in chunks]
+        outs = [increments[lo:hi] for lo, hi in chunks]
+        ends[: len(chunks)] = _walk(table, alone, xss, ends[: len(chunks)], outs)
 
     estimate = float(increments.mean())
     batch_count = min(100, n)

@@ -91,6 +91,8 @@ class ArcTable:
     ``len(self)`` on are spare capacity: the table has the least power of
     two of rows that holds its states, so its size depends on the state
     count alone. ``index`` maps the bytes of each state's row to its index.
+    ``closed`` is true once ``close`` has advanced every interned row, so
+    that every successor of every state is in the table.
 
     ``vectors`` holds every component plus 1 (see ``viterbi.holding``), as
     ``viterbi.advance`` requires; a successor that reaches the dtype's
@@ -105,6 +107,7 @@ class ArcTable:
         self.inc = np.zeros((1, len(g.alphabet)), np.uint8)
         self.index: dict[bytes, int] = {self.vectors[0].tobytes(): 0}
         self._top = np.iinfo(self.vectors.dtype).max
+        self.closed = False
 
     def __len__(self) -> int:
         return len(self.index)
@@ -125,9 +128,9 @@ class ArcTable:
         """Advance this table's rows breadth first from the zero vector,
         every successor interned, until every row is advanced or the table
         holds more than ``limit`` states. The table must have advanced no
-        row yet; the rows the closure leaves unadvanced have no arcs. Raises
-        ``ComponentBoundError`` if a component exceeds k, which signals a
-        bug, not bad input.
+        row yet; the rows the closure leaves unadvanced have no arcs, and
+        ``closed`` is set if it leaves none. Raises ``ComponentBoundError``
+        if a component exceeds k, which signals a bug, not bad input.
 
         Each kernel call advances F queued states, with F·D·V at most
         ``_BLOCK``·E for V vertices, E edges and largest in-degree D, so its
@@ -153,6 +156,7 @@ class ArcTable:
                     f" exceeds the bound k={k}"
                 )
             lo = hi
+        self.closed = lo == len(self)
 
     def _intern(self, sel: int | list[int] | slice, positions: Iterable[int]) -> int:
         """Compute every arc of the states ``sel`` selects in one

@@ -373,12 +373,15 @@ def test_simulate_explores_only_the_walk(monkeypatch):
 def test_finite_space_walk_reads_a_closed_table(monkeypatch, name, workers):
     """A 100,000-step walk closes a space of at most 100,000 // 64 states
     before its lanes start: it fills no arc on demand, and its table is the
-    enumerated space, row for row."""
+    enumerated space, row for row. Its ranges take one lockstep pass
+    together: 128 lockstep steps of lanes 128 steps long, counted on the
+    closed table too, and at most 64 steps of their re-walk."""
     g = _walk_graph(name)
     ss = enumerate_states(g)
     assert len(ss) <= 100_000 // 64
     _, table, counts = _walk(monkeypatch, g, 100_000, workers=workers)
     assert counts["fill"] == 0
+    assert 128 < counts["lockstep"] <= 128 + sim._REWALK
     n = len(table)
     for a in ("vectors", "succ", "inc"):
         assert np.array_equal(getattr(table, a)[:n], getattr(ss, a)), a
@@ -501,25 +504,11 @@ _ORDER5Q = _quaternary(5, 5)
 # sqrt rule (129 steps) is capped, so it runs as 127 lanes of 128 and one of
 # 1; 16,383 as 127 of 128 and one of 127 (the rule gives 127 of 129);
 # 16,384 as 128 of 128 either way; 16,385 as 128 of 128 and one of 1;
-# 25,601, whose last capped lane is one step long; and around the chunk
-# length.
-_LENGTHS = (
-    1,
-    2,
-    3,
-    99,
-    100,
-    101,
-    16_257,
-    16_383,
-    16_384,
-    16_385,
-    25_601,
-    sim._CHUNK - 1,
-    sim._CHUNK,
-    sim._CHUNK + 1,
-    100_000,
-)
+# 25,601, whose last capped lane is one step long; 32,769, which two
+# workers split into ranges of 16,385 and 16,384 steps, walked in one pass
+# whose second range has an empty last lane. Walks of several chunks are
+# tested with a shorter chunk in test_uneven_chunks_hand_on_their_true_end.
+_LENGTHS = (1, 2, 3, 99, 100, 101, 16_257, 16_383, 16_384, 16_385, 25_601, 32_769, 100_000)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
@@ -590,12 +579,15 @@ def test_lanes_that_have_not_met_are_walked_alone(monkeypatch, rewalk):
 
 
 def test_uneven_chunks_hand_on_their_true_end(monkeypatch):
-    """With a chunk length that is not a square, each chunk's last lane is
-    shorter than the others (1,000 steps run as 30 lanes of 33 and one of
-    10) and may end before it meets its path; the state each chunk hands to
-    the next is still the true one."""
+    """With a chunk length of 1,000 steps, a range of a 7,919-step walk
+    spans several chunks, and each pass walks the chunks of every range in
+    one lockstep loop. The chunk length is not a square, so each chunk's
+    last lane is shorter than the others (1,000 steps run as 30 lanes of 33
+    and one of 10) and may end before it meets its path; the last pass
+    walks chunks n and n - 1 steps long (132 and 131 at 7 workers). The
+    state each chunk hands to the next pass is still the true one."""
     monkeypatch.setattr(sim, "_CHUNK", 1000)
-    for g in (debruijn8_demo(), XOR4, PERIODIC):
-        for workers in (1, 3):
+    for g in (debruijn8_demo(), XOR4, _ORDER5Q, PERIODIC):
+        for workers in (1, 2, 3, 7):
             r = simulate(g, SourceModel.uniform(g.alphabet), n=7919, seed=5, workers=workers)
             assert (r.increments == walk_increments(g, 7919, 5, workers)).all(), workers

@@ -105,7 +105,8 @@ def test_closure_stops_past_its_limit(monkeypatch, debruijn8, block, limit):
     is a prefix of the enumeration: the same states in the same order, and
     the same arcs for the states it advanced, which are at most ``limit``
     and come first. It interns at most (symbols + 1)·``limit`` states; every
-    state after those it advanced has no arc."""
+    state after those it advanced has no arc. The table is marked closed
+    exactly when the closure advanced every state it interned."""
     ss = enumerate_states(debruijn8)
     monkeypatch.setattr(statespace, "_BLOCK", block)
     table = statespace.ArcTable(debruijn8, np.intp)
@@ -115,8 +116,10 @@ def test_closure_stops_past_its_limit(monkeypatch, debruijn8, block, limit):
     assert (table.succ[lo:n] == -1).all()
     if limit >= len(ss):
         assert lo == n == len(ss)
+        assert table.closed
     else:
         assert lo <= limit < n <= max(1, (n_sym + 1) * limit)
+        assert not table.closed
     assert np.array_equal(table.vectors[:n], ss.vectors[:n])
     assert np.array_equal(table.succ[:lo], ss.succ[:lo])
     assert np.array_equal(table.inc[:lo], ss.inc[:lo])

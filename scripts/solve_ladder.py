@@ -27,8 +27,8 @@ order-5 quaternary labellings, whose spaces are too large to enumerate,
 and the periodic two-vertex graph ``v w a / w v b``, on which no lane of
 the walk meets its path and the walk goes on alone. Each runs three
 times, each time in its own child process: ``runs`` keeps every run's
-seconds, peak RSS and increment sum, and the rung's ``seconds`` is the
-fastest of them.
+seconds (to the microsecond), peak RSS and increment sum, and the rung's
+``seconds`` is the fastest of them.
 
 The report also names the git commit (marked "-dirty" when tracked files
 differ from it), the Python, numpy and scipy versions (scipy "absent"
@@ -159,7 +159,7 @@ def measure_walk(name: str) -> dict:
     start = time.perf_counter()
     walked = simulate(g, SourceModel.uniform(g.alphabet), n=WALK_N, seed=WALK_SEED)
     return {
-        "seconds": round(time.perf_counter() - start, 3),
+        "seconds": round(time.perf_counter() - start, 6),  # walks take milliseconds
         "steps": WALK_N,
         "increment_sum": int(walked.increments.sum()),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

@@ -16,19 +16,24 @@ steps (a 100,000-step range runs as 781 lanes of 128 steps and one of 32).
 A chunk's lane 0 starts from its range's true state and every other lane
 from the zero vector; all lanes of a pass advance together, one numpy
 gather per step, and on a table that is not closed one
-``viterbi.advance`` call computes the arcs that lanes miss at a step. Then
-lane j is walked again from the speculative end of lane j - 1, all lanes
-together, until it meets its own path, as surviving paths of a Viterbi
-decoder merge; from there on its speculative path is exact, and its end
-is the true start of lane j + 1. One gather then reads every step's
-increment off the table. A lane that has not met its path within ``_REWALK`` steps
-is walked alone, one step at a time, from its true start, and so are the
-lanes after it until one is found whose re-walk started from the true
-state; on a periodic graph no lane meets, and all of a chunk but lane 0
-is walked again alone. So the increments are exactly those of a walk one
-step at a time, and past the closure only the states some lane takes are
-interned: graphs whose full space is too large to enumerate (or that are
-periodic) still simulate.
+``viterbi.advance`` call computes the arcs that lanes miss at a step. On a
+closed table a step takes a word of d symbols, as radix-4 Viterbi decoders
+take two trellis stages: d is the largest of 1, 2, 4 and 8, at most
+``_REWALK``, whose word table of states times symbols^d arcs is no larger
+than the pass's steps (4 on debruijn8 and 2 on the 927-state XOR
+labelling at 100,000 steps). Then lane j is walked again from the
+speculative end of lane j - 1, all lanes together, until it meets its own
+path at a word boundary, as surviving paths of a Viterbi decoder merge;
+from there on its speculative path is exact, and its end is the true start
+of lane j + 1. One gather then reads every word's increments off the
+table. A lane that has not met its path within ``_REWALK`` steps is walked
+alone, one symbol at a time, from its true start, and so are the lanes
+after it until one is found whose re-walk started from the true state; on
+a periodic graph no lane meets, and all of a chunk but lane 0 is walked
+again alone. So the increments are exactly those of a walk one step at a
+time, and past the closure only the states some lane takes are interned:
+graphs whose full space is too large to enumerate (or that are periodic)
+still simulate.
 
 Symbols come from a counter-based generator (SplitMix64 applied to a seed
 plus counter), so position i of the stream depends only on (seed, i). A
@@ -70,8 +75,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 _CHUNK = 1 << 17  # steps of each worker range that one pass walks
-# Steps of the lockstep re-walk; a lane that has not met its path by then
-# is walked alone. Lanes of a graph whose paths merge meet within tens of steps.
+# Steps of the lockstep re-walk, taken as _REWALK // d words of d symbols; a lane that
+# has not met its path by then is walked alone; where paths merge, lanes meet within tens of steps.
 _REWALK = 64
 _TOP_BITS = 12  # a word's top bits index the sampling table
 _WORDS = 1 << 15  # stream words drawn at once
@@ -191,10 +196,10 @@ def _worker_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     return out
 
 
-def _step(table: ArcTable, states: np.ndarray, xs: np.ndarray, nxt: np.ndarray) -> None:
-    """One step of every lane: write the successors of ``states`` under
-    ``xs`` into ``nxt``. On a table that is not closed, missing arcs are
-    computed in one ``ArcTable.fill`` call."""
+def _step(table: ArcTable | _Words, states: np.ndarray, xs: np.ndarray, nxt: np.ndarray) -> None:
+    """One lockstep step of every lane: write the successors of ``states``
+    under the symbols or words ``xs`` into ``nxt``. On a table that is not
+    closed, missing arcs are computed in one ``ArcTable.fill`` call."""
     arcs = np.multiply(states, table.succ.shape[1], dtype=np.intp)
     arcs += xs
     table.succ.take(arcs, out=nxt)
@@ -232,6 +237,35 @@ class _Alone:
         return i * self.symbols
 
 
+class _Words:
+    """A closed table's arcs over words of d symbols (see ``_words``)."""
+
+    closed = True
+
+    def __init__(self, succ: np.ndarray, inc: np.ndarray):
+        self.succ, self.inc = succ, inc
+
+
+def _words(table: ArcTable, steps: int) -> tuple[ArcTable | _Words, int]:
+    """The table that the lockstep steps of a pass of ``steps`` steps read,
+    and the d symbols each takes, by the rule in the module docstring (8
+    bits fill an ``inc`` byte); for d = 1 it is ``table``. For d > 1,
+    ``succ[s, w]`` is the state d steps from s along word w, whose i-th
+    symbol is its base-S digit d - 1 - i, and bit i of ``inc[s, w]`` is
+    step i's increment. They are built by doubling, for j = 1, 2, 4:
+    T_2j[s, u S^j + v] = T_j[T_j[s, u], v] and
+    I_2j[s, u S^j + v] = I_j[s, u] | I_j[T_j[s, u], v] << j."""
+    n, n_sym = len(table), table.succ.shape[1]
+    d = 1
+    while table.closed and 2 * d <= min(8, _REWALK) and n * n_sym ** (2 * d) <= steps:
+        d *= 2
+    succ, inc = table.succ[:n], table.inc[:n]
+    for j in (1, 2, 4)[: d.bit_length() - 1]:  # take(axis=0) gathers rows faster than [succ]
+        inc = (inc[:, :, None] | inc.take(succ, 0) << j).reshape(n, -1)
+        succ = succ.take(succ, 0).reshape(n, -1)
+    return (_Words(succ, inc) if d > 1 else table), d
+
+
 def _walk(
     table: ArcTable, alone: _Alone, xss: list[np.ndarray], starts: list[int], outs: list[np.ndarray]
 ) -> list[int]:
@@ -240,51 +274,67 @@ def _walk(
     loop, and return the states they end in. The walks are n or n - 1
     steps long, the longer first; ``alone`` is what ``_walk_alone`` keeps.
 
-    Each walk is cut into ``m`` lanes of ``span`` steps, about sqrt(n) and
-    at most ``2 * _REWALK``, and a last lane of the steps left over. Lane 0
-    starts from the walk's start and every other lane from the zero state.
-    Column ``b * m + j`` of ``x`` and ``paths`` is lane j < m of walk b and
-    column ``len(xss) * m + b`` its last lane, so the lanes still walking
-    at step t (``live[t]``) are a prefix, as ``lasts`` never grows. Row t
-    of ``x`` is step t of every lane and row t of ``paths`` the state
+    Each walk is cut into ``m`` lanes of ``span`` words of d symbols (see
+    ``_words``), about sqrt(n) and at most ``2 * _REWALK`` steps, and a last
+    lane of the steps left over, whose last word is padded with symbol 0:
+    the walk's end is reached from that word's start one symbol at a time.
+    Lane 0 starts from the walk's start and every other lane from the zero
+    state. Column ``b * m + j`` of ``x`` and ``paths`` is lane j < m of walk
+    b and column ``len(xss) * m + b`` its last lane, so the lanes still
+    walking at step t (``live[t]``) are a prefix, as ``lasts`` never grows.
+    Row t of ``x`` is word t of every lane and row t of ``paths`` the state
     before it."""
+    words, d = _words(table, sum(map(len, xss)))
+    n_sym, n_words = table.succ.shape[1], words.succ.shape[1]  # S and S^d
     n = len(xss[0])
-    span = min(-(-n // isqrt(n)), 2 * _REWALK)
-    m = (n - 1) // span
-    walks, lasts = len(xss), [len(xs) - m * span for xs in xss]  # steps of each last lane
+    span = max(1, min(-(-n // isqrt(n)), 2 * _REWALK) // d)
+    steps = span * d  # of each lane before the last
+    m = (n - 1) // steps
+    walks, lasts = len(xss), [len(xs) - m * steps for xs in xss]  # steps of each last lane
     width = walks * m  # columns of the lanes before the last
     lanes = width + walks
-    x = np.zeros((lanes, span), xss[0].dtype)
+    x = np.zeros((lanes, steps), xss[0].dtype)
     for b, (xs, e) in enumerate(zip(xss, lasts)):
-        x[b * m : (b + 1) * m] = xs[: m * span].reshape(m, span)
-        x[width + b, :e] = xs[m * span :]
+        x[b * m : (b + 1) * m] = xs[: m * steps].reshape(m, steps)
+        x[width + b, :e] = xs[m * steps :]
+    symbols = x.reshape(lanes, span, d)
+    x = symbols[..., 0].astype(viterbi.holding(0, n_words - 1))
+    for i in range(1, d):  # a word's first symbol is its top digit
+        x *= n_sym
+        x += symbols[..., i]
     x = np.ascontiguousarray(x.T)
-    live = (lanes - np.searchsorted(lasts[::-1], range(span), side="right")).tolist()
+    tails = [-(-e // d) for e in lasts]  # words of each last lane
+    live = (lanes - np.searchsorted(tails[::-1], range(span), side="right")).tolist()
     paths = np.zeros((span + 1, lanes), table.succ.dtype)
     paths[0, : walks * max(m, 1) : max(m, 1)] = starts  # lane 0: column b * m, or b if m = 0
     for t, k in enumerate(live):
-        _step(table, paths[t, :k], x[t, :k], paths[t + 1, :k])
+        _step(words, paths[t, :k], x[t, :k], paths[t + 1, :k])
 
     # Lane j is walked again from the speculative end of lane j - 1 (lane 0
     # from its start), all lanes together, until every lane has met its own
-    # path or for _REWALK steps. Its states replace the speculative ones, and
-    # one gather then reads every increment: a filled arc never changes.
+    # path at a word boundary or for _REWALK steps. Its states replace the
+    # speculative ones, and one gather then reads every word's increment
+    # bits: a filled arc never changes.
     begin = np.column_stack((starts, paths[-1, :width].reshape(walks, m)))  # by walk and lane
-    walked = np.zeros((min(span, _REWALK) + 1, lanes), paths.dtype)
+    walked = np.zeros((min(span, _REWALK // d) + 1, lanes), paths.dtype)
     walked[0] = np.append(begin[:, :m], begin[:, m])
     met = np.ones(lanes, bool)
     for t, k in enumerate(live[: len(walked) - 1]):  # live[0] > 0: the loop runs
-        _step(table, walked[t, :k], x[t, :k], walked[t + 1, :k])
+        _step(words, walked[t, :k], x[t, :k], walked[t + 1, :k])
         if np.equal(walked[t + 1, :k], paths[t + 1, :k], out=met[:k]).all():
             break
     paths[: t + 2] = walked[: t + 2]
-    ends = np.append(paths[-1, :width], paths[lasts, width + np.arange(walks)])
-    arcs = np.multiply(paths[:-1], table.succ.shape[1], dtype=np.intp)
+    ends = np.append(paths[-1, :width], paths[[e // d for e in lasts], width + np.arange(walks)])
+    for b, (xs, e) in enumerate(zip(xss, lasts)):  # the steps of a last word cut short
+        for xi in xs[len(xs) - e % d :].tolist():
+            ends[width + b] = table.succ[ends[width + b], xi]
+    arcs = np.multiply(paths[:-1], n_words, dtype=np.intp)
     arcs += x
-    incs = table.inc.take(arcs).T
-    for b, (e, out) in enumerate(zip(lasts, outs)):
-        out[: m * span].reshape(m, span)[:] = incs[b * m : (b + 1) * m]
-        out[m * span :] = incs[width + b, :e]
+    incs = words.inc.take(arcs).T
+    bits = np.arange(1 << d, dtype=np.uint8)[:, None] >> np.arange(d, dtype=np.uint8) & 1
+    for b, (e, out) in enumerate(zip(lasts, outs)):  # bits[v, i] is bit i of v
+        bits.take(incs[b * m : (b + 1) * m], 0, out[: m * steps].reshape(m, span, d), "clip")
+        out[m * steps :] = bits.take(incs[width + b, : tails[b]], 0).ravel()[:e]
     if met.all():
         return ends[width:].tolist()
 
@@ -292,7 +342,7 @@ def _walk(
         return np.column_stack((a[:width].reshape(walks, m), a[width:])).tolist()
 
     holds = by_walk(np.where(met, walked[0], -1))
-    return [_verify(table, alone, *walk, span) for walk in zip(xss, holds, by_walk(ends), outs)]
+    return [_verify(table, alone, *walk, steps) for walk in zip(xss, holds, by_walk(ends), outs)]
 
 
 def _verify(

@@ -87,10 +87,10 @@ class ArcTable:
     """Reduced states in the order they are first interned, the zero vector
     first, in ``StateSpace``'s layout: row i of ``vectors`` is state i,
     ``succ[i, x]`` its successor under symbol index x, -1 until the arc is
-    computed, and ``inc[i, x]`` that arc's increment. Rows from
-    ``len(self)`` on are spare capacity: the table has the least power of
-    two of rows that holds its states, so its size depends on the state
-    count alone. ``index`` maps the bytes of each state's row to its index.
+    computed, and ``inc[i, x]`` that arc's increment, unset until then.
+    Rows from ``len(self)`` on are spare capacity, unset but for ``succ``:
+    the table has the least power of two of rows that holds its states, so
+    its size depends on the state count alone. ``index`` maps the bytes of each state's row to its index.
     ``closed`` is true once ``close`` has advanced every interned row, so
     that every successor of every state is in the table.
 
@@ -182,9 +182,9 @@ class ArcTable:
                 fresh.append(pos)
         if len(index) > len(self.vectors):  # a power of two, whatever the batches
             cap = 1 << (len(index) - 1).bit_length()
-            self.vectors = _grown(self.vectors, cap, 0)
+            self.vectors = _grown(self.vectors, cap)
             self.succ = _grown(self.succ, cap, -1)
-            self.inc = _grown(self.inc, cap, 0)
+            self.inc = _grown(self.inc, cap)
         if fresh:
             t.take(fresh, axis=0, out=self.vectors[n : len(index)])
         succ = np.fromiter(map(index.get, keys, repeat(-1)), self.succ.dtype, len(keys))
@@ -193,9 +193,13 @@ class ArcTable:
         return top
 
 
-def _grown(a: np.ndarray, rows: int, fill: int) -> np.ndarray:
-    out = np.full((rows,) + a.shape[1:], fill, a.dtype)
+def _grown(a: np.ndarray, rows: int, fill: int | None = None) -> np.ndarray:
+    """``a`` with rows up to ``rows``; the new rows are set to ``fill``, or
+    left unset where a row is written before it is read."""
+    out = np.empty((rows,) + a.shape[1:], a.dtype)
     out[: len(a)] = a
+    if fill is not None:
+        out[len(a) :] = fill
     return out
 
 

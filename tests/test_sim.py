@@ -24,12 +24,14 @@ from tcq import (
     viterbi,
     z_score,
 )
+from tcq.graph import exact_path_constant
 from tcq.sim import (
     _worker_ranges,
     random_words,
     source_thresholds,
     symbol_indices,
 )
+from tcq.statespace import ArcTable
 
 MASK = (1 << 64) - 1
 
@@ -374,14 +376,18 @@ def test_finite_space_walk_reads_a_closed_table(monkeypatch, name, workers):
     """A 100,000-step walk closes a space of at most 100,000 // 64 states
     before its lanes start: it fills no arc on demand, and its table is the
     enumerated space, row for row. Its ranges take one lockstep pass
-    together: 128 lockstep steps of lanes 128 steps long, counted on the
-    closed table too, and at most 64 steps of their re-walk."""
+    together, d symbols a step: d is 4 on debruijn8 (107 · 4^4 = 27,392
+    word arcs) and 2 on the XOR labelling (927 · 4^2 = 14,832; 4 would
+    need 237,312, more than the 100,000 steps). So lanes 128 steps long
+    take 128 / d lockstep steps, counted on the closed table too, and their
+    re-walk at most 64 / d."""
     g = _walk_graph(name)
     ss = enumerate_states(g)
     assert len(ss) <= 100_000 // 64
     _, table, counts = _walk(monkeypatch, g, 100_000, workers=workers)
     assert counts["fill"] == 0
-    assert 128 < counts["lockstep"] <= 128 + sim._REWALK
+    d = {"debruijn8": 4, "xor4": 2}[name]
+    assert 128 // d < counts["lockstep"] <= (128 + sim._REWALK) // d
     n = len(table)
     for a in ("vectors", "succ", "inc"):
         assert np.array_equal(getattr(table, a)[:n], getattr(ss, a)), a
@@ -490,14 +496,15 @@ def test_walks_alone_keep_rows_of_the_states_they_reach(monkeypatch):
     assert (r.increments == walk_increments(_ORDER5Q, 20_000, 0, 1)).all()
 
 
-def _quaternary(order: int, seed: int):
-    """A random quaternary labelling of the order-``order`` de Bruijn graph."""
+def _labelling(order: int, seed: int, symbols: str = "abcd"):
+    """A random labelling of the order-``order`` de Bruijn graph, quaternary
+    unless ``symbols`` says otherwise."""
     rng = random.Random(seed)
-    return de_bruijn(order, tuple(rng.choice("abcd") for _ in range(2 ** (order + 1))))
+    return de_bruijn(order, tuple(rng.choice(symbols) for _ in range(2 ** (order + 1))))
 
 
-_ORDER3Q = _quaternary(3, 3)
-_ORDER5Q = _quaternary(5, 5)
+_ORDER3Q = _labelling(3, 3)
+_ORDER5Q = _labelling(5, 5)
 # Lengths around lane boundaries: 99 is 9 full lanes of 11 steps, 100 is 10
 # of 10, 101 is 9 of 11 and one of 2; around the lengths where lanes reach
 # their cap of 2 * _REWALK = 128 steps: 16,257 is the first length whose
@@ -591,3 +598,121 @@ def test_uneven_chunks_hand_on_their_true_end(monkeypatch):
         for workers in (1, 2, 3, 7):
             r = simulate(g, SourceModel.uniform(g.alphabet), n=7919, seed=5, workers=workers)
             assert (r.increments == walk_increments(g, 7919, 5, workers)).all(), workers
+
+
+# A random binary labelling of the order-3 de Bruijn graph: 239 states, so a
+# pass of 100,000 steps walks it a byte of symbols at a time (239 · 2^8 =
+# 61,184 word arcs).
+_ORDER3B = _labelling(3, 4, "ab")
+
+
+def _closed_table(g) -> ArcTable:
+    table = ArcTable(g, np.intp)
+    table.close(exact_path_constant(g), 10**6)
+    assert table.closed
+    return table
+
+
+@pytest.mark.parametrize("name, d", [("debruijn8", 4), ("xor4", 2), ("order3b", 8)])
+def test_word_tables_take_d_steps(monkeypatch, name, d):
+    """For every state and word, the word table of a 100,000-step pass
+    holds the state that d single steps reach and, in bit i, the increment
+    of step i; a word's first symbol is its top base-S digit. d is the
+    largest power of two up to 8 whose table of states · S^d entries fits
+    in the pass's steps, and at most _REWALK; it is 1, and the table is the
+    symbol table, on a table that is not closed."""
+    g = _ORDER3B if name == "order3b" else _walk_graph(name)
+    table = _closed_table(g)
+    words, got = sim._words(table, 100_000)
+    assert got == d
+    n, n_sym = len(table), len(g.alphabet)
+    state = np.repeat(np.arange(n)[:, None], n_sym**d, axis=1)
+    bits = np.zeros_like(state)
+    for i in range(d):  # step i of every word from every state
+        xi = np.arange(n_sym**d) // n_sym ** (d - 1 - i) % n_sym
+        bits |= table.inc[state, xi].astype(np.intp) << i
+        state = table.succ[state, xi]
+    assert np.array_equal(words.succ, state)
+    assert np.array_equal(words.inc, bits)
+    assert sim._words(table, n * n_sym**d - 1)[1] == d // 2
+    monkeypatch.setattr(sim, "_REWALK", 3)
+    assert sim._words(table, 100_000)[1] == min(d, 2)
+    fresh = ArcTable(g, np.intp)
+    assert sim._words(fresh, 10**9) == (fresh, 1)
+
+
+def _recorded_words(monkeypatch) -> list[int]:
+    """The d of every pass that ``simulate`` walks from here on."""
+    used = []
+    words = sim._words
+
+    def recorded(table, steps):
+        out = words(table, steps)
+        used.append(out[1])
+        return out
+
+    monkeypatch.setattr(sim, "_words", recorded)
+    return used
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_word_walks_match_the_one_step_oracle(monkeypatch, workers):
+    """Walks of d symbols a lockstep step give the increments of the walk
+    one step at a time when the walk is not a whole number of words."""
+    used = _recorded_words(monkeypatch)
+    for g, n, d in ((debruijn8_demo(), 100_003, 4), (XOR4, 100_001, 2)):
+        r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=6, workers=workers)
+        assert used.pop() == d and n % d
+        assert (r.increments == walk_increments(g, n, 6, workers)).all(), (n, workers)
+
+
+@pytest.mark.parametrize("n, workers, d", [(64, 20, 4), (300, 40, 8)])
+def test_ranges_shorter_than_a_word(monkeypatch, selfloop_ab, n, workers, d):
+    """A range shorter than one word is one lane of one word cut short, and
+    gives the increments of the walk one step at a time. One state and two
+    symbols close within a 64-step walk's budget: 64 steps take words of 4
+    symbols and run as ranges of 4 and 3 steps at W = 20, 300 steps words
+    of 8 and ranges of 8 and 7 at W = 40."""
+    used = _recorded_words(monkeypatch)
+    r = simulate(selfloop_ab, SourceModel.uniform(selfloop_ab.alphabet), n=n, seed=6, workers=workers)
+    assert used == [d]
+    assert min(hi - lo for lo, hi in _worker_ranges(n, workers)) < d
+    assert (r.increments == walk_increments(selfloop_ab, n, 6, workers)).all()
+
+
+@pytest.mark.parametrize("chunk", [1000, 1001])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_word_walks_hand_on_their_true_end(monkeypatch, g3, chunk, workers):
+    """With a chunk of 1,000 or 1,001 steps, each range of a 7,919-step
+    walk spans several passes, walked in words of up to 8 symbols (2 on
+    debruijn8 from two workers on). A chunk of 1,001 steps ends inside its
+    last word, and the state it hands to the next pass is still the true
+    one."""
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    used = _recorded_words(monkeypatch)
+    for g in (debruijn8_demo(), _ORDER3B, g3):
+        r = simulate(g, SourceModel.uniform(g.alphabet), n=7919, seed=8, workers=workers)
+        assert (r.increments == walk_increments(g, 7919, 8, workers)).all(), workers
+    assert 8 in used and (workers == 1 or 2 in used)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_word_walks_walk_unmet_lanes_alone(monkeypatch, workers):
+    """On debruijn8 at seed 5, some lane does not meet its path within the
+    re-walk's 16 words of 4 symbols, and is walked alone one symbol at a
+    time; the increments are still those of the walk one step at a time."""
+    used = _recorded_words(monkeypatch)
+    calls = 0
+    alone = sim._walk_alone
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return alone(*args)
+
+    monkeypatch.setattr(sim, "_walk_alone", counted)
+    g = debruijn8_demo()
+    for n in (100_000, 100_003):
+        r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=5, workers=workers)
+        assert (r.increments == walk_increments(g, n, 5, workers)).all(), n
+    assert used == [4, 4] and calls > 0

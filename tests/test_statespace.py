@@ -32,6 +32,7 @@ from tcq import (
     graph_from_edges,
     parse_graph,
     reduced_transition,
+    simulate,
     statespace,
     zero_state,
 )
@@ -365,3 +366,34 @@ def test_state_space_equality(g3, debruijn8):
     assert (renamed.vectors.tolist(), renamed.succ.tolist()) == (a.vectors.tolist(), a.succ.tolist())
     assert a != renamed
     assert a != tuple_states(a)
+
+
+def test_unset_spare_rows_are_never_read(monkeypatch, debruijn8):
+    """A table's spare rows of ``vectors`` and ``inc`` are left unset when it
+    grows; filled with garbage instead, they change neither an enumeration
+    nor a walk: on debruijn8 (closed before the walk), on an order-5
+    quaternary labelling whose walk fills the table lane by lane, and on a
+    periodic graph whose vectors widen."""
+    rng = random.Random(5)
+    order5q = de_bruijn(5, tuple(rng.choice("abcd") for _ in range(64)))
+    periodic = parse_graph("alphabet a b\nedge v w a\nedge w v b\n")
+    walks = ((debruijn8, 100_000), (order5q, 2000), (periodic, 100_000))
+
+    def run():
+        ss = enumerate_states(debruijn8)
+        return ss, [simulate(g, SourceModel.uniform(g.alphabet), n, seed=2) for g, n in walks]
+
+    ss, clean = run()
+    grown = statespace._grown
+
+    def garbled(a, rows, fill=None):
+        out = grown(a, rows, fill)
+        if fill is None:
+            out[len(a) :] = np.iinfo(out.dtype).max
+        return out
+
+    monkeypatch.setattr(statespace, "_grown", garbled)
+    garbled_ss, garbled_walks = run()
+    assert garbled_ss == ss
+    for a, b in zip(clean, garbled_walks):
+        assert np.array_equal(a.increments, b.increments)

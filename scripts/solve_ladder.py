@@ -28,7 +28,10 @@ and the periodic two-vertex graph ``v w a / w v b``, on which no lane of
 the walk meets its path and the walk goes on alone. Each runs three
 times, each time in its own child process: ``runs`` keeps every run's
 seconds (to the microsecond), peak RSS and increment sum, and the rung's
-``seconds`` is the fastest of them.
+``seconds`` is the fastest of them. After the timed walk and its peak RSS,
+the child walks again, untimed, counting the steps walked alone
+(``alone_steps``) and the word size d of each pass (``pass_d``), which
+``runs`` keeps too.
 
 The report also names the git commit (marked "-dirty" when tracked files
 differ from it), the Python, numpy and scipy versions (scipy "absent"
@@ -153,17 +156,34 @@ def measure(name: str) -> dict:
 
 def measure_walk(name: str) -> dict:
     """One walk rung, in this process: what the child prints."""
-    from tcq import SourceModel, simulate
+    from tcq import SourceModel, sim, simulate
 
     g = rung_graph(name)
+    src = SourceModel.uniform(g.alphabet)
     start = time.perf_counter()
-    walked = simulate(g, SourceModel.uniform(g.alphabet), n=WALK_N, seed=WALK_SEED)
-    return {
+    walked = simulate(g, src, n=WALK_N, seed=WALK_SEED)
+    record = {
         "seconds": round(time.perf_counter() - start, 6),  # walks take milliseconds
         "steps": WALK_N,
         "increment_sum": int(walked.increments.sum()),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "alone_steps": 0,
+        "pass_d": [],
     }
+    walk_alone, words = sim._walk_alone, sim._words
+
+    def counted_alone(table, alone, symbols, *args):
+        record["alone_steps"] += len(symbols)
+        return walk_alone(table, alone, symbols, *args)
+
+    def counted_words(*args):
+        out = words(*args)
+        record["pass_d"].append(out[1])
+        return out
+
+    sim._walk_alone, sim._words = counted_alone, counted_words
+    simulate(g, src, n=WALK_N, seed=WALK_SEED)  # untimed: counts the walk's traffic
+    return record
 
 
 def run_child(name: str) -> dict:
@@ -211,7 +231,10 @@ def run_walk(name: str) -> dict:
     return {
         **runs[0],
         "seconds": min(r["seconds"] for r in runs),
-        "runs": [{k: r[k] for k in ("seconds", "peak_rss_mb", "increment_sum")} for r in runs],
+        "runs": [
+            {k: r[k] for k in ("seconds", "peak_rss_mb", "increment_sum", "alone_steps", "pass_d")}
+            for r in runs
+        ],
     }
 
 

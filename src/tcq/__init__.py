@@ -80,7 +80,6 @@ from .viterbi import (
     count_paths,
     encode,
     reduced_transition,
-    zero_state,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import sim
 from .chain import SourceModel, analyze, decimal_string
-from .errors import Error, GraphFormatError, GraphStructureError, SourceError
+from .errors import Error, GraphFormatError, SourceError
 from .graph import de_bruijn, debruijn8_demo, parse_graph, serialize_graph
 from .rd import blahut, gap_report, hamming_rd_closed_form
 from .statespace import enumerate_states, format_statespace
@@ -145,12 +145,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
     src = SourceModel.parse(args.source, g.alphabet)
-    sourceless = g.in_edge_arrays.sourceless
-    if sourceless is not None:
-        raise GraphStructureError(
-            f"vertex {g.vertices[sourceless]!r} has no incoming edge; "
-            "the walk needs one per vertex"
-        )
     result = sim.simulate(g, src, n=args.n, seed=args.seed, workers=args.parallel)
     exact = None
     if args.exact:

@@ -9,18 +9,19 @@ off the closed table; any other arc is computed when some lane first takes
 it.
 
 The walk takes every worker range at once, in passes over their c-th
-chunks of ``_CHUNK`` steps. Each chunk is cut into lanes of about
-sqrt(length) steps, but at most 2 * ``_REWALK``: the re-walk gives a lane
-``_REWALK`` steps to meet its path, and a longer lane only adds lockstep
-steps (a 100,000-step range runs as 781 lanes of 128 steps and one of 32).
-A chunk's lane 0 starts from its range's true state and every other lane
-from the zero vector; all lanes of a pass advance together, one numpy
-gather per step, and on a table that is not closed one
-``viterbi.advance`` call computes the arcs that lanes miss at a step. On a
-closed table a step takes a word of d symbols, as radix-4 Viterbi decoders
-take two trellis stages: d is the largest of 1, 2, 4 and 8, at most
-``_REWALK``, whose word table of states times symbols^d arcs is no larger
-than the pass's steps (4 on debruijn8 and 2 on the 927-state XOR
+chunks of ``_CHUNK`` steps. Every chunk of a pass is cut into the same
+number of lanes of about sqrt(length) steps, but at most 2 * ``_REWALK``:
+the re-walk gives a lane ``_REWALK`` steps to meet its path, and a longer
+lane only adds lockstep steps. A chunk's last lane is padded with symbol 0
+to full length (a 100,000-step range runs as 782 lanes of 128 steps, the
+last walking 32), so every lane of a pass advances at every step, one
+numpy gather per step; lane 0 starts from its range's true state and
+every other lane from the zero vector, and on a table that is not closed
+one ``viterbi.advance`` call computes the arcs that lanes miss at a step.
+On a closed table a step takes a word of d symbols, as radix-4 Viterbi
+decoders take two trellis stages: d is the largest of 1, 2, 4 and 8, at
+most ``_REWALK``, whose word table of states times symbols^d arcs is no
+larger than the pass's steps (4 on debruijn8 and 2 on the 927-state XOR
 labelling at 100,000 steps). Then lane j is walked again from the
 speculative end of lane j - 1, all lanes together, until it meets its own
 path at a word boundary, as surviving paths of a Viterbi decoder merge;
@@ -56,17 +57,16 @@ are those of a search over every word.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import copysign, isqrt, sqrt
 
 import numpy as np
 
 from . import viterbi
 from .chain import SourceModel
-from .errors import SimulationLimitError, SourceError
+from .errors import GraphStructureError, SimulationLimitError, SourceError
 from .graph import LabeledGraph, exact_path_constant, validate
 from .statespace import ArcTable
 
@@ -210,13 +210,14 @@ def _step(table: ArcTable | _Words, states: np.ndarray, xs: np.ndarray, nxt: np.
 
 
 class _Alone:
-    """What ``_walk_alone`` keeps across calls, over only the states that
-    walks alone have reached or read a row of, numbered in that order:
-    ``states[i]`` is the table index of number i and ``number`` maps it
-    back. ``rows[i * symbols + x]`` is the flat index of the row of the
-    successor of i under x (its number times the number of symbols), or a
-    negative number where the table had no arc when the row was read, and
-    ``incs[i * symbols + x]`` the increment of that arc."""
+    """What ``_walk_alone`` keeps across one pass of ``_walk`` that has a lane
+    to walk alone, over only the states that walks alone have reached or read
+    a row of, numbered in that order: ``states[i]`` is the table index of
+    number i and ``number`` maps it back. ``rows[i * symbols + x]`` is the
+    flat index of the row of the successor of i under x (its number times
+    the number of symbols), or a negative number where the table had no arc
+    when the row was read, and ``incs[i * symbols + x]`` the increment of
+    that arc."""
 
     def __init__(self, symbols: int):
         self.symbols = symbols
@@ -267,82 +268,75 @@ def _words(table: ArcTable, steps: int) -> tuple[ArcTable | _Words, int]:
 
 
 def _walk(
-    table: ArcTable, alone: _Alone, xss: list[np.ndarray], starts: list[int], outs: list[np.ndarray]
+    table: ArcTable, xss: list[np.ndarray], starts: list[int], outs: list[np.ndarray]
 ) -> list[int]:
     """Write the increments of the walk from each ``starts[b]`` along the
     symbol indices ``xss[b]`` into ``outs[b]``, all walks in one lockstep
     loop, and return the states they end in. The walks are n or n - 1
-    steps long, the longer first; ``alone`` is what ``_walk_alone`` keeps.
+    steps long, the longer first.
 
-    Each walk is cut into ``m`` lanes of ``span`` words of d symbols (see
-    ``_words``), about sqrt(n) and at most ``2 * _REWALK`` steps, and a last
-    lane of the steps left over, whose last word is padded with symbol 0:
-    the walk's end is reached from that word's start one symbol at a time.
-    Lane 0 starts from the walk's start and every other lane from the zero
-    state. Column ``b * m + j`` of ``x`` and ``paths`` is lane j < m of walk
-    b and column ``len(xss) * m + b`` its last lane, so the lanes still
-    walking at step t (``live[t]``) are a prefix, as ``lasts`` never grows.
-    Row t of ``x`` is word t of every lane and row t of ``paths`` the state
-    before it."""
+    Each walk is cut into the same ``m`` lanes of ``span`` words of d
+    symbols (see ``_words``), about sqrt(n) and at most ``2 * _REWALK``
+    steps, its last lane padded with symbol 0 to full length: the walk's
+    end is read at its true step, from the start of a word cut short one
+    symbol at a time. Lane 0 starts from the walk's start and every other
+    lane from the zero state. Column ``b * m + j`` of ``x`` and ``paths`` is
+    lane j of walk b, and row t is word t of every lane in ``x`` and the
+    state before it in ``paths``."""
     words, d = _words(table, sum(map(len, xss)))
     n_sym, n_words = table.succ.shape[1], words.succ.shape[1]  # S and S^d
     n = len(xss[0])
     span = max(1, min(-(-n // isqrt(n)), 2 * _REWALK) // d)
-    steps = span * d  # of each lane before the last
-    m = (n - 1) // steps
-    walks, lasts = len(xss), [len(xs) - m * steps for xs in xss]  # steps of each last lane
-    width = walks * m  # columns of the lanes before the last
-    lanes = width + walks
-    x = np.zeros((lanes, steps), xss[0].dtype)
-    for b, (xs, e) in enumerate(zip(xss, lasts)):
-        x[b * m : (b + 1) * m] = xs[: m * steps].reshape(m, steps)
-        x[width + b, :e] = xs[m * steps :]
-    symbols = x.reshape(lanes, span, d)
+    steps = span * d  # of each lane
+    walks, m = len(xss), -(-n // steps)
+    x = np.zeros((walks, m * steps), xss[0].dtype)
+    for row, xs in zip(x, xss):
+        row[: len(xs)] = xs
+    symbols = x.reshape(walks * m, span, d)
     x = symbols[..., 0].astype(viterbi.holding(0, n_words - 1))
     for i in range(1, d):  # a word's first symbol is its top digit
         x *= n_sym
         x += symbols[..., i]
     x = np.ascontiguousarray(x.T)
-    tails = [-(-e // d) for e in lasts]  # words of each last lane
-    live = (lanes - np.searchsorted(tails[::-1], range(span), side="right")).tolist()
-    paths = np.zeros((span + 1, lanes), table.succ.dtype)
-    paths[0, : walks * max(m, 1) : max(m, 1)] = starts  # lane 0: column b * m, or b if m = 0
-    for t, k in enumerate(live):
-        _step(words, paths[t, :k], x[t, :k], paths[t + 1, :k])
+    paths = np.zeros((span + 1, walks * m), table.succ.dtype)
+    paths[0, ::m] = starts
+    for t in range(span):
+        _step(words, paths[t], x[t], paths[t + 1])
 
     # Lane j is walked again from the speculative end of lane j - 1 (lane 0
     # from its start), all lanes together, until every lane has met its own
     # path at a word boundary or for _REWALK steps. Its states replace the
     # speculative ones, and one gather then reads every word's increment
     # bits: a filled arc never changes.
-    begin = np.column_stack((starts, paths[-1, :width].reshape(walks, m)))  # by walk and lane
-    walked = np.zeros((min(span, _REWALK // d) + 1, lanes), paths.dtype)
-    walked[0] = np.append(begin[:, :m], begin[:, m])
-    met = np.ones(lanes, bool)
-    for t, k in enumerate(live[: len(walked) - 1]):  # live[0] > 0: the loop runs
-        _step(words, walked[t, :k], x[t, :k], walked[t + 1, :k])
-        if np.equal(walked[t + 1, :k], paths[t + 1, :k], out=met[:k]).all():
+    walked = np.zeros((min(span, _REWALK // d) + 1, walks * m), paths.dtype)
+    walked[0, 1:] = paths[-1, :-1]
+    walked[0, ::m] = starts
+    met = np.empty(walks * m, bool)
+    for t in range(len(walked) - 1):
+        _step(words, walked[t], x[t], walked[t + 1])
+        if np.equal(walked[t + 1], paths[t + 1], out=met).all():
             break
     paths[: t + 2] = walked[: t + 2]
-    ends = np.append(paths[-1, :width], paths[[e // d for e in lasts], width + np.arange(walks)])
-    for b, (xs, e) in enumerate(zip(xss, lasts)):  # the steps of a last word cut short
-        for xi in xs[len(xs) - e % d :].tolist():
-            ends[width + b] = table.succ[ends[width + b], xi]
+    ends = paths[-1].reshape(walks, m).tolist()
+    for b, xs in enumerate(xss):  # row k - j * span of lane j is the state before word k
+        k = len(xs) // d
+        j = min(k // span, m - 1)
+        end = paths[k - j * span, b * m + j]
+        for xi in xs[k * d :].tolist():  # the steps of a last word cut short
+            end = table.succ[end, xi]
+        ends[b][-1] = int(end)
     arcs = np.multiply(paths[:-1], n_words, dtype=np.intp)
     arcs += x
     incs = words.inc.take(arcs).T
     bits = np.arange(1 << d, dtype=np.uint8)[:, None] >> np.arange(d, dtype=np.uint8) & 1
-    for b, (e, out) in enumerate(zip(lasts, outs)):  # bits[v, i] is bit i of v
-        bits.take(incs[b * m : (b + 1) * m], 0, out[: m * steps].reshape(m, span, d), "clip")
-        out[m * steps :] = bits.take(incs[width + b, : tails[b]], 0).ravel()[:e]
+    for out, lanes in zip(outs, incs.reshape(walks, m, span)):  # bits[v, i] is bit i of v
+        bits.take(lanes[:-1], 0, out[: steps * (m - 1)].reshape(m - 1, span, d), "clip")
+        out[steps * (m - 1) :] = bits.take(lanes[-1], 0).ravel()[: len(out) - steps * (m - 1)]
     if met.all():
-        return ends[width:].tolist()
-
-    def by_walk(a: np.ndarray) -> list[list[int]]:  # row b: lanes 0..m of walk b
-        return np.column_stack((a[:width].reshape(walks, m), a[width:])).tolist()
-
-    holds = by_walk(np.where(met, walked[0], -1))
-    return [_verify(table, alone, *walk, steps) for walk in zip(xss, holds, by_walk(ends), outs)]
+        return [row[-1] for row in ends]
+    holds = np.where(met, walked[0], -1).reshape(walks, m).tolist()
+    alone = _Alone(n_sym)
+    return [_verify(table, alone, *walk, steps) for walk in zip(xss, holds, ends, outs)]
 
 
 def _verify(
@@ -417,8 +411,8 @@ def simulate(
     workers: int = 1,
 ) -> SimResult:
     """Walk n source symbols through the reduced transition and average the
-    increments. The standard error comes from batch means (up to 100 batches).
-    """
+    increments; the standard error comes from batch means (up to 100
+    batches). A vertex with no in-edge raises ``GraphStructureError``."""
     if n < 1:
         raise ValueError("need at least one step")
     if workers < 1:
@@ -433,10 +427,16 @@ def simulate(
         raise SourceError(
             f"source alphabet {src.alphabet} does not match graph alphabet {g.alphabet}"
         )
+    sourceless = g.in_edge_arrays.sourceless
+    if sourceless is not None:
+        raise GraphStructureError(
+            f"vertex {g.vertices[sourceless]!r} has no incoming edge; "
+            "the walk needs one per vertex"
+        )
     bounds, support = source_thresholds(src)
     # The closure interns at most symbols + 1 times its budget of states; then
-    # lanes take at most 3n steps (speculative, verifying, walking again), and
-    # each step interns at most one state.
+    # lanes take at most 3n steps (speculative with padding, verifying at most
+    # half a capped lane, walking again), and each step interns at most one state.
     budget = n // _CLOSURE_SHARE
     states = (len(g.alphabet) + 1) * budget + 3 * n
     table = ArcTable(g, np.int32 if states < 2**31 else np.int64)
@@ -444,14 +444,13 @@ def simulate(
     if report.strongly_connected and report.aperiodic:
         table.close(exact_path_constant(g), budget)
     increments = np.empty(n, dtype=np.uint8)
-    alone = _Alone(len(g.alphabet))
     ranges = _worker_ranges(n, workers)
     ends = [0] * len(ranges)  # each range starts from the zero state
     for c in range(0, ranges[0][1], _CHUNK):  # the first range is the longest
         chunks = [(lo + c, min(lo + c + _CHUNK, hi)) for lo, hi in ranges if lo + c < hi]
         xss = [symbol_indices(seed, lo, hi, bounds, support) for lo, hi in chunks]
         outs = [increments[lo:hi] for lo, hi in chunks]
-        ends[: len(chunks)] = _walk(table, alone, xss, ends[: len(chunks)], outs)
+        ends[: len(chunks)] = _walk(table, xss, ends[: len(chunks)], outs)
 
     estimate = float(increments.mean())
     batch_count = min(100, n)
@@ -488,5 +487,5 @@ def z_score(result: SimResult, exact: Fraction | float) -> float:
     """Standardized deviation of the estimate from an exact value."""
     diff = result.estimate - float(exact)
     if result.stderr == 0.0:
-        return 0.0 if diff == 0.0 else math.copysign(float("inf"), diff)
+        return 0.0 if diff == 0.0 else copysign(float("inf"), diff)
     return diff / result.stderr

@@ -34,10 +34,6 @@ class EncodingResult:
     total_distortion: int
 
 
-def zero_state(g: LabeledGraph) -> StateVector:
-    return (0,) * g.num_vertices
-
-
 def holding(lo: int, hi: int) -> type | np.dtype:
     """An integer dtype that holds every value in [lo, hi] (Python ints past
     64 bits)."""

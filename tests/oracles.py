@@ -1,15 +1,16 @@
-"""Independent checks used only by tests: a per-arc scalar transition and
-breadth-first enumeration, the tuple, dict and Tarjan forms of the
-enumeration, the chain and the class split that the integer tables replaced,
-tuple views of a state space and a chain built from Fraction rows, the orbit
-loop and Fraction-dict lumping that the symmetry quotient replaced, checks of
-the enumerated state space, a dense fraction-free (Bareiss) solve of the
-chain's linear systems, a modular p-adic (Dixon) solver with the contract of
-the production exact solver, and the Blahut-Arimoto iteration whose fixed
-point the rate-distortion module computes in closed form, and the
-one-step-at-a-time Monte Carlo walk over a tuple-keyed explorer that the
-lockstep walk replaced, and the search of every source word among the
-sampling thresholds that the top-bits table replaced."""
+"""Independent checks used only by tests: the zero state, a per-arc scalar
+transition and breadth-first enumeration, the tuple, dict and Tarjan forms
+of the enumeration, the chain and the class split that the integer tables
+replaced, tuple views of a state space and a chain built from Fraction rows,
+the orbit loop and Fraction-dict lumping that the symmetry quotient
+replaced, checks of the enumerated state space, a dense fraction-free
+(Bareiss) solve of the chain's linear systems, a modular p-adic (Dixon)
+solver with the contract of the production exact solver, and the
+Blahut-Arimoto iteration whose fixed point the rate-distortion module
+computes in closed form, and the one-step-at-a-time Monte Carlo walk over a
+tuple-keyed explorer that the lockstep walk replaced, and the search of
+every source word among the sampling thresholds that the top-bits table
+replaced."""
 
 from __future__ import annotations
 
@@ -29,6 +30,11 @@ from tcq import viterbi
 from tcq.sim import _CHUNK, _worker_ranges, random_words, source_thresholds
 from tcq.symmetry import FiberPartition, Permutation, PermutationGroup
 from tcq.viterbi import StateVector, advance
+
+
+def zero_state(g: LabeledGraph) -> StateVector:
+    """The all-zero cost vector, where every walk starts."""
+    return (0,) * g.num_vertices
 
 
 def transition(g: LabeledGraph, s: StateVector, x: str) -> StateVector:
@@ -527,7 +533,7 @@ class Explorer:
 
     def __init__(self, g: LabeledGraph):
         self.graph = g
-        zero = viterbi.zero_state(g)
+        zero = zero_state(g)
         self.states: list[StateVector] = [zero]
         self.index: dict[StateVector, int] = {zero: 0}
         self.rows: list[list[tuple[int, int] | None]] = [[None] * len(g.alphabet)]

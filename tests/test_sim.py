@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import searched_symbols, state_index, tuple_arcs, walk_increments
 from tcq import (
+    GraphStructureError,
     SourceError,
     SourceModel,
     analyze,
@@ -18,6 +19,7 @@ from tcq import (
     debruijn8_demo,
     encode,
     enumerate_states,
+    graph_from_edges,
     parse_graph,
     sim,
     simulate,
@@ -271,6 +273,27 @@ def test_simulate_validation(g3):
         simulate(g3, SourceModel.uniform(("x", "y")), n=10, seed=1)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("v", "w", "a"), ("w", "w", "b")],  # the first vertex has no in-edge
+        [("w", "w", "a"), ("v", "w", "b")],  # the last one has none
+    ],
+)
+def test_simulate_refuses_a_vertex_without_in_edge(monkeypatch, edges):
+    """A vertex with no in-edge has no cost to carry forward: ``simulate``
+    says so before it builds a table, in the words the CLI prints."""
+    g = graph_from_edges(edges, alphabet=("a", "b"))
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(sim, "ArcTable", no_table)
+    with pytest.raises(GraphStructureError) as raised:
+        simulate(g, SourceModel.uniform(g.alphabet), n=10, seed=1)
+    assert str(raised.value) == "vertex 'v' has no incoming edge; the walk needs one per vertex"
+
+
 def test_convergence_smoke(g3):
     src = SourceModel.uniform(g3.alphabet)
     exact = analyze(g3, src).distortion
@@ -459,7 +482,7 @@ def test_periodic_walk_widens_its_vectors(monkeypatch):
     component passes 255 within 100,000 steps: the vectors widen to a dtype
     holding it plus 1, the index is re-keyed by the wider rows, and the walk
     is still the one-step-at-a-time walk. Every lane but each chunk's first
-    is walked again alone, over a successor list kept across chunks that
+    is walked again alone, over a successor list kept for the pass that
     lacks the arcs lockstep steps filled since it last read their rows;
     ``_walk`` checks that none of them is computed again. A periodic space
     is not closed: the table holds only the 584 states the lanes take."""
@@ -505,16 +528,18 @@ def _labelling(order: int, seed: int, symbols: str = "abcd"):
 
 _ORDER3Q = _labelling(3, 3)
 _ORDER5Q = _labelling(5, 5)
-# Lengths around lane boundaries: 99 is 9 full lanes of 11 steps, 100 is 10
-# of 10, 101 is 9 of 11 and one of 2; around the lengths where lanes reach
-# their cap of 2 * _REWALK = 128 steps: 16,257 is the first length whose
-# sqrt rule (129 steps) is capped, so it runs as 127 lanes of 128 and one of
-# 1; 16,383 as 127 of 128 and one of 127 (the rule gives 127 of 129);
-# 16,384 as 128 of 128 either way; 16,385 as 128 of 128 and one of 1;
-# 25,601, whose last capped lane is one step long; 32,769, which two
-# workers split into ranges of 16,385 and 16,384 steps, walked in one pass
-# whose second range has an empty last lane. Walks of several chunks are
-# tested with a shorter chunk in test_uneven_chunks_hand_on_their_true_end.
+# Lengths around lane boundaries (a last lane cut short is padded with
+# symbol 0 to full length): 99 is 9 full lanes of 11 steps, 100 is 10 of
+# 10, 101 is 10 of 11 whose last walks 2 steps; around the lengths where
+# lanes reach their cap of 2 * _REWALK = 128 steps: 16,257 is the first
+# length whose sqrt rule (129 steps) is capped, so it runs as 128 lanes of
+# 128 whose last walks 1 step; 16,383 as 128 whose last walks 127 (the
+# rule gives 127 of 129); 16,384 as 128 full lanes either way; 16,385 as
+# 129 whose last walks 1 step; 25,601, whose last capped lane walks one
+# step; 32,769, which two workers split into ranges of 16,385 and 16,384
+# steps, walked in one pass of 129 lanes each, the second range's last lane
+# all padding. Walks of several chunks are tested with a shorter chunk in
+# test_uneven_chunks_hand_on_their_true_end.
 _LENGTHS = (1, 2, 3, 99, 100, 101, 16_257, 16_383, 16_384, 16_385, 25_601, 32_769, 100_000)
 
 
@@ -589,15 +614,48 @@ def test_uneven_chunks_hand_on_their_true_end(monkeypatch):
     """With a chunk length of 1,000 steps, a range of a 7,919-step walk
     spans several chunks, and each pass walks the chunks of every range in
     one lockstep loop. The chunk length is not a square, so each chunk's
-    last lane is shorter than the others (1,000 steps run as 30 lanes of 33
-    and one of 10) and may end before it meets its path; the last pass
-    walks chunks n and n - 1 steps long (132 and 131 at 7 workers). The
+    last lane is cut short and padded (1,000 steps run as 31 lanes of 33,
+    the last walking 10) and may end before it meets its path; the last
+    pass walks chunks n and n - 1 steps long (132 and 131 at 7 workers). The
     state each chunk hands to the next pass is still the true one."""
     monkeypatch.setattr(sim, "_CHUNK", 1000)
     for g in (debruijn8_demo(), XOR4, _ORDER5Q, PERIODIC):
         for workers in (1, 2, 3, 7):
             r = simulate(g, SourceModel.uniform(g.alphabet), n=7919, seed=5, workers=workers)
             assert (r.increments == walk_increments(g, 7919, 5, workers)).all(), workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_every_lockstep_step_advances_every_lane(monkeypatch, g3, workers):
+    """Every lockstep step of a pass, speculative or re-walk, advances all
+    walks · m lanes: each walk of a pass, n or n - 1 steps long, is cut into
+    the same m = ⌈n / steps⌉ lanes, its last padded to full length. With a
+    chunk of 1,000 steps a 7,919-step walk takes several passes, whose last
+    lanes are cut short: g3's table is closed and walked in words of up to
+    8 symbols (1,000 steps run as 32 lanes of 4 words), the periodic
+    graph's is not closed and walked one symbol a step."""
+    monkeypatch.setattr(sim, "_CHUNK", 1000)
+    used = _recorded_words(monkeypatch)
+    passes = []
+    walk, step = sim._walk, sim._step
+
+    def recorded_walk(table, xss, *args):
+        passes.append((len(xss), len(xss[0]), []))
+        return walk(table, xss, *args)
+
+    def recorded_step(table, states, *args):
+        passes[-1][2].append(len(states))
+        return step(table, states, *args)
+
+    monkeypatch.setattr(sim, "_walk", recorded_walk)
+    monkeypatch.setattr(sim, "_step", recorded_step)
+    for g in (g3, PERIODIC):
+        r = simulate(g, SourceModel.uniform(g.alphabet), n=7919, seed=5, workers=workers)
+        assert (r.increments == walk_increments(g, 7919, 5, workers)).all()
+    assert len(passes) == len(used) and 8 in used and 1 in used
+    for (walks, n, lanes), d in zip(passes, used):
+        steps = max(1, min(-(-n // math.isqrt(n)), 2 * sim._REWALK) // d) * d
+        assert lanes and set(lanes) == {walks * -(-n // steps)}, (walks, n, d)
 
 
 # A random binary labelling of the order-3 de Bruijn graph: 239 states, so a

@@ -18,6 +18,7 @@ from oracles import (
     state_index,
     tuple_arcs,
     tuple_states,
+    zero_state,
 )
 from tcq import (
     ComponentBoundError,
@@ -34,7 +35,6 @@ from tcq import (
     reduced_transition,
     simulate,
     statespace,
-    zero_state,
 )
 from tcq.statespace import format_statespace
 

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_code_graph, random_sequence
+from oracles import zero_state
 from tcq import (
     InstanceTooLargeError,
-    SourceModel,
     brute_force_min,
     count_paths,
     debruijn8_demo,
     encode,
     graph_from_edges,
     reduced_transition,
-    simulate,
-    zero_state,
 )
 from tcq.viterbi import advance, holding
 
@@ -236,5 +234,3 @@ def test_vertex_without_in_edge_raises(edges):
     s = zero_state(g)
     with pytest.raises(ValueError, match="'v' has no incoming edge"):
         reduced_transition(g, s, "b")
-    with pytest.raises(ValueError, match="'v' has no incoming edge"):
-        simulate(g, SourceModel.uniform(g.alphabet), n=10)

@@ -6,7 +6,11 @@ read off a ``statespace.ArcTable``. On a graph whose space is finite
 as enumeration closes it, until it is closed or holds more than n //
 ``_CLOSURE_SHARE`` states, so the walk of a space that fits reads every arc
 off the closed table; any other arc is computed when some lane first takes
-it.
+it. A table that closes is kept, as its ``succ`` and ``inc`` trimmed to its
+states, for as long as its graph lives (``_CLOSED`` holds the graph weakly):
+the space depends on the graph alone, so every later walk of the graph, or
+of an equal one, reads those arcs, whatever its length, and builds no
+table. Tables that do not close are not kept.
 
 The walk takes every worker range at once, in passes over their c-th
 chunks of ``_CHUNK`` steps. Every chunk of a pass is cut into the same
@@ -58,6 +62,7 @@ are those of a search over every word.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import copysign, isqrt, sqrt
@@ -132,35 +137,45 @@ def symbol_indices(
     seed: int, start: int, stop: int, bounds: np.ndarray, support: list[int]
 ) -> np.ndarray:
     """Alphabet indices of stream positions start..stop-1, drawn in blocks
-    of at most ``_WORDS`` words, whose buffers stay in cache."""
-    out = np.empty(stop - start, viterbi.holding(0, support[-1]))
+    of at most ``_WORDS`` words, whose buffers stay in cache, through one
+    sampling table."""
+    guide = _Guide(bounds, support)
+    out = np.empty(stop - start, guide.symbols.dtype)
     for lo in range(start, stop, _WORDS):
         hi = min(lo + _WORDS, stop)
-        out[lo - start : hi - start] = _pick_symbols(random_words(seed, lo, hi), bounds, support)
+        out[lo - start : hi - start] = guide.pick(random_words(seed, lo, hi))
     return out
 
 
-def _pick_symbols(u: np.ndarray, bounds: np.ndarray, support: list[int]) -> np.ndarray:
-    """The alphabet index that each uint64 word of ``u`` picks:
-    ``support[k]``, k the number of ``bounds`` at most the word.
+class _Guide:
+    """The sampling table of one source's ``bounds`` and ``support``.
 
     Words are bucketed by their top ``_TOP_BITS`` bits. A bucket that holds
     no bound, or one only on its first word, picks one symbol for all its
-    words, read from a table; the words of every other bucket are
-    searched among ``bounds``."""
-    symbols = np.asarray(support, dtype=viterbi.holding(0, support[-1]))
-    shift = np.uint64(64 - _TOP_BITS)
-    firsts = np.arange(1 << _TOP_BITS, dtype=np.uint64) << shift
-    table = symbols[np.searchsorted(bounds, firsts, side="right")]
-    top = np.right_shift(u, shift, out=np.empty(len(u), np.intp), casting="unsafe")
-    picks = table.take(top)
-    inner = bounds[bounds & np.uint64((1 << (64 - _TOP_BITS)) - 1) != 0]
-    if len(inner):
-        mixed = np.zeros(1 << _TOP_BITS, bool)
-        mixed[inner >> shift] = True
-        at = np.flatnonzero(mixed.take(top))
-        picks[at] = symbols[np.searchsorted(bounds, u[at], side="right")]
-    return picks
+    words, read from ``table``; the words of every bucket marked in
+    ``mixed`` (None when there is none) are searched among ``bounds``."""
+
+    def __init__(self, bounds: np.ndarray, support: list[int]):
+        self.bounds = bounds
+        self.symbols = np.asarray(support, dtype=viterbi.holding(0, support[-1]))
+        self.shift = np.uint64(64 - _TOP_BITS)
+        firsts = np.arange(1 << _TOP_BITS, dtype=np.uint64) << self.shift
+        self.table = self.symbols[np.searchsorted(bounds, firsts, side="right")]
+        inner = bounds[bounds & np.uint64((1 << (64 - _TOP_BITS)) - 1) != 0]
+        self.mixed = None
+        if len(inner):
+            self.mixed = np.zeros(1 << _TOP_BITS, bool)
+            self.mixed[inner >> self.shift] = True
+
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """The alphabet index that each uint64 word of ``u`` picks:
+        ``support[k]``, k the number of ``bounds`` at most the word."""
+        top = np.right_shift(u, self.shift, out=np.empty(len(u), np.intp), casting="unsafe")
+        picks = self.table.take(top)
+        if self.mixed is not None:
+            at = np.flatnonzero(self.mixed.take(top))
+            picks[at] = self.symbols[np.searchsorted(self.bounds, u[at], side="right")]
+        return picks
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,15 +254,25 @@ class _Alone:
 
 
 class _Words:
-    """A closed table's arcs over words of d symbols (see ``_words``)."""
+    """A closed table's arcs over words of d symbols (see ``_words``); for
+    d = 1, the closed table's ``succ`` and ``inc`` trimmed to its states,
+    the form in which ``_CLOSED`` keeps it."""
 
     closed = True
 
     def __init__(self, succ: np.ndarray, inc: np.ndarray):
         self.succ, self.inc = succ, inc
 
+    def __len__(self) -> int:
+        return len(self.succ)
 
-def _words(table: ArcTable, steps: int) -> tuple[ArcTable | _Words, int]:
+
+# Each graph's closed arc table, for as long as the graph lives (see the
+# module docstring).
+_CLOSED: weakref.WeakKeyDictionary[LabeledGraph, _Words] = weakref.WeakKeyDictionary()
+
+
+def _words(table: ArcTable | _Words, steps: int) -> tuple[ArcTable | _Words, int]:
     """The table that the lockstep steps of a pass of ``steps`` steps read,
     and the d symbols each takes, by the rule in the module docstring (8
     bits fill an ``inc`` byte); for d = 1 it is ``table``. For d > 1,
@@ -268,7 +293,7 @@ def _words(table: ArcTable, steps: int) -> tuple[ArcTable | _Words, int]:
 
 
 def _walk(
-    table: ArcTable, xss: list[np.ndarray], starts: list[int], outs: list[np.ndarray]
+    table: ArcTable | _Words, xss: list[np.ndarray], starts: list[int], outs: list[np.ndarray]
 ) -> list[int]:
     """Write the increments of the walk from each ``starts[b]`` along the
     symbol indices ``xss[b]`` into ``outs[b]``, all walks in one lockstep
@@ -340,7 +365,7 @@ def _walk(
 
 
 def _verify(
-    table: ArcTable,
+    table: ArcTable | _Words,
     alone: _Alone,
     xs: np.ndarray,
     holds: list[int],
@@ -376,7 +401,7 @@ def _verify(
 
 
 def _walk_alone(
-    table: ArcTable, alone: _Alone, symbols: list[int], state: int, incs: bytearray
+    table: ArcTable | _Words, alone: _Alone, symbols: list[int], state: int, incs: bytearray
 ) -> int:
     """Walk ``symbols`` from table state ``state`` one step at a time,
     appending each step's increment to ``incs``, and return the table
@@ -412,7 +437,11 @@ def simulate(
 ) -> SimResult:
     """Walk n source symbols through the reduced transition and average the
     increments; the standard error comes from batch means (up to 100
-    batches). A vertex with no in-edge raises ``GraphStructureError``."""
+    batches). A vertex with no in-edge raises ``GraphStructureError``.
+
+    A walk that closes the graph's arc table keeps the closed arcs until the
+    graph is collected; later walks of the graph, or of an equal one, read
+    them without building or closing a table."""
     if n < 1:
         raise ValueError("need at least one step")
     if workers < 1:
@@ -434,15 +463,23 @@ def simulate(
             "the walk needs one per vertex"
         )
     bounds, support = source_thresholds(src)
-    # The closure interns at most symbols + 1 times its budget of states; then
-    # lanes take at most 3n steps (speculative with padding, verifying at most
-    # half a capped lane, walking again), and each step interns at most one state.
-    budget = n // _CLOSURE_SHARE
-    states = (len(g.alphabet) + 1) * budget + 3 * n
-    table = ArcTable(g, np.int32 if states < 2**31 else np.int64)
-    report = validate(g)
-    if report.strongly_connected and report.aperiodic:
-        table.close(exact_path_constant(g), budget)
+    table = _CLOSED.get(g)
+    if table is None:
+        # The closure interns at most symbols + 1 times its budget of states; then
+        # lanes take at most 3n steps (speculative with padding, verifying at most
+        # half a capped lane, walking again), and each step interns at most one state.
+        budget = n // _CLOSURE_SHARE
+        states = (len(g.alphabet) + 1) * budget + 3 * n
+        table = ArcTable(g, np.int32 if states < 2**31 else np.int64)
+        report = validate(g)
+        if report.strongly_connected and report.aperiodic:
+            table.close(exact_path_constant(g), budget)
+        if table.closed:
+            # drop the vectors and interning dict before copying the arcs off the spare rows
+            n_states, succ, inc = len(table), table.succ, table.inc
+            del table
+            table = _CLOSED[g] = _Words(succ[:n_states].copy(), inc[:n_states].copy())
+            del succ, inc
     increments = np.empty(n, dtype=np.uint8)
     ranges = _worker_ranges(n, workers)
     ends = [0] * len(ranges)  # each range starts from the zero state
@@ -452,20 +489,18 @@ def simulate(
         outs = [increments[lo:hi] for lo, hi in chunks]
         ends[: len(chunks)] = _walk(table, xss, ends[: len(chunks)], outs)
 
-    estimate = float(increments.mean())
+    # np.array_split's batches, r of q + 1 steps and then q, summed exactly
+    # (one batch of one step when n = 1); a reduction along rows casts in
+    # buffers, where np.add.reduceat would first copy the whole walk to int64.
     batch_count = min(100, n)
+    q, r = divmod(n, batch_count)
+    head = r * (q + 1)
+    heads = increments[:head].reshape(r, q + 1).sum(axis=1, dtype=np.int64)
+    tails = increments[head:].reshape(batch_count - r, q).sum(axis=1, dtype=np.int64)
+    # the total is below 2^53, so this is the correctly rounded mean
+    estimate = (int(heads.sum()) + int(tails.sum())) / n
     if batch_count >= 2:
-        # np.array_split's batches, r of q + 1 steps and then q, summed
-        # exactly; a reduction along rows casts in buffers, where
-        # np.add.reduceat would first copy the whole walk to int64.
-        q, r = divmod(n, batch_count)
-        head = r * (q + 1)
-        means = np.concatenate(
-            (
-                increments[:head].reshape(r, q + 1).sum(axis=1, dtype=np.int64) / (q + 1),
-                increments[head:].reshape(batch_count - r, q).sum(axis=1, dtype=np.int64) / q,
-            )
-        ).tolist()
+        means = np.concatenate((heads / (q + 1), tails / q)).tolist()
         mean_of_means = sum(means) / batch_count
         var = sum((m - mean_of_means) ** 2 for m in means) / (batch_count - 1)
         stderr = sqrt(var / batch_count)

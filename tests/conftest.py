@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from tcq import LabeledGraph, debruijn8_demo, graph_from_edges, validate
+from tcq import LabeledGraph, debruijn8_demo, graph_from_edges, sim, validate
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GRAPH_DIR = REPO_ROOT / "graphs"
@@ -16,6 +17,13 @@ settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 _SYMBOLS = "abcdefgh"
+
+
+@pytest.fixture(autouse=True)
+def no_kept_tables(monkeypatch):
+    """Every test starts with no closed arc tables kept by ``sim``, so no
+    walk's path depends on which tests walked the same graph before."""
+    monkeypatch.setattr(sim, "_CLOSED", weakref.WeakKeyDictionary())
 
 
 def random_code_graph(

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -119,7 +121,7 @@ def _source(weights: list[Fraction]) -> SourceModel:
 def _assert_picks_match_the_search(src: SourceModel, seed: int = 0) -> None:
     bounds, support = source_thresholds(src)
     words = np.concatenate((_edge_words(bounds), random_words(seed, 0, 5000)))
-    picks = sim._pick_symbols(words, bounds, support)
+    picks = sim._Guide(bounds, support).pick(words)
     expected = searched_symbols(words, bounds, support)
     assert picks.dtype == expected.dtype
     assert (picks == expected).all()
@@ -252,6 +254,15 @@ def test_batch_count_and_stderr(g3):
     assert tiny.bias_bound == 2.0**-64
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, 99, 100, 101, 100_003])
+def test_estimate_is_the_mean_of_the_increments(g3, n, workers):
+    """The estimate, the batch sums' total over n, is the float mean of the
+    increments, bit for bit; one step makes one batch."""
+    r = simulate(g3, SourceModel.uniform(g3.alphabet), n=n, seed=4, workers=workers)
+    assert r.estimate == float(r.increments.mean())
+
+
 @pytest.mark.parametrize("n", [2, 99, 100, 101, 12_345])
 def test_batch_means_match_array_split(g3, n):
     """The batch sums are taken over np.array_split's batches, and the
@@ -327,12 +338,13 @@ def _walk_graph(name: str):
     return de_bruijn(4, tuple(rng.choice("abcd") for _ in range(32)))
 
 
-def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
+def _walk(g, n: int, seed: int = 0, workers: int = 1):
     """simulate, returning the result, the walk's ArcTable and its counts:
     kernel calls, ``ArcTable.fill`` calls, lockstep steps, the lane steps
     they take (a lockstep step of k lanes takes k), and steps walked alone.
     Every arc that the walk asks the table to fill must be missing from
-    it."""
+    it. The walk neither reads nor keeps a closed table of ``sim._CLOSED``,
+    so it builds its own, and the patches it makes end with it."""
     made = []
     counts = dict.fromkeys(("kernel", "fill", "lockstep", "lane_steps", "alone"), 0)
     advance, step, alone = viterbi.advance, sim._step, sim._walk_alone
@@ -360,12 +372,13 @@ def _walk(monkeypatch, g, n: int, seed: int = 0, workers: int = 1):
         counts["alone"] += len(symbols)
         return alone(table, rows, symbols, *args)
 
-    monkeypatch.setattr(sim, "ArcTable", Recorded)
-    monkeypatch.setattr(viterbi, "advance", counted_advance)
-    monkeypatch.setattr(sim, "_step", counted_step)
-    monkeypatch.setattr(sim, "_walk_alone", counted_alone)
-    r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=seed, workers=workers)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "ArcTable", Recorded)
+        mp.setattr(viterbi, "advance", counted_advance)
+        mp.setattr(sim, "_step", counted_step)
+        mp.setattr(sim, "_walk_alone", counted_alone)
+        mp.setattr(sim, "_CLOSED", weakref.WeakKeyDictionary())
+        r = simulate(g, SourceModel.uniform(g.alphabet), n=n, seed=seed, workers=workers)
     [table] = made
     return r, table, counts
 
@@ -374,7 +387,7 @@ def _filled(table) -> int:
     return int((table.succ[: len(table)] >= 0).sum())
 
 
-def test_simulate_explores_only_the_walk(monkeypatch):
+def test_simulate_explores_only_the_walk():
     """On an order-5 quaternary labelling, whose full space is too large to
     enumerate in a unit test, the closure stops past its budget of
     2,000 // 64 = 31 states, having interned at most 5 · 31, and the lanes
@@ -385,7 +398,7 @@ def test_simulate_explores_only_the_walk(monkeypatch):
     the lanes and their re-walks take at most 92 lockstep steps."""
     g = _ORDER5Q
     assert len(g.alphabet) == 4
-    r, table, counts = _walk(monkeypatch, g, 2000)
+    r, table, counts = _walk(g, 2000)
     assert len(table) <= counts["lane_steps"] + counts["alone"] + 1 + 5 * (2000 // 64)
     assert 0 < counts["kernel"] <= _filled(table)
     assert 0 < counts["fill"] <= counts["lockstep"] + counts["alone"]
@@ -395,7 +408,7 @@ def test_simulate_explores_only_the_walk(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", ["debruijn8", "xor4"])
-def test_finite_space_walk_reads_a_closed_table(monkeypatch, name, workers):
+def test_finite_space_walk_reads_a_closed_table(name, workers):
     """A 100,000-step walk closes a space of at most 100,000 // 64 states
     before its lanes start: it fills no arc on demand, and its table is the
     enumerated space, row for row. Its ranges take one lockstep pass
@@ -407,7 +420,7 @@ def test_finite_space_walk_reads_a_closed_table(monkeypatch, name, workers):
     g = _walk_graph(name)
     ss = enumerate_states(g)
     assert len(ss) <= 100_000 // 64
-    _, table, counts = _walk(monkeypatch, g, 100_000, workers=workers)
+    _, table, counts = _walk(g, 100_000, workers=workers)
     assert counts["fill"] == 0
     d = {"debruijn8": 4, "xor4": 2}[name]
     assert 128 // d < counts["lockstep"] <= (128 + sim._REWALK) // d
@@ -423,14 +436,14 @@ def test_revisited_states_expand_in_one_kernel_call(monkeypatch, debruijn8):
     every arc of the states it expands, for all the lanes that miss at one
     step."""
     monkeypatch.setattr(sim, "_CLOSURE_SHARE", 100_001)
-    r, table, counts = _walk(monkeypatch, debruijn8, 100_000)
+    r, table, counts = _walk(debruijn8, 100_000)
     assert len(table) == 107
     assert _filled(table) == 428
     assert 0 < counts["kernel"] == counts["fill"] <= 107
 
 
 @pytest.mark.parametrize("name", ["debruijn8", "xor4", "random-order4-quaternary"])
-def test_walk_arcs_match_the_enumerated_table(monkeypatch, name):
+def test_walk_arcs_match_the_enumerated_table(name):
     """Every arc the walk filled is the enumerated arc between the same
     state vectors, and the increments are those of the same walk read off
     the enumerated table. The kernel runs at most once per arc filled."""
@@ -440,7 +453,7 @@ def test_walk_arcs_match_the_enumerated_table(monkeypatch, name):
     src = SourceModel.uniform(g.alphabet)
     bounds, support = source_thresholds(src)
     for workers in (1, 2):
-        r, table, counts = _walk(monkeypatch, g, 100_000, seed=3, workers=workers)
+        r, table, counts = _walk(g, 100_000, seed=3, workers=workers)
         assert counts["kernel"] <= _filled(table)
         where = [index[s] for s in map(tuple, table.vectors[: len(table)].tolist())]
         succ, inc = table.succ[: len(table)].tolist(), table.inc[: len(table)].tolist()
@@ -463,9 +476,9 @@ def test_walk_arcs_match_the_enumerated_table(monkeypatch, name):
 def test_wide_kernel_rows_walk_the_same(monkeypatch):
     """State vectors in a dtype wider than uint8 give the same walk: the
     same states in the same order, the same arcs and the same increments."""
-    narrow, narrow_table, _ = _walk(monkeypatch, XOR4, 20_000, seed=2)
+    narrow, narrow_table, _ = _walk(XOR4, 20_000, seed=2)
     monkeypatch.setattr(viterbi, "holding", lambda lo, hi: np.int64)
-    wide, table, _ = _walk(monkeypatch, XOR4, 20_000, seed=2)
+    wide, table, _ = _walk(XOR4, 20_000, seed=2)
     assert (narrow_table.vectors.dtype, table.vectors.dtype) == (np.uint8, np.int64)
     n = len(table)
     assert n == len(narrow_table)
@@ -477,7 +490,7 @@ def test_wide_kernel_rows_walk_the_same(monkeypatch):
 PERIODIC = parse_graph("alphabet a b\nedge v w a\nedge w v b\n")
 
 
-def test_periodic_walk_widens_its_vectors(monkeypatch):
+def test_periodic_walk_widens_its_vectors():
     """On a periodic graph the lanes never meet the true walk, and a
     component passes 255 within 100,000 steps: the vectors widen to a dtype
     holding it plus 1, the index is re-keyed by the wider rows, and the walk
@@ -486,7 +499,7 @@ def test_periodic_walk_widens_its_vectors(monkeypatch):
     lacks the arcs lockstep steps filled since it last read their rows;
     ``_walk`` checks that none of them is computed again. A periodic space
     is not closed: the table holds only the 584 states the lanes take."""
-    r, table, counts = _walk(monkeypatch, PERIODIC, 100_000, seed=1)
+    r, table, counts = _walk(PERIODIC, 100_000, seed=1)
     assert len(table) == 584
     assert counts["kernel"] == counts["fill"]
     vectors = table.vectors[: len(table)]
@@ -510,7 +523,7 @@ def test_walks_alone_keep_rows_of_the_states_they_reach(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(sim, "_Alone", Recorded)
-    r, table, counts = _walk(monkeypatch, _ORDER5Q, 20_000)
+    r, table, counts = _walk(_ORDER5Q, 20_000)
     [alone] = made
     assert counts["alone"] > 0
     assert 0 < len(alone.states) <= 5 * counts["alone"] < len(table) // 10
@@ -576,6 +589,96 @@ def test_pinned_walk_sums(name, seed, workers, total):
     g = _walk_graph(name)
     r = simulate(g, SourceModel.uniform(g.alphabet), n=100_000, seed=seed, workers=workers)
     assert int(r.increments.sum()) == total
+
+
+def _closes(monkeypatch) -> list[int]:
+    """Record the state count of every ``ArcTable.close`` from here on."""
+    closes = []
+    close = ArcTable.close
+
+    def counted(table, *args):
+        close(table, *args)
+        closes.append(len(table))
+
+    monkeypatch.setattr(ArcTable, "close", counted)
+    return closes
+
+
+def _no_table(*args):
+    raise AssertionError("a table was built")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_walks_of_one_graph_close_its_table_once(monkeypatch, workers):
+    """The first walk that closes a graph's space keeps its arcs, as ``succ``
+    and ``inc`` trimmed to the enumerated states; the next walk of the graph
+    reads them without closing again. Both walks are the one-step walk."""
+    closes = _closes(monkeypatch)
+    g = debruijn8_demo()
+    for seed in (0, 1):
+        r = simulate(g, SourceModel.uniform(g.alphabet), n=100_000, seed=seed, workers=workers)
+        assert (r.increments == walk_increments(g, 100_000, seed, workers)).all(), seed
+    assert closes == [107]
+    kept = sim._CLOSED[g]
+    assert set(vars(kept)) == {"succ", "inc"}
+    ss = enumerate_states(g)
+    for a in ("succ", "inc"):
+        assert getattr(kept, a).base is None, a  # no spare rows behind it
+        assert np.array_equal(getattr(kept, a), getattr(ss, a)), a
+
+
+def test_an_equal_graph_reads_the_kept_table(monkeypatch):
+    """The tables are kept by graph value: a distinct but equal graph
+    builds no table."""
+    closes = _closes(monkeypatch)
+    first, second = debruijn8_demo(), debruijn8_demo()
+    assert first is not second and first == second
+    simulate(first, SourceModel.uniform(first.alphabet), n=100_000, seed=2)
+    monkeypatch.setattr(sim, "ArcTable", _no_table)
+    r = simulate(second, SourceModel.uniform(second.alphabet), n=100_000, seed=2)
+    assert (r.increments == walk_increments(second, 100_000, 2, 1)).all()
+    assert closes == [107]
+
+
+def test_a_kept_table_dies_with_its_graph(monkeypatch):
+    """The kept table holds no reference to its graph: once the graph is
+    collected, its entry is gone."""
+    _closes(monkeypatch)
+    g = de_bruijn(4, tuple("abbacddccddcabbacddcabbaabbacddc"))  # equal to XOR4, not XOR4
+    simulate(g, SourceModel.uniform(g.alphabet), n=100_000, seed=0)
+    assert len(sim._CLOSED) == 1
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None
+    assert len(sim._CLOSED) == 0
+
+
+def test_open_tables_are_not_kept(monkeypatch):
+    """Only closed tables are kept: not the periodic graph's, whose space
+    is not closed, nor the tables of walks that stop the closure at their
+    budget (2,000 // 64 = 31 states, against 107 on debruijn8 and many
+    more on the order-5 quaternary labelling)."""
+    _closes(monkeypatch)
+    for g in (PERIODIC, debruijn8_demo(), _ORDER5Q):
+        simulate(g, SourceModel.uniform(g.alphabet), n=2000, seed=0)
+    assert len(sim._CLOSED) == 0
+
+
+def test_a_short_walk_reads_a_longer_walks_table(monkeypatch):
+    """After a 100,000-step walk closed debruijn8's space, a 2,000-step
+    walk, whose own budget of 31 states would not close it, reads the kept
+    arcs: it builds no table and walks words of 2 symbols (107 · 4^2 =
+    1,712 word arcs fit in its 2,000 steps), which only a closed table
+    takes. It is the one-step walk."""
+    closes = _closes(monkeypatch)
+    g = debruijn8_demo()
+    simulate(g, SourceModel.uniform(g.alphabet), n=100_000, seed=0)
+    monkeypatch.setattr(sim, "ArcTable", _no_table)
+    used = _recorded_words(monkeypatch)
+    r = simulate(g, SourceModel.uniform(g.alphabet), n=2000, seed=3)
+    assert used == [2] and closes == [107]
+    assert (r.increments == walk_increments(g, 2000, 3, 1)).all()
 
 
 def test_simulate_runs_on_a_periodic_graph():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from tcq import (
     graph_from_edges,
     parse_graph,
     reduced_transition,
+    sim,
     simulate,
     statespace,
 )
@@ -393,6 +395,7 @@ def test_unset_spare_rows_are_never_read(monkeypatch, debruijn8):
         return out
 
     monkeypatch.setattr(statespace, "_grown", garbled)
+    monkeypatch.setattr(sim, "_CLOSED", weakref.WeakKeyDictionary())  # build every table again
     garbled_ss, garbled_walks = run()
     assert garbled_ss == ss
     for a, b in zip(clean, garbled_walks):
